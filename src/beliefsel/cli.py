@@ -127,7 +127,6 @@ def _selector_config(args, n_select: int, theta: float) -> SelectorConfig:
         partitions=args.partitions,
         seed=args.seed,
         threshold=getattr(args, "threshold", None),
-        deterministic=args.deterministic,
         threads=args.threads,
     )
 
@@ -253,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parent.add_argument("--eta", type=float, default=2.0)
     run_parent.add_argument("--kappa", type=float, default=0.8)
     run_parent.add_argument("--partitions", type=int, default=1)
-    run_parent.add_argument("--deterministic", action="store_true")
     run_parent.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("gen", help="write a synthetic benchmark to disk")

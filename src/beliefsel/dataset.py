@@ -228,6 +228,8 @@ def parse_libsvm(stream: IO[str] | Iterable[str], n_features: int | None = None)
                 v = float(v_s)
             except ValueError as exc:
                 raise DataError(f"line {ln}: bad index:value token {tok!r}") from exc
+            if not math.isfinite(v):
+                raise DataError(f"line {ln}: non-finite value {v_s!r} at index {i}")
             if i < 1:
                 raise DataError(f"line {ln}: indices are 1-based, got {i}")
             if i <= prev:
@@ -259,11 +261,11 @@ def parse_csv(stream: IO[str] | Iterable[str], label_column: int | str = -1,
     the same way label tokens do: by value order when every token is
     numeric, by first appearance otherwise.
     """
-    lines = [ln.rstrip("\n") for ln in stream]
-    lines = [ln for ln in lines if ln.strip()]
-    if len(lines) < 2:
+    numbered = [(ln, text.rstrip("\n"))
+                for ln, text in enumerate(stream, start=1) if text.strip()]
+    if len(numbered) < 2:
         raise DataError("CSV needs a header row and at least one instance")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in numbered[0][1].split(",")]
     ncol = len(header)
     if isinstance(label_column, str):
         if label_column not in header:
@@ -274,7 +276,7 @@ def parse_csv(stream: IO[str] | Iterable[str], label_column: int | str = -1,
         if not 0 <= lab_pos < ncol:
             raise DataError(f"label column {label_column} out of range")
     cells = []
-    for ln, line in enumerate(lines[1:], start=2):
+    for ln, line in numbered[1:]:
         row = [c.strip() for c in line.split(",")]
         if len(row) != ncol:
             raise DataError(f"line {ln}: expected {ncol} cells, got {len(row)}")
@@ -303,6 +305,11 @@ def parse_csv(stream: IO[str] | Iterable[str], label_column: int | str = -1,
                 X[:, col] = [float(row[j]) for row in cells]
             except ValueError as exc:
                 raise DataError(f"non-numeric cell in numeric column {header[j]!r}") from exc
+            bad = np.flatnonzero(~np.isfinite(X[:, col]))
+            if bad.size:
+                raise DataError(
+                    f"line {numbered[1 + bad[0]][0]}: non-finite value "
+                    f"{cells[bad[0]][j]!r} in column {j + 1} ({header[j]!r})")
         else:
             # Same policy as labels: numeric tokens keep value order so
             # integer-coded columns survive a round trip, text tokens are
@@ -387,7 +394,8 @@ def zscore_normalize(dataset: Dataset) -> Dataset:
     their values to exactly 0.  Dense values are materialized; sparse rows
     are left untouched and the transform is applied lazily through the
     recorded statistics (absent entries count as raw zeros).  Nominal
-    features pass through unchanged.
+    features pass through unchanged.  A numeric feature holding a NaN or
+    an infinity (or values whose sum overflows) raises ``DataError``.
     """
     m = dataset.n_instances
     if m == 0:
@@ -398,6 +406,7 @@ def zscore_normalize(dataset: Dataset) -> Dataset:
         for idx, vals in dataset.rows:
             np.add.at(s, idx, vals)
             np.add.at(sq, idx, vals * vals)
+        _check_finite(s)
         mean = s / m
         var = np.maximum(sq / m - mean * mean, 0.0)
         std = np.sqrt(var)
@@ -416,6 +425,7 @@ def zscore_normalize(dataset: Dataset) -> Dataset:
     if mask.any():
         sub = X[:, mask]
         mu = sub.mean(axis=0)
+        _check_finite(mu, np.flatnonzero(mask))
         sigma = sub.std(axis=0)  # population
         sigma[sigma == 0.0] = 1.0
         X[:, mask] = (sub - mu) / sigma
@@ -425,6 +435,20 @@ def zscore_normalize(dataset: Dataset) -> Dataset:
                   n_classes=dataset.n_classes)
     out.means, out.stds, out.normalized = mean, std, True
     return out
+
+
+def _check_finite(stat: np.ndarray, features: np.ndarray | None = None) -> None:
+    """Raise on the first non-finite per-feature sum or mean.
+
+    Any NaN or infinity in a column propagates into its sum, so the
+    statistics normalization computes anyway find bad input at no extra
+    pass.  ``features`` maps positions in ``stat`` to feature indices.
+    """
+    bad = np.flatnonzero(~np.isfinite(stat))
+    if bad.size:
+        j = int(bad[0] if features is None else features[bad[0]])
+        raise DataError(f"feature {j} holds a non-finite value "
+                        f"(or values whose sum overflows)")
 
 
 # -- partitioning and sampling ---------------------------------------------

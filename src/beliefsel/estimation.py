@@ -21,7 +21,7 @@ the distance-accumulation path on shared inputs.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +29,7 @@ import numpy as np
 from .dataset import Dataset, FeatureSpace, PartitionedDataset, SampleBatch
 from .errors import DataError, IntegrityError
 from .neighbors import NeighborTable, instance_distance
-from .redundancy import CollisionTables, update_collisions
+from .redundancy import CollisionTables, RateBlock, collision_rates
 
 __all__ = [
     "WeightVector",
@@ -129,7 +129,9 @@ def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
 
     Only locators addressed to partition ``g`` are consumed; the same diff
     vector feeds both the distance matrices and (when enabled) the
-    collision tables, so redundancy tracking adds no distance work.
+    collision tables, so redundancy tracking adds no distance work.  Pair
+    rate rows are queued and folded into the collision tables a bounded
+    block at a time.
     """
     ds = pdata.dataset
     n = ds.n_features
@@ -139,6 +141,7 @@ def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
     start = int(pdata.starts[g])
     end = int(pdata.starts[g + 1])
     block = ds.rows[start:end]
+    pending = RateBlock(stats.collisions) if collect_collisions else None
     for i in range(len(batch)):
         gid = int(batch.indices[i])
         y = int(batch.labels[i])
@@ -163,9 +166,8 @@ def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
                     diffs = pair_diffs(srow, block[loc.local_index], space)
                     idx, vals = diffs
                     np.add.at(target[y], idx, vals)
-                    if collect_collisions:
-                        update_collisions(stats.collisions, None, None, space,
-                                          kappa=kappa, diffs=diffs)
+                    if pending is not None:
+                        pending.push(collision_rates(diffs, space, kappa)[None])
             else:
                 rows = block[[loc.local_index for loc in local]]
                 diffs = np.abs(rows - srow)
@@ -173,11 +175,11 @@ def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
                     diffs[:, space.nominal_idx] = (
                         rows[:, space.nominal_idx] != srow[space.nominal_idx])
                 target[y] += diffs.sum(axis=0)
-                if collect_collisions:
-                    for r in range(diffs.shape[0]):
-                        update_collisions(stats.collisions, None, None, space,
-                                          kappa=kappa, diffs=diffs[r])
+                if pending is not None:
+                    pending.push(collision_rates(diffs, space, kappa))
             counts[y] += len(local)
+    if pending is not None:
+        pending.flush()
     return stats
 
 
@@ -196,13 +198,12 @@ def merge_stats(a: ClassDistanceStats, b: ClassDistanceStats) -> ClassDistanceSt
 
 def estimate_batch(pdata: PartitionedDataset, batch: SampleBatch,
                    table: NeighborTable, tracked=(), kappa: float = 0.8,
-                   collect_collisions: bool = False, deterministic: bool = False,
+                   collect_collisions: bool = False,
                    threads: int | None = None) -> ClassDistanceStats:
     """Accumulate the whole batch: map over partitions, merge the parts.
 
-    With ``deterministic`` the partial results fold in partition-index
-    order; otherwise they fold as they complete.  Either way the totals
-    agree to float addition order.
+    The partial results fold in partition-index order, so repeat runs are
+    bit-identical whatever order the threads finish in.
     """
     p = pdata.n_partitions
     job = lambda g: accumulate_partition(
@@ -212,11 +213,7 @@ def estimate_batch(pdata: PartitionedDataset, batch: SampleBatch,
         return job(0)
     workers = threads or min(p, 8)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        if deterministic:
-            parts = list(pool.map(job, range(p)))
-        else:
-            futures = [pool.submit(job, g) for g in range(p)]
-            parts = [f.result() for f in as_completed(futures)]
+        parts = list(pool.map(job, range(p)))
     total = parts[0]
     for part in parts[1:]:
         total = merge_stats(total, part)

@@ -22,7 +22,7 @@ keeps the measure exactly symmetric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,9 @@ __all__ = [
     "COLLISION_SPAN",
     "BOOTSTRAP_TRACK_LIMIT",
     "collision_rate",
+    "collision_rates",
     "CollisionTables",
+    "RateBlock",
     "RedundancyTable",
     "compute_mcr",
     "eta_tracked",
@@ -44,6 +46,12 @@ COLLISION_SPAN = 6.0
 # Batch 1 tracks all pairs up to this many features; above it, the first
 # batch records marginals only and joint tracking starts at batch 2.
 BOOTSTRAP_TRACK_LIMIT = 5000
+# Queued collision-rate rows are folded once they fill this many bytes.
+# That bounds memory whatever the sample size, and the fold's temporaries
+# (the size of the block) stay in a core's L2 cache: on a Xeon with 2 MiB
+# of L2 per core, 1 MiB blocks folded fastest among 256 KiB..4 MiB on
+# 500- and 4060-feature data.
+_RATE_BLOCK_BYTES = 1 << 20
 
 
 def collision_rate(a: float, b: float, kind: FeatureKind, kappa: float = 0.8) -> float:
@@ -58,14 +66,33 @@ def collision_rate(a: float, b: float, kind: FeatureKind, kappa: float = 0.8) ->
 
 def _rates_from_diffs(diffs: np.ndarray, nominal_idx: np.ndarray,
                       kappa: float) -> np.ndarray:
-    """Vectorized collision rates from absolute per-feature diffs."""
+    """Vectorized collision rates from absolute per-feature diffs.
+
+    ``diffs`` is one pair's vector or a (pairs, features) block.
+    """
     rates = 1.0 - diffs / COLLISION_SPAN
     np.maximum(rates, 0.0, out=rates)
     rates[(rates > 0.0) & (rates < kappa)] = 0.0
     if nominal_idx.size:
         # Nominal diffs are 0/1 indicators: equal -> 1, different -> 0.
-        rates[nominal_idx] = 1.0 - diffs[nominal_idx]
+        rates[..., nominal_idx] = 1.0 - diffs[..., nominal_idx]
     return rates
+
+
+def collision_rates(diffs, space: FeatureSpace, kappa: float = 0.8) -> np.ndarray:
+    """Collision rates of instance pairs from their absolute diffs.
+
+    ``diffs`` is what the weight-estimation pass already computed, so
+    collision tracking adds no distance work of its own: a dense vector, a
+    (pairs, features) block of dense rows, or a sparse (union indices,
+    diffs) pair, which expands to a dense vector (features outside the
+    union differ by 0 and so collide at rate 1).
+    """
+    if isinstance(diffs, tuple):
+        idx, vals = diffs
+        diffs = np.zeros(space.n_features)
+        diffs[idx] = vals
+    return _rates_from_diffs(diffs, space.nominal_idx, kappa)
 
 
 @dataclass
@@ -100,31 +127,31 @@ class CollisionTables:
 
     def add_pair_rates(self, rates: np.ndarray) -> None:
         """Fold one instance pair's collision-rate vector into the tables."""
-        if rates.shape[0] != self.n_features:
-            raise IntegrityError("rate vector does not match feature count")
-        self.marginal += rates
-        self.pair_count += 1
-        t = self.tracked.size
-        if not t:
+        self.add_rate_rows(np.asarray(rates)[None, :])
+
+    def add_rate_rows(self, rates: np.ndarray) -> None:
+        """Fold a block of collision-rate rows, one per instance pair.
+
+        Tracked row r (feature f) owns the columns j > f plus the untracked
+        j < f, and only those are computed: each pair is written once, and
+        the lower triangle of the tracked square, which an update never
+        writes, costs nothing.  Temporaries are the size of the block.
+        """
+        if rates.ndim != 2 or rates.shape[1] != self.n_features:
+            raise IntegrityError("rate rows do not match the feature count")
+        self.marginal += rates.sum(axis=0)
+        self.pair_count += rates.shape[0]
+        if not self.tracked.size or not rates.shape[0]:
             return
-        # Runs once per (sample, neighbor) visit; with thousands of tracked
-        # features the per-visit temporaries dominated the runtime, so the
-        # update buffer is kept and reused.
-        buf = getattr(self, "_update_buf", None)
-        if buf is None or buf.shape != (t, self.n_features):
-            buf = np.empty((t, self.n_features))
-            self._update_buf = buf
-        np.minimum.outer(rates[self.tracked], rates, out=buf)
-        first = int(self.tracked[0])
-        if int(self.tracked[-1]) - first + 1 == t:
-            # Contiguous tracked run: the pair-once region of row r is a
-            # prefix slice, cheaper to zero than masking the full square.
-            for r in range(t):
-                buf[r, first:first + r + 1] = 0.0
-        else:
-            square = buf[:, self.tracked]
-            buf[:, self.tracked] = np.triu(square, k=1)
-        self.joint += buf
+        untracked = np.setdiff1d(np.arange(self.n_features), self.tracked)
+        below = np.searchsorted(untracked, self.tracked)
+        low = rates[:, untracked]
+        for r, f in enumerate(self.tracked.tolist()):
+            col = rates[:, f:f + 1]
+            self.joint[r, f + 1:] += np.minimum(col, rates[:, f + 1:]).sum(axis=0)
+            u = below[r]
+            if u:
+                self.joint[r, untracked[:u]] += np.minimum(col, low[:, :u]).sum(axis=0)
 
     def merge(self, other: "CollisionTables") -> "CollisionTables":
         """Entrywise sum; tracked sets are unioned with rows realigned."""
@@ -156,48 +183,76 @@ class CollisionTables:
         return total
 
 
-def update_collisions(tables: CollisionTables, sample_row, neighbor_row,
-                      space: FeatureSpace, kappa: float = 0.8,
-                      diffs: np.ndarray | None = None) -> None:
-    """Record the collisions of one (sample, neighbor) pair.
+class RateBlock:
+    """Collision-rate rows waiting to be folded into one ``CollisionTables``.
 
-    ``diffs`` takes the absolute per-feature differences already computed by
-    the weight-estimation pass so that collision tracking adds no distance
-    work of its own; without it the diffs are derived here from the rows.
+    Rows are copied into a preallocated block of ``_RATE_BLOCK_BYTES`` (at
+    least one row), which is folded with ``add_rate_rows`` whenever it
+    fills; ``flush`` folds the rest.  Memory therefore stays bounded
+    whatever the number of pairs.
     """
-    if diffs is None:
-        from .estimation import pair_diffs
-        diffs = pair_diffs(sample_row, neighbor_row, space)
-    if isinstance(diffs, tuple):
-        idx, vals = diffs
-        rates = np.ones(tables.n_features)
-        local = 1.0 - vals / COLLISION_SPAN
-        np.maximum(local, 0.0, out=local)
-        local[(local > 0.0) & (local < kappa)] = 0.0
-        rates[idx] = local
-    else:
-        rates = _rates_from_diffs(diffs, space.nominal_idx, kappa)
-    tables.add_pair_rates(rates)
+
+    def __init__(self, tables: CollisionTables):
+        self.tables = tables
+        n = tables.n_features
+        self._rows = np.empty((max(1, _RATE_BLOCK_BYTES // (8 * max(n, 1))), n))
+        self._fill = 0
+
+    def push(self, rates: np.ndarray) -> None:
+        """Queue a (pairs, features) block of rate rows."""
+        cap = self._rows.shape[0]
+        while rates.shape[0]:
+            take = min(cap - self._fill, rates.shape[0])
+            self._rows[self._fill:self._fill + take] = rates[:take]
+            self._fill += take
+            rates = rates[take:]
+            if self._fill == cap:
+                self.flush()
+
+    def flush(self) -> None:
+        """Fold every queued row into the tables."""
+        if self._fill:
+            self.tables.add_rate_rows(self._rows[:self._fill])
+            self._fill = 0
 
 
 @dataclass
 class RedundancyTable:
     """Pairwise redundancy values with the bounds used for normalization.
 
-    Pairs that were never tracked (or whose measure is exactly 0) are not
-    stored; they contribute a raw value of 0.  ``normalized`` rescales the
-    raw value through minmax bounds that always include the zero point.
+    ``values[r, j]`` is the raw value of the pair {tracked[r], j}, a dense
+    (tracked, features) array laid out like ``CollisionTables.joint``;
+    both orientations of a both-tracked pair hold the same value.  Pairs
+    with no tracked member (and every pair whose measure is exactly 0) have
+    a raw value of 0.  ``normalized`` rescales raw values through minmax
+    bounds that always include the zero point.
     """
 
     n_features: int
-    values: dict = field(default_factory=dict)
+    tracked: np.ndarray
+    values: np.ndarray
     lo: float = 0.0
     hi: float = 0.0
 
+    def _row_of(self, i: int) -> int | None:
+        r = int(np.searchsorted(self.tracked, i))
+        return r if r < self.tracked.size and self.tracked[r] == i else None
+
     def raw(self, i: int, j: int) -> float:
-        if i > j:
-            i, j = j, i
-        return self.values.get((i, j), 0.0)
+        r = self._row_of(i)
+        if r is not None:
+            return float(self.values[r, j])
+        r = self._row_of(j)
+        return 0.0 if r is None else float(self.values[r, i])
+
+    def raw_row(self, i: int) -> np.ndarray:
+        """Raw values of feature ``i`` against every feature."""
+        r = self._row_of(i)
+        if r is not None:
+            return self.values[r].copy()
+        out = np.zeros(self.n_features)
+        out[self.tracked] = self.values[:, i]
+        return out
 
     def normalized(self, i: int, j: int) -> float:
         span = self.hi - self.lo
@@ -205,37 +260,35 @@ class RedundancyTable:
             return 0.0
         return (self.raw(i, j) - self.lo) / span
 
+    def normalized_row(self, i: int) -> np.ndarray:
+        """``normalized(i, j)`` for every feature j."""
+        span = self.hi - self.lo
+        if span <= 0.0:
+            return np.zeros(self.n_features)
+        return (self.raw_row(i) - self.lo) / span
+
 
 def compute_mcr(tables: CollisionTables) -> RedundancyTable:
     """Turn accumulated collision mass into the pairwise redundancy table."""
     if tables.pair_count <= 0:
         raise DataError("no instance pairs were processed")
     pc = tables.marginal / tables.pair_count
-    n = tables.n_features
-    rows, cols = np.nonzero(tables.joint)
-    if rows.size == 0:
-        return RedundancyTable(n_features=n)
-    i = tables.tracked[rows]
-    key = np.minimum(i, cols) * n + np.maximum(i, cols)
-    # Stable sort keeps the row-major scan order, so a pair split over two
-    # orientations by a merge accumulates its mass in the same order the
-    # plain scan would.
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    uniq, start = np.unique(key, return_index=True)
-    mass = np.add.reduceat(tables.joint[rows, cols][order], start)
-    ui = uniq // n
-    uj = uniq % n
-    pij = mass / tables.pair_count
-    ok = (pij > 0.0) & (pc[ui] > 0.0) & (pc[uj] > 0.0)
-    ui, uj = ui[ok], uj[ok]
-    v = np.minimum(pc[ui], pc[uj]) * np.log2(pij[ok] / (pc[ui] * pc[uj]))
-    keep = v != 0.0
-    values = {(int(a), int(b)): float(x)
-              for a, b, x in zip(ui[keep], uj[keep], v[keep])}
-    lo = min(0.0, float(v.min()) if v.size else 0.0)
-    hi = max(0.0, float(v.max()) if v.size else 0.0)
-    return RedundancyTable(n_features=n, values=values, lo=lo, hi=hi)
+    tracked = tables.tracked
+    # A merge may have split a both-tracked pair's mass over its two
+    # orientations; summing the transposed square gives each orientation
+    # the whole mass (a plain update left the other one at 0).
+    pij = tables.joint.copy()
+    pij[:, tracked] += tables.joint[:, tracked].T
+    pij /= tables.pair_count
+    pc_row = pc[tracked][:, None]
+    ok = (pij > 0.0) & (pc_row > 0.0) & (pc > 0.0)
+    values = np.zeros_like(pij)
+    np.log2(np.divide(pij, pc_row * pc, out=values, where=ok), out=values, where=ok)
+    values *= np.minimum(pc_row, pc)
+    lo = min(0.0, float(values.min(initial=0.0)))
+    hi = max(0.0, float(values.max(initial=0.0)))
+    return RedundancyTable(n_features=tables.n_features, tracked=tracked.copy(),
+                           values=values, lo=lo, hi=hi)
 
 
 def eta_tracked(scores: np.ndarray, n_select: int, eta: float = 2.0) -> np.ndarray:

@@ -56,7 +56,6 @@ class SelectorConfig:
     partitions: int = 1
     seed: int = 0
     threshold: float | None = None
-    deterministic: bool = False
     threads: int | None = None
 
 
@@ -132,9 +131,8 @@ def sfs(weights: WeightVector, redundancy: RedundancyTable | None,
         ))
         remaining[best] = False
         if penalize:
-            # One new term per remaining candidate: the feature just picked.
-            for i in np.flatnonzero(remaining):
-                penalty[i] += redundancy.normalized(best, int(i))
+            # One new term per candidate: the feature just picked.
+            penalty += redundancy.normalized_row(best)
     return RankingResult(selected=selected, weights=weights)
 
 
@@ -147,6 +145,10 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
     if not 1 <= config.n_select <= dataset.n_features:
         raise DataError(
             f"selection size {config.n_select} not in 1..{dataset.n_features}")
+    present = np.count_nonzero(np.bincount(dataset.labels, minlength=2))
+    if present < 2:
+        raise DataError(f"weighting needs instances of at least two classes, "
+                        f"got {present}")
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     ds = dataset if dataset.normalized else zscore_normalize(dataset)
@@ -179,8 +181,7 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
         t0 = time.perf_counter()
         stats = estimate_batch(
             pdata, batch, table, tracked=tracked, kappa=config.kappa,
-            collect_collisions=collect, deterministic=config.deterministic,
-            threads=config.threads)
+            collect_collisions=collect, threads=config.threads)
         total = stats if total is None else merge_stats(total, stats)
         estimate_s += time.perf_counter() - t0
         # Refresh the relevance window for the next batch from the weights

@@ -127,12 +127,12 @@ def test_01_neighbor_search_matches_brute_force():
            f"worst distance gap {worst:.1e} relative")
 
 
-def accumulate_once(ds, p, seed, deterministic):
+def accumulate_once(ds, p, seed):
     pdata = partition(ds, p)
     batch = draw_sample(pdata, 1.0, 1, seed=seed)[0]
     table = neighborhood(pdata, batch, 3)
     return estimate_batch(pdata, batch, table, tracked=range(ds.n_features),
-                          collect_collisions=True, deterministic=deterministic)
+                          collect_collisions=True)
 
 
 def test_02_partition_count_does_not_change_statistics():
@@ -153,10 +153,10 @@ def test_02_partition_count_does_not_change_statistics():
         y[:n_classes] = np.arange(n_classes)
         ds = zscore_normalize(Dataset(X, y, kinds))
 
-        one = accumulate_once(ds, 1, run, True)
-        eight = accumulate_once(ds, 8, run, True)
-        again = accumulate_once(ds, 8, run, True)
-        threaded = accumulate_once(ds, 8, run, False)
+        one = accumulate_once(ds, 1, run)
+        eight = accumulate_once(ds, 8, run)
+        again = accumulate_once(ds, 8, run)
+        threaded = accumulate_once(ds, 8, run)
 
         pairs = [(one.miss_dist, eight.miss_dist),
                  (one.hit_dist, eight.hit_dist),
@@ -171,7 +171,7 @@ def test_02_partition_count_does_not_change_statistics():
             else:
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
                 worst = max(worst, float(np.max(np.abs(a - b))))
-        # the deterministic path repeats bit for bit, threads or not
+        # partials fold in partition order, so repeats are bit for bit
         assert np.array_equal(eight.miss_dist, again.miss_dist)
         assert np.array_equal(eight.collisions.joint, again.collisions.joint)
         np.testing.assert_allclose(eight.miss_dist, threaded.miss_dist,

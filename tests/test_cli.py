@@ -85,7 +85,7 @@ class TestSelectAndRank:
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         argv = ["select", "--input", str(data), "--nfeat", "5",
-                "--partitions", "4", "--deterministic"]
+                "--partitions", "4"]
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert stable_report(a) == stable_report(b)
@@ -93,6 +93,12 @@ class TestSelectAndRank:
     def test_missing_input_is_exit_two(self, tmp_path):
         assert main(["select", "--input", str(tmp_path / "none.csv"),
                      "--nfeat", "2"]) == 2
+
+    def test_non_finite_input_is_exit_two(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text("a,b,class\n1.0,2.0,0\n3.0,inf,1\n")
+        assert main(["select", "--input", str(data), "--nfeat", "1"]) == 2
+        assert "line 3" in capsys.readouterr().err
 
     def test_oversized_selection_is_exit_two(self, tmp_path):
         data, _ = run_gen(tmp_path)

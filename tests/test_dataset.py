@@ -66,6 +66,11 @@ class TestParseLibsvm:
         with pytest.raises(DataError):
             parse_libsvm(io.StringIO(""))
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_names_line_and_index(self, token):
+        with pytest.raises(DataError, match=r"line 2: .* at index 3"):
+            parse_libsvm(io.StringIO(f"1 1:0.5\n0 1:1.0 3:{token}\n"))
+
 
 class TestParseCsv:
     TEXT = "a,b,color,class\n1.5,2,red,yes\n0.5,3,blue,no\n2.5,1,red,yes\n"
@@ -96,6 +101,13 @@ class TestParseCsv:
     def test_missing_label_column_rejected(self):
         with pytest.raises(DataError):
             parse_csv(io.StringIO(self.TEXT), label_column="nope")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_line_and_column(self, token):
+        # The blank line still counts, so the report matches the file.
+        text = f"a,b,class\n1.0,2.0,0\n\n3.0,{token},1\n"
+        with pytest.raises(DataError, match=r"line 4: .* column 2 \('b'\)"):
+            parse_csv(io.StringIO(text))
 
     def test_forced_numeric_kind_on_text_rejected(self):
         with pytest.raises(DataError):
@@ -202,6 +214,21 @@ class TestZscore:
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
             zscore_normalize(Dataset(np.empty((0, 2)), [], [FeatureKind.NUMERIC] * 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dense_non_finite_names_first_bad_feature(self, bad):
+        ds = make_dense(m=10, n=5, nominal=(0,), seed=4)
+        ds.rows[3, 4] = bad
+        ds.rows[6, 2] = bad
+        with pytest.raises(DataError, match=r"feature 2 "):
+            zscore_normalize(ds)
+
+    def test_sparse_non_finite_names_first_bad_feature(self):
+        rows = [(np.array([0, 3]), np.array([1.0, np.inf])),
+                (np.array([1]), np.array([np.nan]))]
+        ds = Dataset(rows, [0, 1], [FeatureKind.NUMERIC] * 4)
+        with pytest.raises(DataError, match=r"feature 1 "):
+            zscore_normalize(ds)
 
 
 class TestPartition:

@@ -56,12 +56,12 @@ def belief_oracle(ds, sample_ids, k):
     return priors @ mavg - priors @ havg
 
 
-def pipeline_weights(ds, k=1, p=1, rate=1.0, seed=0, deterministic=False):
+def pipeline_weights(ds, k=1, p=1, rate=1.0, seed=0):
     from beliefsel.neighbors import neighborhood
     pdata = partition(ds, p)
     batch = draw_sample(pdata, rate, 1, seed=seed)[0]
     table = neighborhood(pdata, batch, k)
-    stats = estimate_batch(pdata, batch, table, deterministic=deterministic)
+    stats = estimate_batch(pdata, batch, table)
     return batch, belief_weights(stats, ds.class_priors())
 
 
@@ -132,8 +132,8 @@ class TestAccumulation:
         y = rng.integers(0, 2, 60)
         y[:2] = [0, 1]
         ds = Dataset(X, y, [FeatureKind.NOMINAL] * 5)
-        _, w1 = pipeline_weights(ds, k=2, p=6, rate=0.5, deterministic=True)
-        _, w2 = pipeline_weights(ds, k=2, p=6, rate=0.5, deterministic=False)
+        _, w1 = pipeline_weights(ds, k=2, p=6, rate=0.5)
+        _, w2 = pipeline_weights(ds, k=2, p=6, rate=0.5)
         assert np.array_equal(w1.values, w2.values)
 
     def test_missing_bucket_is_integrity_error(self):

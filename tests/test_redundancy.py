@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beliefsel import redundancy
 from beliefsel.dataset import Dataset, FeatureKind
 from beliefsel.errors import DataError, IntegrityError
 from beliefsel.redundancy import (BOOTSTRAP_TRACK_LIMIT, COLLISION_SPAN,
-                                  CollisionTables, bootstrap_tracked,
-                                  collision_rate, compute_mcr, eta_tracked,
-                                  update_collisions)
+                                  CollisionTables, RateBlock, bootstrap_tracked,
+                                  collision_rate, collision_rates, compute_mcr,
+                                  eta_tracked)
 
 NUM = FeatureKind.NUMERIC
 NOM = FeatureKind.NOMINAL
@@ -62,7 +63,7 @@ class TestCollisionTables:
         ds = Dataset(np.zeros((2, 3)), [0, 1], [NUM, NUM, NOM])
         space = ds.feature_space()
         t = CollisionTables.empty(3, range(3))
-        update_collisions(t, None, None, space, diffs=np.zeros(3))
+        t.add_pair_rates(collision_rates(np.zeros(3), space))
         assert t.marginal.tolist() == [1.0, 1.0, 1.0]
         assert t.pair_count == 1
 
@@ -131,7 +132,143 @@ class TestCollisionTables:
             CollisionTables.empty(3, (5,))
 
 
+def random_rates(rng, pairs, n):
+    """Rate rows shaped like real ones: 0 or in the [0.8, 1] window."""
+    return np.where(rng.random((pairs, n)) < 0.4, 0.0,
+                    rng.uniform(0.8, 1.0, (pairs, n)))
+
+
+def joint_oracle(rows, tracked, n):
+    """Plain loop over pairs and cells: the joint table one update writes.
+
+    Row r (feature f) holds sum(min(r[f], r[j])) for j > f and for the
+    untracked j < f; every other cell stays 0.
+    """
+    ts = set(tracked)
+    want = np.zeros((len(tracked), n))
+    for r, f in enumerate(sorted(ts)):
+        for j in range(n):
+            if j != f and (j > f or j not in ts):
+                want[r, j] = sum(min(row[f], row[j]) for row in rows)
+    return want
+
+
+TRACKED_SETS = [range(9), range(3, 8), (0, 2, 5, 6, 8), (4,), ()]
+
+
+class TestBatchedFold:
+    @pytest.mark.parametrize("tracked", TRACKED_SETS)
+    def test_rate_rows_match_pair_loop(self, tracked):
+        rng = np.random.default_rng(11)
+        rows = random_rates(rng, 17, 9)
+        t = CollisionTables.empty(9, tracked)
+        t.add_rate_rows(rows[:5])
+        t.add_rate_rows(rows[5:])
+        np.testing.assert_allclose(t.joint, joint_oracle(rows, tracked, 9),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(t.marginal, rows.sum(axis=0), rtol=0, atol=1e-12)
+        assert t.pair_count == 17
+
+    @pytest.mark.parametrize("tracked", TRACKED_SETS)
+    def test_blocks_crossing_the_flush_size(self, tracked, monkeypatch):
+        # Three rows fill the block, so pushes of 1..7 rows cross it at
+        # every offset; the tables must equal the one-pair-at-a-time fold.
+        monkeypatch.setattr(redundancy, "_RATE_BLOCK_BYTES", 3 * 8 * 9)
+        rng = np.random.default_rng(12)
+        rows = random_rates(rng, 30, 9)
+        t = CollisionTables.empty(9, tracked)
+        block = RateBlock(t)
+        start = 0
+        for size in (1, 4, 2, 7, 3, 0, 5, 6, 2):
+            block.push(rows[start:start + size])
+            start += size
+        assert start == 30
+        block.flush()
+        one = CollisionTables.empty(9, tracked)
+        for row in rows:
+            one.add_pair_rates(row)
+        want = joint_oracle(rows, tracked, 9)
+        np.testing.assert_allclose(t.joint, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(one.joint, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(t.marginal, one.marginal, rtol=0, atol=1e-12)
+        assert t.pair_count == one.pair_count == 30
+
+    def test_flush_without_rows_changes_nothing(self):
+        t = CollisionTables.empty(4, range(4))
+        RateBlock(t).flush()
+        assert t.pair_count == 0 and not t.joint.any()
+
+    def test_block_of_diffs_with_nominal_columns(self):
+        rng = np.random.default_rng(13)
+        kinds = [NUM, NOM, NUM, NOM, NUM]
+        ds = Dataset(np.zeros((2, 5)), [0, 1], kinds)
+        space = ds.feature_space()
+        diffs = np.abs(rng.standard_normal((8, 5))) * 2.0
+        diffs[:, [1, 3]] = rng.integers(0, 2, (8, 2))
+        rates = collision_rates(diffs, space, kappa=0.8)
+        assert rates.shape == (8, 5)
+        for p in range(8):
+            for j, kind in enumerate(kinds):
+                want = collision_rate(0.0, diffs[p, j], kind, kappa=0.8)
+                assert rates[p, j] == pytest.approx(want, abs=1e-15)
+            np.testing.assert_array_equal(
+                collision_rates(diffs[p], space, kappa=0.8), rates[p])
+        t = CollisionTables.empty(5, (1, 2))
+        t.add_rate_rows(rates)
+        np.testing.assert_allclose(t.joint, joint_oracle(rates, (1, 2), 5),
+                                   rtol=0, atol=1e-12)
+
+    def test_sparse_diffs_collide_fully_outside_the_union(self):
+        ds = Dataset([(np.array([0]), np.array([1.0]))], [0], [NUM] * 4)
+        rates = collision_rates((np.array([1, 3]), np.array([1.2, 1.8])),
+                                ds.feature_space(), kappa=0.8)
+        assert rates.tolist() == [1.0, pytest.approx(0.8), 1.0, 0.0]
+
+    def test_rate_rows_shape_checked(self):
+        t = CollisionTables.empty(3, range(3))
+        with pytest.raises(IntegrityError):
+            t.add_rate_rows(np.ones((2, 4)))
+        with pytest.raises(IntegrityError):
+            t.add_rate_rows(np.ones(3))
+
+
 class TestRedundancyMeasure:
+    def test_dense_table_matches_pair_mass_on_merged_tables(self):
+        # Overlapping tracked sets, so merged pairs hold mass in both
+        # orientations; every value must follow the formula on pair_mass.
+        rng = np.random.default_rng(21)
+        n = 8
+        rows = random_rates(rng, 40, n)
+        parts = [((0, 1, 2, 5), rows[:15]), ((2, 3, 5, 7), rows[15:30]),
+                 ((1, 5), rows[30:])]
+        merged = None
+        for tracked, chunk in parts:
+            t = CollisionTables.empty(n, tracked)
+            t.add_rate_rows(chunk)
+            merged = t if merged is None else merged.merge(t)
+        red = compute_mcr(merged)
+        pc = merged.marginal / merged.pair_count
+        expected = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                pij = merged.pair_mass(i, j) / merged.pair_count
+                if pij > 0.0 and pc[i] > 0.0 and pc[j] > 0.0:
+                    expected[i, j] = min(pc[i], pc[j]) * math.log2(
+                        pij / (pc[i] * pc[j]))
+        assert np.count_nonzero(expected) > 20
+        assert red.raw(4, 6) == 0.0  # never tracked on either side
+        for i in range(n):
+            row = red.raw_row(i)
+            norm = red.normalized_row(i)
+            for j in range(n):
+                assert red.raw(i, j) == pytest.approx(expected[i, j], abs=1e-12)
+                assert row[j] == red.raw(i, j)
+                assert norm[j] == red.normalized(i, j)
+        assert red.lo == pytest.approx(min(0.0, expected.min()), abs=1e-12)
+        assert red.hi == pytest.approx(max(0.0, expected.max()), abs=1e-12)
+
     def test_perfect_co_collision_is_exactly_half(self):
         # Both features collide on the same half of the pairs:
         # PC_i = PC_j = PC_ij = 1/2, so the value is 0.5 * log2(2) = 0.5.

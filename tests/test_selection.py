@@ -18,10 +18,13 @@ def wvec(*values):
 
 
 def red_table(n, pairs):
-    values = {(min(i, j), max(i, j)): v for (i, j), v in pairs.items()}
-    lo = min(0.0, min(values.values(), default=0.0))
-    hi = max(0.0, max(values.values(), default=0.0))
-    return RedundancyTable(n_features=n, values=values, lo=lo, hi=hi)
+    values = np.zeros((n, n))
+    for (i, j), v in pairs.items():
+        values[i, j] = values[j, i] = v
+    lo = min(0.0, values.min())
+    hi = max(0.0, values.max())
+    return RedundancyTable(n_features=n, tracked=np.arange(n), values=values,
+                           lo=lo, hi=hi)
 
 
 def gaussian_classes(seed, m=120, n=8, shifts=(2.0, 1.5, 1.2)):
@@ -135,21 +138,19 @@ class TestRunBelief:
 
     def test_deterministic_repeat_runs_are_bit_identical(self):
         ds = gaussian_classes(1)
-        cfg = SelectorConfig(n_select=4, partitions=3, sample_rate=0.5, seed=11,
-                             deterministic=True)
+        cfg = SelectorConfig(n_select=4, partitions=3, sample_rate=0.5, seed=11)
         a = run_belief(ds, cfg)
         b = run_belief(ds, cfg)
         assert np.array_equal(a.weights.values, b.weights.values)
         assert a.selected_features() == b.selected_features()
 
     def test_default_repeat_runs_agree_to_addition_order(self):
-        # Partials fold as threads finish, so only near-equality is promised.
+        # Partials fold in partition order whatever order threads finish in.
         ds = gaussian_classes(1)
         cfg = SelectorConfig(n_select=4, partitions=3, sample_rate=0.5, seed=11)
         a = run_belief(ds, cfg)
         b = run_belief(ds, cfg)
-        np.testing.assert_allclose(a.weights.values, b.weights.values,
-                                   atol=1e-9, rtol=0)
+        assert np.array_equal(a.weights.values, b.weights.values)
         assert a.selected_features() == b.selected_features()
 
     def test_zero_theta_skips_collision_tracking(self):
@@ -178,6 +179,12 @@ class TestRunBelief:
         above = res.metadata["above_threshold"]
         assert 0 in above
         assert all(minmax_normalize(res.weights.values)[j] > 0.5 for j in above)
+
+    def test_single_class_rejected_before_search(self):
+        ds = gaussian_classes(7, m=30)
+        one = Dataset(ds.rows, np.ones(30, dtype=int), ds.kinds, n_classes=2)
+        with pytest.raises(DataError, match="two classes"):
+            run_belief(one, SelectorConfig(n_select=2))
 
     def test_selection_size_validated_before_work(self):
         ds = gaussian_classes(6, m=30)
