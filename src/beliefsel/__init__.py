@@ -10,7 +10,7 @@ from .dataset import (Dataset, FeatureKind, PartitionedDataset, SampleBatch,
                       draw_sample, parse_csv, parse_libsvm, partition,
                       zscore_normalize)
 from .errors import DataError, IntegrityError
-from .neighbors import NeighborLocator, NeighborTable, instance_distance, neighborhood
+from .neighbors import NeighborTable, instance_distance, neighborhood
 from .estimation import (ClassDistanceStats, WeightVector, belief_weights,
                          estimate_batch, relief_reference, relieff_reference)
 from .redundancy import (CollisionTables, RedundancyTable, collision_rate,
@@ -26,7 +26,7 @@ __all__ = [
     "Dataset", "FeatureKind", "PartitionedDataset", "SampleBatch",
     "draw_sample", "parse_csv", "parse_libsvm", "partition", "zscore_normalize",
     "DataError", "IntegrityError",
-    "NeighborLocator", "NeighborTable", "instance_distance", "neighborhood",
+    "NeighborTable", "instance_distance", "neighborhood",
     "ClassDistanceStats", "WeightVector", "belief_weights", "estimate_batch",
     "relief_reference", "relieff_reference",
     "CollisionTables", "RedundancyTable", "collision_rate", "compute_mcr",

@@ -12,18 +12,13 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from .baselines import mrmr_select
 from .benchdata import GroundTruth, generate, success_score
-from .dataset import (Dataset, draw_sample, parse_csv, parse_libsvm, partition,
-                      write_csv, write_metadata, zscore_normalize)
+from .dataset import Dataset, parse_csv, parse_libsvm, write_csv, write_metadata
 from .errors import DataError, IntegrityError
 from .evaluation import cross_validate
-from .neighbors import neighborhood
 from .selection import SelectorConfig, run_belief
 
 __all__ = ["main", "build_parser", "RunReport", "bench_run"]
@@ -50,50 +45,29 @@ class RunReport:
 
 
 def bench_run(dataset: Dataset, k: int = 3, sample_rate: float = 1.0,
-              batches: int = 1, partitions: int = 1, seed: int = 0,
-              threads: int | None = None) -> RunReport:
-    """Run the partitioned search alone and account its payload.
+              batches: int = 1, partitions: int = 1, seed: int = 0) -> RunReport:
+    """Account the search payload of a relevance-only (theta 0) run.
 
-    The record bound is sample_size * k * n_classes * partitions: each
-    partition may emit at most k locators per class bucket per sampled
-    instance.
+    The counts come from the metadata of the same ``run_belief`` pipeline
+    ``rank`` uses.  The record bound is sample_size * k * n_classes *
+    partitions: each partition may emit at most k locators per class per
+    sampled instance.
     """
-    t0 = time.perf_counter()
-    ds = dataset if dataset.normalized else zscore_normalize(dataset)
-    normalize_s = time.perf_counter() - t0
-    pdata = partition(ds, partitions, seed)
-    sample = draw_sample(pdata, sample_rate, batches, seed)
-    records = 0
-    loc_bytes = 0
-    inst_bytes = 0
-    search_s = 0.0
-    size = 0
-    for batch in sample:
-        if len(batch) == 0:
-            continue
-        size += len(batch)
-        t0 = time.perf_counter()
-        table = neighborhood(pdata, batch, k, threads=threads)
-        search_s += time.perf_counter() - t0
-        records += table.emitted_records
-        loc_bytes += table.emitted_bytes
-        inst_bytes += table.full_instance_bytes
-    bound = size * k * ds.n_classes * partitions
+    md = run_belief(dataset, SelectorConfig(
+        n_select=1, k=k, sample_rate=sample_rate, batches=batches, theta=0.0,
+        partitions=partitions, seed=seed)).metadata
+    bound = md["sample_size"] * k * md["n_classes"] * partitions
     return RunReport(
-        n_instances=ds.n_instances,
-        n_features=ds.n_features,
-        n_classes=ds.n_classes,
+        **{key: md[key] for key in (
+            "n_instances", "n_features", "n_classes", "sample_size",
+            "locator_records", "locator_bytes", "full_instance_bytes", "timings")},
         partitions=partitions,
         k=k,
-        sample_size=size,
         batches=batches,
-        locator_records=records,
-        locator_bytes=loc_bytes,
-        full_instance_bytes=inst_bytes,
-        byte_ratio=loc_bytes / inst_bytes if inst_bytes else 0.0,
+        byte_ratio=(md["locator_bytes"] / md["full_instance_bytes"]
+                    if md["full_instance_bytes"] else 0.0),
         record_bound=bound,
-        within_bound=records <= bound,
-        timings={"normalize_s": normalize_s, "search_s": search_s},
+        within_bound=md["locator_records"] <= bound,
     )
 
 
@@ -127,7 +101,6 @@ def _selector_config(args, n_select: int, theta: float) -> SelectorConfig:
         partitions=args.partitions,
         seed=args.seed,
         threshold=getattr(args, "threshold", None),
-        threads=args.threads,
     )
 
 
@@ -222,7 +195,7 @@ def cmd_bench(args) -> int:
     ds = _load_dataset(args)
     report = bench_run(ds, k=args.k, sample_rate=args.sample_rate,
                        batches=args.batches, partitions=args.partitions,
-                       seed=args.seed, threads=args.threads)
+                       seed=args.seed)
     _emit(asdict(report), args)
     return 0
 
@@ -252,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parent.add_argument("--eta", type=float, default=2.0)
     run_parent.add_argument("--kappa", type=float, default=0.8)
     run_parent.add_argument("--partitions", type=int, default=1)
-    run_parent.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("gen", help="write a synthetic benchmark to disk")
     p.add_argument("name")

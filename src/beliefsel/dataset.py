@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
@@ -119,6 +120,14 @@ class Dataset:
         self.rows = rows
         self.labels = labels
         self.kinds = kinds
+        if not self._sparse:
+            # Numeric columns are checked by zscore_normalize, from the
+            # statistics it computes anyway; nominal ones never reach it.
+            nominal = np.flatnonzero(~self.numeric_mask())
+            bad = np.argwhere(~np.isfinite(rows[:, nominal]))
+            if bad.size:
+                raise DataError(f"row {bad[0, 0]}: non-finite value in nominal "
+                                f"feature {nominal[bad[0, 1]]}")
         self.n_features = n
         self.n_classes = int(n_classes) if n_classes is not None else (
             int(labels.max()) + 1 if m else 0)
@@ -210,6 +219,7 @@ def parse_libsvm(stream: IO[str] | Iterable[str], n_features: int | None = None)
     0/1), otherwise by first appearance.
     """
     raw_labels: list[str] = []
+    label_lines: list[int] = []
     rows: list[SparseRow] = []
     width = 0
     for ln, line in enumerate(stream, start=1):
@@ -218,6 +228,7 @@ def parse_libsvm(stream: IO[str] | Iterable[str], n_features: int | None = None)
             continue
         parts = line.split()
         raw_labels.append(parts[0])
+        label_lines.append(ln)
         idx = []
         vals = []
         prev = 0
@@ -246,7 +257,7 @@ def parse_libsvm(stream: IO[str] | Iterable[str], n_features: int | None = None)
         if width > n_features:
             raise DataError(f"index {width} exceeds declared {n_features} features")
         width = n_features
-    labels = _encode_labels(raw_labels)
+    labels = _encode_labels(raw_labels, label_lines, "1 (label)")
     return Dataset(rows, labels, [FeatureKind.NUMERIC] * width)
 
 
@@ -276,6 +287,7 @@ def parse_csv(stream: IO[str] | Iterable[str], label_column: int | str = -1,
         if not 0 <= lab_pos < ncol:
             raise DataError(f"label column {label_column} out of range")
     cells = []
+    lines = [ln for ln, _ in numbered[1:]]
     for ln, line in numbered[1:]:
         row = [c.strip() for c in line.split(",")]
         if len(row) != ncol:
@@ -308,22 +320,38 @@ def parse_csv(stream: IO[str] | Iterable[str], label_column: int | str = -1,
             bad = np.flatnonzero(~np.isfinite(X[:, col]))
             if bad.size:
                 raise DataError(
-                    f"line {numbered[1 + bad[0]][0]}: non-finite value "
+                    f"line {lines[bad[0]]}: non-finite value "
                     f"{cells[bad[0]][j]!r} in column {j + 1} ({header[j]!r})")
         else:
             # Same policy as labels: numeric tokens keep value order so
             # integer-coded columns survive a round trip, text tokens are
             # coded by first appearance.
-            X[:, col] = _encode_labels([row[j] for row in cells])
-    labels = _encode_labels([row[lab_pos] for row in cells])
+            X[:, col] = _encode_labels([row[j] for row in cells], lines,
+                                       f"{j + 1} ({header[j]!r})")
+    labels = _encode_labels([row[lab_pos] for row in cells], lines,
+                            f"{lab_pos + 1} ({header[lab_pos]!r})")
     return Dataset(X, labels, kinds_out)
 
 
-def _encode_labels(tokens: list[str]) -> np.ndarray:
-    """Map label tokens to contiguous ids, numerically when possible."""
+def _float_or_none(token: str) -> float | None:
     try:
-        values = [float(t) for t in tokens]
+        return float(token)
     except ValueError:
+        return None
+
+
+def _encode_labels(tokens: list[str], lines: list[int], column: str) -> np.ndarray:
+    """Map label tokens to contiguous ids, numerically when possible.
+
+    A token that reads as NaN or an infinity raises ``DataError`` naming
+    its line and ``column``: NaN never equals itself, so each such row
+    would get a code of its own.
+    """
+    values = [_float_or_none(t) for t in tokens]
+    for v, t, ln in zip(values, tokens, lines):
+        if v is not None and not math.isfinite(v):
+            raise DataError(f"line {ln}: non-finite value {t!r} in column {column}")
+    if None in values:
         codes: dict[str, int] = {}
         return np.array([codes.setdefault(t, len(codes)) for t in tokens],
                         dtype=np.int64)
@@ -477,25 +505,24 @@ class PartitionedDataset:
     def block_size(self, g: int) -> int:
         return int(self.starts[g + 1] - self.starts[g])
 
-    def partition_of(self, global_index: int) -> int:
-        g = int(np.searchsorted(self.starts, global_index, side="right") - 1)
-        if not 0 <= g < self.n_partitions:
-            raise DataError(f"global index {global_index} outside all blocks")
-        return g
+    def map_partitions(self, fn) -> list:
+        """``[fn(g) for g in range(p)]``, run in a pool of min(p, 8) threads.
 
-    def local_index_of(self, global_index: int) -> int:
-        return int(global_index - self.starts[self.partition_of(global_index)])
+        The results come back in partition order whatever order the
+        threads finish in.
+        """
+        p = self.n_partitions
+        if p == 1:
+            return [fn(0)]
+        with ThreadPoolExecutor(max_workers=min(p, 8)) as pool:
+            return list(pool.map(fn, range(p)))
 
-    def global_index(self, g: int, local: int) -> int:
-        return int(self.starts[g] + local)
 
-
-def partition(dataset: Dataset, p: int, seed: int = 0) -> PartitionedDataset:
+def partition(dataset: Dataset, p: int) -> PartitionedDataset:
     """Split into ``p`` contiguous blocks whose sizes differ by at most one.
 
-    The layout is deterministic; ``seed`` is accepted for interface
-    stability but the assignment never depends on it (contiguity is what
-    keeps neighbor tie-breaking invariant across partition counts).
+    The layout is deterministic: contiguity is what keeps neighbor
+    tie-breaking invariant across partition counts.
     """
     m = dataset.n_instances
     if p < 1:

@@ -1,32 +1,37 @@
 """Partitioned nearest-neighbor search over class buckets.
 
 Each partition scans only its own block and emits, per sampled instance and
-per class, its local top-k candidates as compact locators (partition index,
-local index, distance).  The reduce step merges the per-partition lists into
-global top-k buckets.  Shipping locators instead of full instances is the
-point: the accounting fields on the returned table record exactly how many
-records the map phase emitted and what the equivalent full-instance payload
-would have been.
+per class, its local top-k candidates as compact locators (row id and
+distance).  The reduce step merges the per-partition lists into the global
+top-k.  Shipping locators instead of full instances is the point: the
+accounting fields on the returned table record exactly how many records the
+map phase emitted and what the equivalent full-instance payload would have
+been.
+
+A neighbor table is two arrays aligned with the batch, both shaped
+(sample, class, k): ``rows`` holds global row ids and ``dist`` distances.
+Slots (i, c, :) list the nearest class-c rows to sampled instance i in
+ascending (distance, row id) order; a class with fewer than k eligible rows
+pads the tail with row -1 at distance +inf, which sorts after every real
+neighbor.  Ties at equal distance resolve by ascending global row id, so
+the result does not depend on the partition count.
 
 Distances are Euclidean over per-feature diffs: |a - b| for numeric values
 (z-scored beforehand, or scaled lazily for sparse rows) and a 0/1 indicator
-for nominal values.  Ties resolve by ascending (partition, local) address,
-which equals ascending global row order because partitions are contiguous.
+for nominal values.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, FeatureKind, FeatureSpace, PartitionedDataset, SampleBatch
-from .errors import DataError, IntegrityError
+from .dataset import FeatureKind, FeatureSpace, PartitionedDataset, SampleBatch
+from .errors import DataError
 
 __all__ = [
-    "NeighborLocator",
     "NeighborTable",
     "feature_diff",
     "instance_distance",
@@ -48,30 +53,21 @@ GRAM_MIN_FEATURES = 256
 _QUERY_CHUNK = 128
 
 
-@dataclass(frozen=True)
-class NeighborLocator:
-    """Address of one neighbor: partition, local offset, and distance."""
-
-    partition_index: int
-    local_index: int
-    distance: float
-
-    def sort_key(self):
-        return (self.distance, self.partition_index, self.local_index)
-
-
 @dataclass
 class NeighborTable:
-    """Merged top-k neighbor buckets for one batch.
+    """Merged top-k neighbors of one batch, as (sample, class, k) arrays.
 
-    ``buckets`` maps a sampled instance's global row id to a per-class dict
-    of at most ``k`` locators, sorted by (distance, partition, local).  The
-    bucket for the instance's own class holds its near-hits; every other
-    class bucket holds its near-misses from that class.
+    ``rows[i, c]`` holds the global row ids of the nearest class-c rows to
+    the batch's i-th instance, sorted by (distance, row id), with ``dist``
+    the matching distances; unused slots hold -1 and +inf.  The slots of
+    the instance's own class are its near-hits; every other class gives its
+    near-misses from that class.  The three counters account the locators
+    the partitions emitted before the merge.
     """
 
     k: int
-    buckets: dict
+    rows: np.ndarray
+    dist: np.ndarray
     emitted_records: int = 0
     emitted_bytes: int = 0
     full_instance_bytes: int = 0
@@ -181,26 +177,42 @@ def _dense_distances_gram(Q, block, space: FeatureSpace, block_sq) -> np.ndarray
 # -- partition map ----------------------------------------------------------
 
 
+def _top_k(dc: np.ndarray, k: int) -> np.ndarray:
+    """Columns of the k smallest entries of each row of ``dc``, ordered by
+    (distance, column); all columns when there are at most k.
+
+    ``argpartition`` finds each row's k-th smallest distance in linear
+    time.  A row with more than k entries at or below it has a tie at the
+    k-th place, and is redone on that short list so the lowest columns win.
+    """
+    q, m = dc.shape
+    if m <= k:
+        idx = np.broadcast_to(np.arange(m), (q, m))
+    else:
+        idx = np.argpartition(dc, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(dc, idx[:, k - 1:], axis=1)
+        for r in np.flatnonzero(np.count_nonzero(dc <= kth, axis=1) > k):
+            near = np.flatnonzero(dc[r] <= kth[r])
+            idx[r] = near[np.argsort(dc[r, near], kind="stable")[:k]]
+    order = np.lexsort((idx, np.take_along_axis(dc, idx, axis=1)), axis=1)
+    return np.take_along_axis(idx, order, axis=1)
+
+
 def _search_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
                       k: int, space: FeatureSpace):
-    """Local top-k per class bucket for every sampled instance.
-
-    Returns (per-sample list of class->locator lists, emitted record count,
-    hypothetical full-instance byte count for the same records).
-    """
+    """Local top-k per class for every sampled instance, as the (rows,
+    dist) arrays of a ``NeighborTable``."""
     ds = pdata.dataset
     start = int(pdata.starts[g])
     end = int(pdata.starts[g + 1])
     labels = ds.labels[start:end]
     members = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
     n_samples = len(batch)
-    results = [dict() for _ in range(n_samples)]
-    emitted = 0
-    inst_bytes = 0
+    rows = np.full((n_samples, ds.n_classes, k), -1, dtype=np.int64)
+    dist = np.full((n_samples, ds.n_classes, k), np.inf)
 
     if ds.is_sparse:
         block_rows = ds.rows[start:end]
-        dist_chunk = None
     else:
         block = ds.rows[start:end]
         use_gram = ds.n_features >= GRAM_MIN_FEATURES
@@ -222,76 +234,48 @@ def _search_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
                 sq = _dense_distances_gram(Q, block, space, block_sq)
             else:
                 sq = _dense_distances_subtract(Q, block, space)
-        dist = np.sqrt(sq)
-        for i in range(lo, hi):
-            gid = int(batch.indices[i])
-            drow = dist[i - lo]
-            self_local = gid - start if start <= gid < end else -1
-            for c, cand in members.items():
-                dc = drow[cand]
-                if self_local >= 0 and int(labels[self_local]) == c:
-                    pos = np.searchsorted(cand, self_local)
-                    if pos < cand.size and cand[pos] == self_local:
-                        dc = dc.copy()
-                        dc[pos] = np.inf
-                order = np.lexsort((cand, dc))[:k]
-                locs = []
-                for o in order:
-                    if not np.isfinite(dc[o]):
-                        continue
-                    locs.append(NeighborLocator(g, int(cand[o]), float(dc[o])))
-                if locs:
-                    results[i][c] = locs
-                    emitted += len(locs)
-                    if ds.is_sparse:
-                        inst_bytes += sum(
-                            SPARSE_NONZERO_BYTES * block_rows[l.local_index][0].size
-                            for l in locs)
-                    else:
-                        inst_bytes += len(locs) * DENSE_VALUE_BYTES * ds.n_features
-    return results, emitted, inst_bytes
+        d = np.sqrt(sq, out=sq)
+        gids = batch.indices[lo:hi]
+        own = np.flatnonzero((gids >= start) & (gids < end))
+        d[own, gids[own] - start] = np.inf  # never its own neighbor
+        for c, cand in members.items():
+            dc = d[:, cand]
+            top = _top_k(dc, k)
+            w = top.shape[1]
+            dist[lo:hi, c, :w] = np.take_along_axis(dc, top, axis=1)
+            rows[lo:hi, c, :w] = start + cand[top]
+    rows[np.isinf(dist)] = -1
+    return rows, dist
 
 
-def neighborhood(pdata: PartitionedDataset, batch: SampleBatch, k: int,
-                 threads: int | None = None) -> NeighborTable:
-    """Global top-k class buckets for every instance in the batch.
+def neighborhood(pdata: PartitionedDataset, batch: SampleBatch, k: int) -> NeighborTable:
+    """Global top-k neighbors per class for every instance in the batch.
 
-    Partitions are searched independently (in a thread pool) and their
-    candidate lists merged; the merge sorts by (distance, partition, local)
-    so its output does not depend on completion order.  A sampled instance
-    is never its own neighbor (excluded by global row id, so exact
-    duplicates stay eligible); a class with fewer than ``k`` candidates
-    yields a short bucket.
+    Partitions are searched independently and their candidate lists
+    concatenated in partition order; one row-wise sort by (distance, row
+    id) then keeps the first k, so the merge does not depend on completion
+    order.  A sampled instance is never its own neighbor (excluded by
+    global row id, so exact duplicates stay eligible); a class with fewer
+    than ``k`` candidates leaves padded slots.
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
     ds = pdata.dataset
     space = ds.feature_space()
-    p = pdata.n_partitions
-    if p == 1:
-        parts = [_search_partition(pdata, 0, batch, k, space)]
+    parts = pdata.map_partitions(
+        lambda g: _search_partition(pdata, g, batch, k, space))
+    rows, dist = (np.concatenate(a, axis=-1) for a in zip(*parts))
+    emitted = rows[rows >= 0]
+    if ds.is_sparse:
+        inst_bytes = SPARSE_NONZERO_BYTES * sum(ds.rows[r][0].size for r in emitted)
     else:
-        workers = threads or min(p, 8)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda g: _search_partition(pdata, g, batch, k, space), range(p)))
-
-    emitted = sum(r[1] for r in parts)
-    inst_bytes = sum(r[2] for r in parts)
-    buckets = {}
-    for i in range(len(batch)):
-        gid = int(batch.indices[i])
-        merged = {}
-        for per_sample, _, _ in parts:
-            for c, locs in per_sample[i].items():
-                merged.setdefault(c, []).extend(locs)
-        for c in merged:
-            merged[c] = sorted(merged[c], key=NeighborLocator.sort_key)[:k]
-        buckets[gid] = merged
+        inst_bytes = emitted.size * DENSE_VALUE_BYTES * ds.n_features
+    keep = np.lexsort((rows, dist), axis=-1)[..., :k]
     return NeighborTable(
         k=k,
-        buckets=buckets,
-        emitted_records=emitted,
-        emitted_bytes=emitted * LOCATOR_BYTES,
+        rows=np.take_along_axis(rows, keep, axis=-1),
+        dist=np.take_along_axis(dist, keep, axis=-1),
+        emitted_records=emitted.size,
+        emitted_bytes=emitted.size * LOCATOR_BYTES,
         full_instance_bytes=inst_bytes,
     )

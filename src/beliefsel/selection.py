@@ -56,7 +56,6 @@ class SelectorConfig:
     partitions: int = 1
     seed: int = 0
     threshold: float | None = None
-    threads: int | None = None
 
 
 @dataclass
@@ -155,7 +154,7 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
     timings["normalize_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    pdata = partition(ds, config.partitions, config.seed)
+    pdata = partition(ds, config.partitions)
     batches = draw_sample(pdata, config.sample_rate, config.batches, config.seed)
     timings["sample_s"] = time.perf_counter() - t0
 
@@ -173,7 +172,7 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
         if len(batch) == 0:
             continue
         t0 = time.perf_counter()
-        table = neighborhood(pdata, batch, config.k, threads=config.threads)
+        table = neighborhood(pdata, batch, config.k)
         search_s += time.perf_counter() - t0
         records += table.emitted_records
         locator_bytes += table.emitted_bytes
@@ -181,7 +180,7 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
         t0 = time.perf_counter()
         stats = estimate_batch(
             pdata, batch, table, tracked=tracked, kappa=config.kappa,
-            collect_collisions=collect, threads=config.threads)
+            collect_collisions=collect)
         total = stats if total is None else merge_stats(total, stats)
         estimate_s += time.perf_counter() - t0
         # Refresh the relevance window for the next batch from the weights

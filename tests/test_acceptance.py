@@ -67,13 +67,11 @@ def brute_force_neighbors(pdata, batch, k):
     return out
 
 
-def as_global(pdata, table):
+def as_global(batch, table):
     return {
-        gid: {c: [(loc.distance, pdata.global_index(loc.partition_index,
-                                                    loc.local_index))
-                  for loc in locs]
-              for c, locs in per_class.items()}
-        for gid, per_class in table.buckets.items()
+        gid: {c: [(float(d), int(r)) for d, r in zip(dist[c], rows[c]) if r >= 0]
+              for c in range(rows.shape[0]) if rows[c, 0] >= 0}
+        for gid, rows, dist in zip(batch.indices.tolist(), table.rows, table.dist)
     }
 
 
@@ -118,7 +116,7 @@ def test_01_neighbor_search_matches_brute_force():
             batch = draw_sample(pdata, queries / m, 1, seed=case)[0]
             if want is None:
                 want = brute_force_neighbors(pdata, batch, k)
-            got = as_global(pdata, neighborhood(pdata, batch, k))
+            got = as_global(batch, neighborhood(pdata, batch, k))
             worst = max(worst, assert_same_neighbors(got, want))
     elapsed = time.perf_counter() - t0
     report(1, "partitioned search equals brute force, exact order",

@@ -66,10 +66,16 @@ class TestParseLibsvm:
         with pytest.raises(DataError):
             parse_libsvm(io.StringIO(""))
 
-    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
-    def test_non_finite_value_names_line_and_index(self, token):
-        with pytest.raises(DataError, match=r"line 2: .* at index 3"):
-            parse_libsvm(io.StringIO(f"1 1:0.5\n0 1:1.0 3:{token}\n"))
+    @pytest.mark.parametrize("token, line, where", [
+        pytest.param(t, "0 1:1.0 3:{}", r"at index 3", id=t)
+        for t in ["nan", "inf", "-inf", "NaN"]
+    ] + [
+        pytest.param(t, "{} 1:1.0 3:2.0", r"in column 1 \(label\)", id=f"label-{t}")
+        for t in ["nan", "-inf"]
+    ])
+    def test_non_finite_value_names_line_and_index(self, token, line, where):
+        with pytest.raises(DataError, match=rf"line 2: .* {where}"):
+            parse_libsvm(io.StringIO(f"1 1:0.5\n{line.format(token)}\n"))
 
 
 class TestParseCsv:
@@ -102,12 +108,24 @@ class TestParseCsv:
         with pytest.raises(DataError):
             parse_csv(io.StringIO(self.TEXT), label_column="nope")
 
-    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
-    def test_non_finite_cell_names_line_and_column(self, token):
+    @pytest.mark.parametrize("token, column, kinds", [
+        pytest.param(t, 2, None, id=t) for t in ["nan", "inf", "-Infinity"]
+    ] + [
+        # NaN never equals itself, so it must not reach the code tables.
+        pytest.param("nan", 2, [FeatureKind.NUMERIC, FeatureKind.NOMINAL],
+                     id="nominal-nan"),
+        pytest.param("nan", 3, None, id="label-nan"),
+        pytest.param("inf", 3, None, id="label-inf"),
+    ])
+    def test_non_finite_cell_names_line_and_column(self, token, column, kinds):
         # The blank line still counts, so the report matches the file.
-        text = f"a,b,class\n1.0,2.0,0\n\n3.0,{token},1\n"
-        with pytest.raises(DataError, match=r"line 4: .* column 2 \('b'\)"):
-            parse_csv(io.StringIO(text))
+        cells = ["3.0", "5.0", "1"]
+        cells[column - 1] = token
+        text = "a,b,class\n1.0,2.0,0\n\n" + ",".join(cells) + "\n"
+        name = ["a", "b", "class"][column - 1]
+        with pytest.raises(DataError,
+                           match=rf"line 4: .* column {column} \('{name}'\)"):
+            parse_csv(io.StringIO(text), kinds=kinds)
 
     def test_forced_numeric_kind_on_text_rejected(self):
         with pytest.raises(DataError):
@@ -259,14 +277,6 @@ class TestPartition:
             flat += block
         assert flat == sorted(flat)
 
-    def test_address_round_trip(self):
-        ds = make_dense(m=19)
-        pd = partition(ds, 6)
-        for i in range(19):
-            g = pd.partition_of(i)
-            l = pd.local_index_of(i)
-            assert pd.global_index(g, l) == i
-
     def test_too_many_partitions_rejected(self):
         ds = make_dense(m=4)
         with pytest.raises(DataError):
@@ -346,6 +356,14 @@ class TestDatasetBasics:
             Dataset(np.zeros((2, 1)), [0, 3], [FeatureKind.NUMERIC], n_classes=2)
         with pytest.raises(DataError):
             Dataset(np.zeros((2, 1)), [0, -1], [FeatureKind.NUMERIC])
+
+    def test_non_finite_nominal_value_rejected(self):
+        rng = np.random.default_rng(9)
+        X = rng.integers(0, 2, (40, 4)).astype(float)
+        X[17, 2] = np.nan
+        y = np.arange(40) % 2
+        with pytest.raises(DataError, match=r"row 17: .* nominal feature 2"):
+            Dataset(X, y, [FeatureKind.NOMINAL] * 4)
 
     def test_sparse_must_be_numeric(self):
         rows = [(np.array([0]), np.array([1.0]))]

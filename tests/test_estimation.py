@@ -10,7 +10,7 @@ from beliefsel.estimation import (ClassDistanceStats, WeightVector,
                                   accumulate_partition, belief_weights,
                                   estimate_batch, merge_stats, pair_diffs,
                                   relief_reference, relieff_reference)
-from beliefsel.neighbors import NeighborLocator, NeighborTable, instance_distance
+from beliefsel.neighbors import NeighborTable, instance_distance
 from beliefsel.redundancy import CollisionTables
 
 
@@ -140,7 +140,9 @@ class TestAccumulation:
         ds = tiny_bits()
         pdata = partition(ds, 1)
         batch = draw_sample(pdata, 1.0, 1, seed=0)[0]
-        table = NeighborTable(k=1, buckets={})  # nothing for any sample
+        # nothing for any sample
+        table = NeighborTable(k=1, rows=np.empty((0, 2, 1), dtype=np.int64),
+                              dist=np.empty((0, 2, 1)))
         with pytest.raises(IntegrityError):
             accumulate_partition(pdata, 0, batch, table)
 
@@ -148,10 +150,10 @@ class TestAccumulation:
         ds = tiny_bits()
         pdata = partition(ds, 2)
         batch = draw_sample(pdata, 1.0, 1, seed=0)[0]
-        buckets = {int(g): {0: [NeighborLocator(0, 99, 0.5)]}
-                   for g in batch.indices}
+        shape = (len(batch), ds.n_classes, 1)
+        table = NeighborTable(k=1, rows=np.full(shape, 99), dist=np.full(shape, 0.5))
         with pytest.raises(IntegrityError):
-            accumulate_partition(pdata, 0, batch, NeighborTable(k=1, buckets=buckets))
+            accumulate_partition(pdata, 0, batch, table)
 
     def test_merge_adds_entrywise(self):
         a = ClassDistanceStats.zeros(2, 3)

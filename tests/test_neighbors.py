@@ -35,15 +35,14 @@ def oracle_neighbors(pdata, batch, k):
     return out
 
 
-def as_global(pdata, table):
-    """Locator buckets flattened to (distance, global id) pairs."""
+def as_global(batch, table):
+    """Table slots as {gid: {class: [(distance, global id)]}}, with padding
+    dropped and empty classes omitted."""
     out = {}
-    for gid, per_class in table.buckets.items():
+    for gid, rows, dist in zip(batch.indices.tolist(), table.rows, table.dist):
         out[gid] = {
-            c: [(loc.distance, pdata.global_index(loc.partition_index,
-                                                  loc.local_index))
-                for loc in locs]
-            for c, locs in per_class.items()
+            c: [(float(d), int(r)) for d, r in zip(dist[c], rows[c]) if r >= 0]
+            for c in range(rows.shape[0]) if rows[c, 0] >= 0
         }
     return out
 
@@ -141,7 +140,7 @@ class TestVectorizedKernels:
         pdata = partition(zscore_normalize(ds), 1)
         batch = draw_sample(pdata, 0.2, 1, seed=0)[0]
         table = neighborhood(pdata, batch, k=3)
-        got = as_global(pdata, table)
+        got = as_global(batch, table)
         want = oracle_neighbors(pdata, batch, 3)
         for gid in want:
             for c in want[gid]:
@@ -161,7 +160,7 @@ class TestNeighborhood:
         pdata = partition(zscore_normalize(ds) if not lattice else ds, p)
         batch = draw_sample(pdata, 0.3, 1, seed=2)[0]
         table = neighborhood(pdata, batch, k=3)
-        assert as_global(pdata, table) == oracle_neighbors(pdata, batch, 3)
+        assert as_global(batch, table) == oracle_neighbors(pdata, batch, 3)
 
     def test_partition_count_does_not_change_result(self):
         ds = zscore_normalize(random_dataset(33, m=80, n=12, n_classes=3))
@@ -171,17 +170,9 @@ class TestNeighborhood:
             pdata = partition(ds, p)
             batch = draw_sample(pdata, 0.25, 1, seed=5)[0]
             batches[p] = batch.indices.tolist()
-            tables[p] = as_global(pdata, neighborhood(pdata, batch, k=4))
+            tables[p] = as_global(batch, neighborhood(pdata, batch, k=4))
         assert batches[1] == batches[3] == batches[8]
         assert tables[1] == tables[3] == tables[8]  # ids and float distances
-
-    def test_thread_count_does_not_change_result(self):
-        ds = zscore_normalize(random_dataset(34, m=60, n=5))
-        pdata = partition(ds, 6)
-        batch = draw_sample(pdata, 0.5, 1, seed=1)[0]
-        a = as_global(pdata, neighborhood(pdata, batch, k=3, threads=1))
-        b = as_global(pdata, neighborhood(pdata, batch, k=3, threads=6))
-        assert a == b
 
     def test_self_excluded_but_duplicate_rows_eligible(self):
         X = np.array([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0], [9.0, 9.0]])
@@ -189,18 +180,33 @@ class TestNeighborhood:
         pdata = partition(ds, 2)
         batch = draw_sample(pdata, 1.0, 1, seed=0)[0]
         table = neighborhood(pdata, batch, k=1)
-        got = as_global(pdata, table)
+        got = as_global(batch, table)
         assert got[0][0] == [(0.0, 1)]  # twin row, not itself
         assert got[1][0] == [(0.0, 0)]
 
-    def test_tie_broken_by_ascending_row_id(self):
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_tie_broken_by_ascending_row_id(self, p):
         # rows 1, 2, 3 all at distance 2 from row 0
         X = np.array([[0.0], [2.0], [-2.0], [2.0], [0.5]])
         ds = Dataset(X, [0, 1, 1, 1, 1], [FeatureKind.NUMERIC], n_classes=2)
-        pdata = partition(ds, 1)
+        pdata = partition(ds, p)
         batch = draw_sample(pdata, 1.0, 1, seed=0)[0]
-        got = as_global(pdata, neighborhood(pdata, batch, k=3))
+        got = as_global(batch, neighborhood(pdata, batch, k=3))
         assert got[0][1] == [(0.5, 4), (2.0, 1), (2.0, 2)]
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_tie_at_kth_distance_across_partition_boundary(self, p):
+        # From row 0: row 1 at 0.5, rows 2..8 at 3, rows 9..19 at 2.  Eleven
+        # rows tie at the 3rd-nearest distance, on both sides of the
+        # partition boundary at row 10 when p is 2.
+        X = np.array([0.0, 0.5] + [3.0, -3.0] * 3 + [3.0, -2.0]
+                     + [2.0, -2.0] * 5)[:, None]
+        ds = Dataset(X, [0] + [1] * 19, [FeatureKind.NUMERIC])
+        pdata = partition(ds, p)
+        batch = draw_sample(pdata, 1.0, 1, seed=0)[0]
+        got = as_global(batch, neighborhood(pdata, batch, k=3))
+        assert got[0][1] == [(0.5, 1), (2.0, 9), (2.0, 10)]
+        assert got == oracle_neighbors(pdata, batch, 3)
 
     def test_short_bucket_when_class_is_small(self):
         X = np.arange(8.0)[:, None]
@@ -209,7 +215,7 @@ class TestNeighborhood:
         pdata = partition(ds, 2)
         batch = draw_sample(pdata, 1.0, 1, seed=0)[0]
         table = neighborhood(pdata, batch, k=3)
-        got = as_global(pdata, table)
+        got = as_global(batch, table)
         assert len(got[0][1]) == 1  # lone opposite-class row
         assert 1 not in got[7]      # no same-class partner, bucket omitted
         assert len(got[0][0]) == 3
@@ -226,7 +232,7 @@ class TestNeighborhood:
         for p in (1, 4):
             pdata = partition(ds, p)
             batch = draw_sample(pdata, 0.25, 1, seed=3)[0]
-            got = as_global(pdata, neighborhood(pdata, batch, k=2))
+            got = as_global(batch, neighborhood(pdata, batch, k=2))
             want = oracle_neighbors(pdata, batch, 2)
             for gid in want:
                 for c in want[gid]:
@@ -251,8 +257,7 @@ class TestAccounting:
         assert table.emitted_bytes == table.emitted_records * LOCATOR_BYTES
         bound = len(batch) * k * ds.n_classes * p
         assert table.emitted_records <= bound
-        merged = sum(len(locs) for per_class in table.buckets.values()
-                     for locs in per_class.values())
+        merged = int(np.count_nonzero(table.rows >= 0))
         assert merged <= table.emitted_records
         # every emitted record priced as a full dense instance
         assert table.full_instance_bytes == table.emitted_records * 8 * ds.n_features
