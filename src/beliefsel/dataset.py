@@ -414,26 +414,32 @@ def read_metadata(stream: IO[str]) -> dict:
 
 # -- normalization ---------------------------------------------------------
 
+# Column-block budget of the dense statistics in zscore_normalize.
+_STATS_BYTES = 1 << 20
+
 
 def zscore_normalize(dataset: Dataset) -> Dataset:
     """Z-score numeric features with population statistics.
 
     Constant features get a recorded standard deviation of 1, which sends
-    their values to exactly 0.  Dense values are materialized; sparse rows
-    are left untouched and the transform is applied lazily through the
-    recorded statistics (absent entries count as raw zeros).  Nominal
-    features pass through unchanged.  A numeric feature holding a NaN or
-    an infinity (or values whose sum overflows) raises ``DataError``.
+    their values to exactly 0.  Dense values are materialized in one new
+    array; statistics come from column blocks of at most ``_STATS_BYTES``
+    (at least one column), so memory is one copy of the input plus one
+    block.  Sparse rows are left untouched and the transform is applied
+    lazily through the recorded statistics (absent entries count as raw
+    zeros).  Nominal features pass through unchanged.  A numeric feature
+    holding a NaN or an infinity (or values whose sum overflows) raises
+    ``DataError``.
     """
     m = dataset.n_instances
     if m == 0:
         raise DataError("cannot normalize an empty dataset")
     if dataset.is_sparse:
-        s = np.zeros(dataset.n_features)
-        sq = np.zeros(dataset.n_features)
-        for idx, vals in dataset.rows:
-            np.add.at(s, idx, vals)
-            np.add.at(sq, idx, vals * vals)
+        idx = np.concatenate([i for i, _ in dataset.rows])
+        vals = np.concatenate([v for _, v in dataset.rows])
+        # bincount adds in index order, as a per-row loop would.
+        s = np.bincount(idx, weights=vals, minlength=dataset.n_features)
+        sq = np.bincount(idx, weights=vals * vals, minlength=dataset.n_features)
         _check_finite(s)
         mean = s / m
         var = np.maximum(sq / m - mean * mean, 0.0)
@@ -446,19 +452,26 @@ def zscore_normalize(dataset: Dataset) -> Dataset:
                       n_classes=dataset.n_classes)
         out.means, out.stds, out.normalized = mean, std, True
         return out
-    X = dataset.rows.copy()
-    mask = dataset.numeric_mask()
+    rows = dataset.rows
+    numeric = np.flatnonzero(dataset.numeric_mask())
     mean = np.zeros(dataset.n_features)
     std = np.ones(dataset.n_features)
-    if mask.any():
-        sub = X[:, mask]
-        mu = sub.mean(axis=0)
-        _check_finite(mu, np.flatnonzero(mask))
-        sigma = sub.std(axis=0)  # population
+    width = max(1, _STATS_BYTES // (8 * m))
+    for start in range(0, numeric.size, width):
+        cols = numeric[start:start + width]
+        # The gather comes back column-major, so each column is summed
+        # pairwise on its own (rows.mean(axis=0) would sum row by row and
+        # round differently).
+        block = rows[:, cols]
+        mu = block.mean(axis=0)
+        _check_finite(mu, cols)
+        sigma = block.std(axis=0)  # population
         sigma[sigma == 0.0] = 1.0
-        X[:, mask] = (sub - mu) / sigma
-        mean[mask] = mu
-        std[mask] = sigma
+        mean[cols] = mu
+        std[cols] = sigma
+    # Nominal columns have mean 0 and std 1, so (x - 0) / 1 keeps them exact.
+    X = np.subtract(rows, mean)
+    np.divide(X, std, out=X)
     out = Dataset(X, dataset.labels.copy(), dataset.kinds,
                   n_classes=dataset.n_classes)
     out.means, out.stds, out.normalized = mean, std, True
@@ -579,7 +592,7 @@ def draw_sample(pdata: PartitionedDataset, rate: float, batches: int = 1,
         if ds.is_sparse:
             rows = [(ds.rows[i][0].copy(), ds.rows[i][1].copy()) for i in part]
         else:
-            rows = ds.rows[part].copy()
+            rows = ds.rows[part]  # fancy indexing copies
         out.append(SampleBatch(batch_id=b, indices=part,
-                               labels=ds.labels[part].copy(), rows=rows))
+                               labels=ds.labels[part], rows=rows))
     return out

@@ -52,6 +52,8 @@ BOOTSTRAP_TRACK_LIMIT = 5000
 # of L2 per core, 1 MiB blocks folded fastest among 256 KiB..4 MiB on
 # 500- and 4060-feature data.
 _RATE_BLOCK_BYTES = 1 << 20
+# Row-block budget of compute_mcr.
+_MCR_BLOCK_BYTES = 1 << 20
 
 
 def collision_rate(a: float, b: float, kind: FeatureKind, kappa: float = 0.8) -> float:
@@ -269,22 +271,31 @@ class RedundancyTable:
 
 
 def compute_mcr(tables: CollisionTables) -> RedundancyTable:
-    """Turn accumulated collision mass into the pairwise redundancy table."""
+    """Turn accumulated collision mass into the pairwise redundancy table.
+
+    Memory is the table plus temporaries for one block of about
+    ``_MCR_BLOCK_BYTES`` of rows (at least one row).
+    """
     if tables.pair_count <= 0:
         raise DataError("no instance pairs were processed")
     pc = tables.marginal / tables.pair_count
     tracked = tables.tracked
-    # A merge may have split a both-tracked pair's mass over its two
-    # orientations; summing the transposed square gives each orientation
-    # the whole mass (a plain update left the other one at 0).
-    pij = tables.joint.copy()
-    pij[:, tracked] += tables.joint[:, tracked].T
-    pij /= tables.pair_count
-    pc_row = pc[tracked][:, None]
-    ok = (pij > 0.0) & (pc_row > 0.0) & (pc > 0.0)
-    values = np.zeros_like(pij)
-    np.log2(np.divide(pij, pc_row * pc, out=values, where=ok), out=values, where=ok)
-    values *= np.minimum(pc_row, pc)
+    joint = tables.joint
+    values = np.zeros_like(joint)
+    step = max(1, _MCR_BLOCK_BYTES // (8 * max(tables.n_features, 1)))
+    for r0 in range(0, tracked.size, step):
+        r1 = min(r0 + step, tracked.size)
+        # A merge may have split a both-tracked pair's mass over its two
+        # orientations; adding the transposed square gives each orientation
+        # the whole mass (a plain update left the other one at 0).
+        pij = joint[r0:r1].copy()
+        pij[:, tracked] += joint[:, tracked[r0:r1]].T
+        pij /= tables.pair_count
+        pc_row = pc[tracked[r0:r1]][:, None]
+        ok = (pij > 0.0) & (pc_row > 0.0) & (pc > 0.0)
+        out = values[r0:r1]
+        np.log2(np.divide(pij, pc_row * pc, out=out, where=ok), out=out, where=ok)
+        out *= np.minimum(pc_row, pc)
     lo = min(0.0, float(values.min(initial=0.0)))
     hi = max(0.0, float(values.max(initial=0.0)))
     return RedundancyTable(n_features=tables.n_features, tracked=tracked.copy(),

@@ -2,10 +2,12 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from beliefsel import dataset
 from beliefsel.dataset import (Dataset, FeatureKind, draw_sample, parse_csv,
                                parse_libsvm, partition, read_metadata,
                                write_csv, write_libsvm, write_metadata,
@@ -23,6 +25,34 @@ def make_dense(m=12, n=5, n_classes=2, seed=0, nominal=()):
     y = rng.integers(0, n_classes, m)
     y[:n_classes] = np.arange(n_classes)  # every class present
     return Dataset(X, y, kinds)
+
+
+def reference_zscore(ds):
+    """The three-copy dense z-score: copy, gather numeric columns, scatter back."""
+    X = ds.rows.copy()
+    mask = ds.numeric_mask()
+    mean = np.zeros(ds.n_features)
+    std = np.ones(ds.n_features)
+    if mask.any():
+        sub = X[:, mask]
+        mu = sub.mean(axis=0)
+        sigma = sub.std(axis=0)
+        sigma[sigma == 0.0] = 1.0
+        X[:, mask] = (sub - mu) / sigma
+        mean[mask] = mu
+        std[mask] = sigma
+    return X, mean, std
+
+
+def mixed_dense(m, n, seed):
+    """Numeric columns of mixed scale and offset, nominal 3 and 7, constant 1."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((m, n)) * rng.uniform(0.01, 1e3, n) + rng.uniform(-1e3, 1e3, n)
+    nominal = np.isin(np.arange(n), (3, 7))
+    X[:, nominal] = rng.integers(0, 4, (m, 2))
+    X[:, 1] = 2.5
+    kinds = [FeatureKind.NOMINAL if f else FeatureKind.NUMERIC for f in nominal]
+    return Dataset(X, rng.integers(0, 2, m), kinds)
 
 
 class TestParseLibsvm:
@@ -213,6 +243,66 @@ class TestZscore:
         out = zscore_normalize(ds)
         assert np.array_equal(out.rows[:, 1], ds.rows[:, 1])
 
+    @pytest.mark.parametrize("m", [1, 7, 9000])
+    @pytest.mark.parametrize("width", [None, 1, 3])
+    def test_dense_matches_three_copy_reference(self, m, width, monkeypatch):
+        # 9000 rows pass numpy's 8192-element pairwise block; width patches
+        # the block budget so blocks split inside the feature range.
+        if width is not None:
+            monkeypatch.setattr(dataset, "_STATS_BYTES", 8 * m * width)
+        ds = mixed_dense(m, 11, seed=m)
+        before = ds.rows.copy()
+        out = zscore_normalize(ds)
+        X, mean, std = reference_zscore(ds)
+        assert np.array_equal(out.rows, X)
+        assert np.array_equal(out.means, mean)
+        assert np.array_equal(out.stds, std)
+        assert np.array_equal(ds.rows, before)
+        assert ds.means is None and not ds.normalized
+
+    @pytest.mark.parametrize("bad, first", [((8,), 8), ((8, 6), 6)])
+    def test_dense_non_finite_in_later_block_names_its_feature(self, bad, first,
+                                                               monkeypatch):
+        # Two-column blocks: numeric features 1-2, 3-4, 5-6 and 7-8.
+        monkeypatch.setattr(dataset, "_STATS_BYTES", 8 * 10 * 2)
+        ds = make_dense(m=10, n=9, nominal=(0,), seed=4)
+        for j in bad:
+            ds.rows[j - 3, j] = np.nan
+        with pytest.raises(DataError, match=rf"feature {first} "):
+            zscore_normalize(ds)
+
+    def test_dense_normalize_allocates_one_copy(self):
+        # numpy reports its buffers to tracemalloc.  The output is one copy
+        # of rows; a statistics block and std's temporary are each at most
+        # _STATS_BYTES, and both are freed before the output is allocated.
+        ds = make_dense(m=20000, n=60, nominal=(3, 40), seed=9)
+        tracemalloc.start()
+        try:
+            zscore_normalize(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= ds.rows.nbytes + 2 * dataset._STATS_BYTES
+
+    def test_sparse_statistics_match_per_row_loop(self):
+        rng = np.random.default_rng(8)
+        rows = []
+        for _ in range(300):
+            idx = np.sort(rng.choice(40, rng.integers(0, 8), replace=False))
+            rows.append((idx.astype(np.int64), rng.standard_normal(idx.size) * 5))
+        ds = Dataset(rows, rng.integers(0, 2, 300), [FeatureKind.NUMERIC] * 40)
+        s = np.zeros(40)
+        sq = np.zeros(40)
+        for idx, vals in rows:
+            np.add.at(s, idx, vals)
+            np.add.at(sq, idx, vals * vals)
+        mean = s / 300
+        std = np.sqrt(np.maximum(sq / 300 - mean * mean, 0.0))
+        std[std == 0.0] = 1.0
+        out = zscore_normalize(ds)
+        assert np.array_equal(out.means, mean)
+        assert np.array_equal(out.stds, std)
+
     def test_sparse_is_lazy(self):
         ds = parse_libsvm(io.StringIO("0 1:2.0\n0 1:4.0\n1 1:6.0\n"))
         out = zscore_normalize(ds)
@@ -326,6 +416,8 @@ class TestDrawSample:
         assert np.array_equal(batch.row(0), ds.rows[i])
         batch.rows[0, 0] += 100.0
         assert batch.rows[0, 0] != ds.rows[i, 0]
+        batch.labels[0] += 1
+        assert batch.labels[0] != ds.labels[i]
 
     def test_bad_rate_rejected(self):
         pd = partition(make_dense(m=10), 2)

@@ -1,6 +1,7 @@
 """Collision accounting and the pairwise redundancy measure."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,32 @@ class TestRedundancyMeasure:
                 assert norm[j] == red.normalized(i, j)
         assert red.lo == pytest.approx(min(0.0, expected.min()), abs=1e-12)
         assert red.hi == pytest.approx(max(0.0, expected.max()), abs=1e-12)
+
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    def test_row_blocks_match_pair_mass_on_merged_tables(self, block_rows,
+                                                         monkeypatch):
+        # The merged table has 6 tracked rows of 8 features; blocks of 1 and
+        # 3 rows split it, and the whole oracle check must still hold.
+        monkeypatch.setattr(redundancy, "_MCR_BLOCK_BYTES", block_rows * 8 * 8)
+        self.test_dense_table_matches_pair_mass_on_merged_tables()
+
+    def test_table_allocates_output_plus_row_blocks(self, monkeypatch):
+        # numpy reports its buffers to tracemalloc.  With 8-row blocks of a
+        # 300 x 400 table, each block temporary is 25.6 kB next to a 960 kB
+        # output; eight of them bound what one block holds at once.
+        monkeypatch.setattr(redundancy, "_MCR_BLOCK_BYTES", 8 * 8 * 400)
+        rng = np.random.default_rng(5)
+        t = CollisionTables.empty(400, rng.choice(400, 300, replace=False))
+        t.joint[:] = rng.random(t.joint.shape)
+        t.marginal[:] = rng.random(400) * 40
+        t.pair_count = 40
+        tracemalloc.start()
+        try:
+            red = compute_mcr(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= red.values.nbytes + 8 * redundancy._MCR_BLOCK_BYTES
 
     def test_perfect_co_collision_is_exactly_half(self):
         # Both features collide on the same half of the pairs:
