@@ -98,13 +98,17 @@ class Dataset:
         else:
             rows = list(rows)
             self._sparse = True
-            n = 0
-            for idx, vals in rows:
-                if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 0):
-                    raise DataError("sparse indices must be ascending and unique")
-                if idx.size:
-                    n = max(n, int(idx[-1]) + 1)
             m = len(rows)
+            flat = (np.concatenate([idx for idx, _ in rows]) if rows
+                    else np.empty(0, dtype=np.int64))
+            # One check over every row: steps that cross a row boundary
+            # (the position before each row's end offset) are exempt.
+            ends = np.cumsum([idx.size for idx, _ in rows], dtype=np.int64)
+            step_ok = np.diff(flat) > 0
+            step_ok[ends[(ends > 0) & (ends < flat.size)] - 1] = True
+            if not step_ok.all() or (flat.size and flat.min() < 0):
+                raise DataError("sparse indices must be ascending and unique")
+            n = int(flat.max()) + 1 if flat.size else 0
         kinds = tuple(FeatureKind(k) for k in kinds)
         if not self._sparse and len(kinds) != n:
             raise DataError(f"kinds has {len(kinds)} entries for {n} features")
@@ -412,24 +416,48 @@ def read_metadata(stream: IO[str]) -> dict:
     return doc
 
 
+# -- thread pool -----------------------------------------------------------
+
+# Widest pool of any phase: partition search and accumulation, and dense
+# z-scoring.
+_MAX_THREADS = 8
+
+
+def _map_pool(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]``, run in a pool of min(workers, 8) threads.
+
+    The results come back in input order whatever order the threads finish
+    in.  A single item, or a single worker, runs on the calling thread.
+    """
+    items = list(items)
+    width = min(workers, len(items), _MAX_THREADS)
+    if width <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        return list(pool.map(fn, items))
+
+
 # -- normalization ---------------------------------------------------------
 
-# Column-block budget of the dense statistics in zscore_normalize.
+# Block budget of dense z-scoring: the statistics gather column blocks,
+# the write pass covers row blocks, each of at most this many bytes.
 _STATS_BYTES = 1 << 20
 
 
-def zscore_normalize(dataset: Dataset) -> Dataset:
+def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
     """Z-score numeric features with population statistics.
 
     Constant features get a recorded standard deviation of 1, which sends
     their values to exactly 0.  Dense values are materialized in one new
-    array; statistics come from column blocks of at most ``_STATS_BYTES``
-    (at least one column), so memory is one copy of the input plus one
-    block.  Sparse rows are left untouched and the transform is applied
-    lazily through the recorded statistics (absent entries count as raw
-    zeros).  Nominal features pass through unchanged.  A numeric feature
-    holding a NaN or an infinity (or values whose sum overflows) raises
-    ``DataError``.
+    array.  Statistics come from column blocks of at most ``_STATS_BYTES``
+    (at least one column) and the output is written in row blocks of the
+    same budget; both run in a pool of min(``workers``, 8) threads, so
+    memory is one copy of the input plus one block per thread.  Results do
+    not depend on ``workers``.  Sparse rows are left untouched and the
+    transform is applied lazily through the recorded statistics (absent
+    entries count as raw zeros).  Nominal features pass through unchanged.
+    A numeric feature holding a NaN or an infinity (or values whose sum
+    overflows) raises ``DataError`` naming the lowest such feature.
     """
     m = dataset.n_instances
     if m == 0:
@@ -453,25 +481,41 @@ def zscore_normalize(dataset: Dataset) -> Dataset:
         out.means, out.stds, out.normalized = mean, std, True
         return out
     rows = dataset.rows
+    n = dataset.n_features
     numeric = np.flatnonzero(dataset.numeric_mask())
-    mean = np.zeros(dataset.n_features)
-    std = np.ones(dataset.n_features)
     width = max(1, _STATS_BYTES // (8 * m))
-    for start in range(0, numeric.size, width):
-        cols = numeric[start:start + width]
+    blocks = [numeric[a:a + width] for a in range(0, numeric.size, width)]
+
+    def column_stats(cols):
         # The gather comes back column-major, so each column is summed
         # pairwise on its own (rows.mean(axis=0) would sum row by row and
-        # round differently).
+        # round differently).  The variance takes the steps of
+        # block.std(axis=0) in place, so the block is the only temporary.
+        # A non-finite column is reported from its mean afterwards.
         block = rows[:, cols]
-        mu = block.mean(axis=0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            mu = block.mean(axis=0)
+            np.subtract(block, mu, out=block)
+            np.square(block, out=block)
+            return mu, np.sqrt(block.sum(axis=0) / m)  # population
+
+    mean = np.zeros(n)
+    std = np.ones(n)
+    for cols, (mu, sigma) in zip(blocks, _map_pool(column_stats, blocks, workers)):
         _check_finite(mu, cols)
-        sigma = block.std(axis=0)  # population
         sigma[sigma == 0.0] = 1.0
         mean[cols] = mu
         std[cols] = sigma
     # Nominal columns have mean 0 and std 1, so (x - 0) / 1 keeps them exact.
-    X = np.subtract(rows, mean)
-    np.divide(X, std, out=X)
+    X = np.empty_like(rows)
+    height = max(1, _STATS_BYTES // (8 * max(n, 1)))
+
+    def write(a):
+        out = X[a:a + height]
+        np.subtract(rows[a:a + height], mean, out=out)
+        np.divide(out, std, out=out)
+
+    _map_pool(write, range(0, m, height), workers)
     out = Dataset(X, dataset.labels.copy(), dataset.kinds,
                   n_classes=dataset.n_classes)
     out.means, out.stds, out.normalized = mean, std, True
@@ -519,16 +563,10 @@ class PartitionedDataset:
         return int(self.starts[g + 1] - self.starts[g])
 
     def map_partitions(self, fn) -> list:
-        """``[fn(g) for g in range(p)]``, run in a pool of min(p, 8) threads.
+        """``[fn(g) for g in range(p)]``, run in a pool of min(p, 8) threads,
+        with the results in partition order."""
+        return _map_pool(fn, range(self.n_partitions), self.n_partitions)
 
-        The results come back in partition order whatever order the
-        threads finish in.
-        """
-        p = self.n_partitions
-        if p == 1:
-            return [fn(0)]
-        with ThreadPoolExecutor(max_workers=min(p, 8)) as pool:
-            return list(pool.map(fn, range(p)))
 
 
 def partition(dataset: Dataset, p: int) -> PartitionedDataset:

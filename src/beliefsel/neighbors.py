@@ -239,7 +239,9 @@ def _search_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
         own = np.flatnonzero((gids >= start) & (gids < end))
         d[own, gids[own] - start] = np.inf  # never its own neighbor
         for c, cand in members.items():
-            dc = d[:, cand]
+            # take() copies in C order, where d[:, cand] would come back
+            # column-major and argpartition would walk each row with a stride.
+            dc = np.take(d, cand, axis=1)
             top = _top_k(dc, k)
             w = top.shape[1]
             dist[lo:hi, c, :w] = np.take_along_axis(dc, top, axis=1)

@@ -150,7 +150,8 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
                         f"got {present}")
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    ds = dataset if dataset.normalized else zscore_normalize(dataset)
+    ds = (dataset if dataset.normalized
+          else zscore_normalize(dataset, workers=config.partitions))
     timings["normalize_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

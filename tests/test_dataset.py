@@ -13,6 +13,7 @@ from beliefsel.dataset import (Dataset, FeatureKind, draw_sample, parse_csv,
                                write_csv, write_libsvm, write_metadata,
                                zscore_normalize)
 from beliefsel.errors import DataError
+from beliefsel.selection import SelectorConfig, run_belief
 
 
 def make_dense(m=12, n=5, n_classes=2, seed=0, nominal=()):
@@ -260,16 +261,63 @@ class TestZscore:
         assert np.array_equal(ds.rows, before)
         assert ds.means is None and not ds.normalized
 
-    @pytest.mark.parametrize("bad, first", [((8,), 8), ((8, 6), 6)])
+    @pytest.mark.parametrize("bad, first", [((8,), 8), ((8, 6), 6), ((4, 8), 4)])
     def test_dense_non_finite_in_later_block_names_its_feature(self, bad, first,
                                                                monkeypatch):
-        # Two-column blocks: numeric features 1-2, 3-4, 5-6 and 7-8.
+        # Two-column blocks: numeric features 1-2, 3-4, 5-6 and 7-8; with
+        # two or more workers the later blocks go to another thread.
         monkeypatch.setattr(dataset, "_STATS_BYTES", 8 * 10 * 2)
         ds = make_dense(m=10, n=9, nominal=(0,), seed=4)
         for j in bad:
             ds.rows[j - 3, j] = np.nan
-        with pytest.raises(DataError, match=rf"feature {first} "):
-            zscore_normalize(ds)
+        for workers in (1, 2, 3):
+            with pytest.raises(DataError, match=rf"feature {first} "):
+                zscore_normalize(ds, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("m, width", [(5, 2), (40, None), (9000, 3)])
+    def test_pooled_normalize_matches_single_thread(self, m, width, workers,
+                                                    monkeypatch):
+        # (5, 2): five stats blocks and five one-row write blocks, so eight
+        # workers outnumber both the blocks and the rows.  (40, None): one
+        # block of each, which stays on the calling thread.  (9000, 3):
+        # three stats blocks and four write blocks of 2454 rows.
+        if width is not None:
+            monkeypatch.setattr(dataset, "_STATS_BYTES", 8 * m * width)
+        ds = mixed_dense(m, 11, seed=m)
+        one = zscore_normalize(ds)
+        out = zscore_normalize(ds, workers=workers)
+        X, mean, std = reference_zscore(ds)
+        for got in (one, out):
+            assert np.array_equal(got.rows, X)
+            assert np.array_equal(got.means, mean)
+            assert np.array_equal(got.stds, std)
+
+    def test_run_belief_normalizes_on_the_partition_pool(self, monkeypatch):
+        seen = []
+        pool = dataset._map_pool
+
+        def spy(fn, items, workers):
+            seen.append((fn.__name__, workers))
+            return pool(fn, items, workers)
+
+        monkeypatch.setattr(dataset, "_map_pool", spy)
+        run_belief(make_dense(m=30, n=4, seed=6),
+                   SelectorConfig(n_select=2, partitions=3, theta=0.0))
+        assert ("column_stats", 3) in seen and ("write", 3) in seen
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pooled_normalize_holds_one_stats_block_per_worker(self, workers):
+        # Each thread holds one statistics block at a time (the variance
+        # reuses it) and writes its rows straight into the output.
+        ds = make_dense(m=20000, n=60, nominal=(3, 40), seed=9)
+        tracemalloc.start()
+        try:
+            zscore_normalize(ds, workers=workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= ds.rows.nbytes + workers * dataset._STATS_BYTES
 
     def test_dense_normalize_allocates_one_copy(self):
         # numpy reports its buffers to tracemalloc.  The output is one copy
@@ -456,6 +504,48 @@ class TestDatasetBasics:
         y = np.arange(40) % 2
         with pytest.raises(DataError, match=r"row 17: .* nominal feature 2"):
             Dataset(X, y, [FeatureKind.NOMINAL] * 4)
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param([4, 2], id="unsorted"),
+        pytest.param([1, 3, 3], id="duplicate"),
+        pytest.param([-1, 2], id="negative"),
+    ])
+    def test_bad_sparse_indices_in_a_later_row_rejected(self, bad):
+        # The rows before are valid, and the step from 5 down to the bad
+        # row's first index crosses a row boundary, which is allowed.
+        rows = [(np.array([0, 5]), np.ones(2)), (np.array([], dtype=np.int64), np.ones(0)),
+                (np.array([2, 5]), np.ones(2)), (np.array(bad), np.ones(len(bad)))]
+        with pytest.raises(DataError, match="sparse indices must be ascending and unique"):
+            Dataset(rows, [0, 1, 0, 1], [FeatureKind.NUMERIC] * 6)
+
+    def test_empty_sparse_rows_accepted(self):
+        empty = (np.array([], dtype=np.int64), np.ones(0))
+        rows = [empty, (np.array([3, 7]), np.ones(2)), empty,
+                (np.array([1, 2]), np.ones(2)), empty]
+        assert Dataset(rows, [0, 1, 0, 1, 0], [FeatureKind.NUMERIC] * 4).n_features == 8
+        assert Dataset([empty, empty], [0, 1], [FeatureKind.NUMERIC] * 4).n_features == 4
+
+    def test_sparse_index_check_matches_per_row_rule(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            rows = [(np.sort(rng.choice(12, rng.integers(0, 5), replace=False)),)
+                    for _ in range(rng.integers(1, 6))]
+            if rng.random() < 0.7:  # break one row's order, sign or uniqueness
+                r = rng.integers(len(rows))
+                idx = rows[r][0].copy()
+                if idx.size:
+                    idx[rng.integers(idx.size)] = rng.integers(-2, 12)
+                rows[r] = (idx,)
+            rows = [(idx, np.ones(idx.size)) for (idx,) in rows]
+            valid = all(idx.size == 0 or (np.all(np.diff(idx) > 0) and idx[0] >= 0)
+                        for idx, _ in rows)
+            labels = np.zeros(len(rows), dtype=np.int64)
+            if valid:
+                width = max([int(idx[-1]) + 1 for idx, _ in rows if idx.size] + [0])
+                assert Dataset(rows, labels, []).n_features == width
+            else:
+                with pytest.raises(DataError, match="ascending and unique"):
+                    Dataset(rows, labels, [])
 
     def test_sparse_must_be_numeric(self):
         rows = [(np.array([0]), np.array([1.0]))]

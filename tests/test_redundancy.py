@@ -232,6 +232,24 @@ class TestBatchedFold:
         with pytest.raises(IntegrityError):
             t.add_rate_rows(np.ones(3))
 
+    @pytest.mark.parametrize("tracked", TRACKED_SETS)
+    def test_same_tracked_merge_matches_realigned_sum(self, tracked):
+        # Partition partials of one batch share a tracked set and take the
+        # direct sum; it must give the bits of the realigning path, which
+        # adds each table into zeros.
+        rng = np.random.default_rng(12)
+        a = tables_from_rates(random_rates(rng, 7, 9), tracked=tracked, n=9)
+        b = tables_from_rates(random_rates(rng, 5, 9), tracked=tracked, n=9)
+        merged = a.merge(b)
+        realigned = np.zeros_like(a.joint)
+        realigned += a.joint
+        realigned += b.joint
+        assert np.array_equal(merged.tracked, a.tracked)
+        assert merged.tracked is not a.tracked
+        assert np.array_equal(merged.joint, realigned)
+        assert np.array_equal(merged.marginal, a.marginal + b.marginal)
+        assert merged.pair_count == 12
+
 
 class TestRedundancyMeasure:
     def test_dense_table_matches_pair_mass_on_merged_tables(self):
