@@ -8,8 +8,8 @@ Responsibilities:
 
 Values of nominal features are stored as integer codes (first-appearance
 order); labels are integer class ids ``0..n_classes-1``.  Sparse rows are
-kept as (indices, values) pairs and are z-scored lazily at distance time
-through the recorded per-feature statistics, so sparsity is never destroyed.
+CSR arrays (``SparseRows``), z-scored lazily at distance time through the
+recorded per-feature statistics, so sparsity is never destroyed.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "Dataset",
     "PartitionedDataset",
     "SampleBatch",
+    "SparseRows",
     "parse_libsvm",
     "parse_csv",
     "write_libsvm",
@@ -48,8 +49,49 @@ class FeatureKind(str, enum.Enum):
     NOMINAL = "nominal"
 
 
-# Sparse row: (ascending unique int64 indices, float64 values).
-SparseRow = tuple[np.ndarray, np.ndarray]
+@dataclass(frozen=True, eq=False)
+class SparseRows:
+    """Sparse rows in CSR form: row i holds ``indices[indptr[i]:indptr[i+1]]``
+    (ascending, unique, int64) with ``data`` (float64) at the same positions.
+
+    ``rows[i]`` is the (indices, values) pair of row i, as views; a slice
+    gives a ``SparseRows`` view of consecutive rows and an index array a
+    ``SparseRows`` copy of the chosen rows, in order.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def __len__(self) -> int:
+        return self.indptr.shape[0] - 1
+
+    def __getitem__(self, key):
+        if np.ndim(key) == 0 and not isinstance(key, slice):
+            i = range(len(self))[key]
+            a, b = self.indptr[i], self.indptr[i + 1]
+            return self.indices[a:b], self.data[a:b]
+        if isinstance(key, slice) and key.step in (None, 1):
+            lo, hi, _ = key.indices(len(self))
+            ptr = self.indptr[lo:max(lo, hi) + 1]
+            a, b = ptr[0], ptr[-1]
+            return SparseRows(ptr - a, self.indices[a:b], self.data[a:b])
+        ids = np.arange(len(self))[key]
+        lengths = np.diff(self.indptr)[ids]
+        ptr = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+        pos = np.repeat(self.indptr[ids] - ptr[:-1], lengths) + np.arange(ptr[-1])
+        return SparseRows(ptr, self.indices[pos], self.data[pos])
+
+    def scaled(self, scale: np.ndarray) -> "SparseRows":
+        """The same rows with each value multiplied by its feature's scale."""
+        return SparseRows(self.indptr, self.indices, self.data * scale[self.indices])
+
+    def to_dense(self, n_features: int) -> np.ndarray:
+        """The rows as a dense (rows, n_features) array; absent entries are 0."""
+        out = np.zeros((len(self), n_features))
+        rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
+        out[rows, self.indices] = self.data
+        return out
 
 
 @dataclass(frozen=True)
@@ -77,7 +119,7 @@ class Dataset:
 
     Parameters
     ----------
-    rows : ndarray of shape (m, n) or list of SparseRow
+    rows : ndarray of shape (m, n), SparseRows, or list of (indices, values)
         Feature values.  Nominal columns hold integer codes.
     labels : ndarray of shape (m,)
         Integer class ids in ``0..n_classes-1``.
@@ -96,14 +138,17 @@ class Dataset:
             n = rows.shape[1]
             m = rows.shape[0]
         else:
-            rows = list(rows)
+            if not isinstance(rows, SparseRows):
+                pairs = list(rows)
+                rows = SparseRows(
+                    np.cumsum([0] + [np.size(idx) for idx, _ in pairs], dtype=np.int64),
+                    np.concatenate([np.empty(0, np.int64)] + [idx for idx, _ in pairs]),
+                    np.concatenate([np.empty(0)] + [v for _, v in pairs]))
             self._sparse = True
             m = len(rows)
-            flat = (np.concatenate([idx for idx, _ in rows]) if rows
-                    else np.empty(0, dtype=np.int64))
             # One check over every row: steps that cross a row boundary
             # (the position before each row's end offset) are exempt.
-            ends = np.cumsum([idx.size for idx, _ in rows], dtype=np.int64)
+            flat, ends = rows.indices, rows.indptr[1:]
             step_ok = np.diff(flat) > 0
             step_ok[ends[(ends > 0) & (ends < flat.size)] - 1] = True
             if not step_ok.all() or (flat.size and flat.min() < 0):
@@ -187,10 +232,8 @@ class Dataset:
         if not self._sparse:
             return self.rows[:, j].copy()
         col = np.zeros(self.n_instances)
-        for i, (idx, vals) in enumerate(self.rows):
-            pos = np.searchsorted(idx, j)
-            if pos < idx.size and idx[pos] == j:
-                col[i] = vals[pos]
+        at = np.flatnonzero(self.rows.indices == j)
+        col[np.searchsorted(self.rows.indptr, at, side="right") - 1] = self.rows.data[at]
         if self.normalized and self.means is not None:
             col = (col - self.means[j]) / self.stds[j]
         return col
@@ -200,11 +243,7 @@ class Dataset:
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size and (indices.min() < 0 or indices.max() >= self.n_instances):
             raise DataError("subset index out of range")
-        if self._sparse:
-            rows = [(self.rows[i][0].copy(), self.rows[i][1].copy()) for i in indices]
-        else:
-            rows = self.rows[indices].copy()
-        out = Dataset(rows, self.labels[indices], self.kinds,
+        out = Dataset(self.rows[indices], self.labels[indices], self.kinds,
                       n_classes=self.n_classes, normalized=self.normalized)
         out.means = None if self.means is None else self.means.copy()
         out.stds = None if self.stds is None else self.stds.copy()
@@ -224,8 +263,9 @@ def parse_libsvm(stream: IO[str] | Iterable[str], n_features: int | None = None)
     """
     raw_labels: list[str] = []
     label_lines: list[int] = []
-    rows: list[SparseRow] = []
-    width = 0
+    indptr = [0]
+    indices: list[int] = []
+    values: list[float] = []
     for ln, line in enumerate(stream, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -233,8 +273,6 @@ def parse_libsvm(stream: IO[str] | Iterable[str], n_features: int | None = None)
         parts = line.split()
         raw_labels.append(parts[0])
         label_lines.append(ln)
-        idx = []
-        vals = []
         prev = 0
         for tok in parts[1:]:
             try:
@@ -250,19 +288,20 @@ def parse_libsvm(stream: IO[str] | Iterable[str], n_features: int | None = None)
             if i <= prev:
                 raise DataError(f"line {ln}: indices must be strictly increasing")
             prev = i
-            idx.append(i - 1)
-            vals.append(v)
-        rows.append((np.array(idx, dtype=np.int64), np.array(vals)))
-        if idx:
-            width = max(width, idx[-1] + 1)
-    if not rows:
+            indices.append(i - 1)
+            values.append(v)
+        indptr.append(len(indices))
+    if not raw_labels:
         raise DataError("no instances in stream")
+    width = max(indices, default=-1) + 1
     if n_features is not None:
         if width > n_features:
             raise DataError(f"index {width} exceeds declared {n_features} features")
         width = n_features
-    labels = _encode_labels(raw_labels, label_lines, "1 (label)")
-    return Dataset(rows, labels, [FeatureKind.NUMERIC] * width)
+    rows = SparseRows(np.array(indptr, dtype=np.int64),
+                      np.array(indices, dtype=np.int64), np.array(values))
+    return Dataset(rows, _encode_labels(raw_labels, label_lines, "1 (label)"),
+                   [FeatureKind.NUMERIC] * width)
 
 
 def parse_csv(stream: IO[str] | Iterable[str], label_column: int | str = -1,
@@ -366,17 +405,15 @@ def _encode_labels(tokens: list[str], lines: list[int], column: str) -> np.ndarr
 
 def write_libsvm(dataset: Dataset, stream: IO[str]) -> None:
     """Serialize to LibSVM text (1-based indices, shortest round-trip floats)."""
-    if dataset.is_sparse:
-        pairs = dataset.rows
-    else:
-        pairs = []
-        for i in range(dataset.n_instances):
-            idx = np.flatnonzero(dataset.rows[i])
-            pairs.append((idx, dataset.rows[i][idx]))
-    for (idx, vals), y in zip(pairs, dataset.labels):
-        toks = [str(int(y))]
-        toks += [f"{int(i) + 1}:{float(v)!r}" for i, v in zip(idx, vals)]
-        stream.write(" ".join(toks) + "\n")
+    rows = dataset.rows
+    if not dataset.is_sparse:
+        r, c = np.nonzero(rows)
+        indptr = np.searchsorted(r, np.arange(dataset.n_instances + 1))
+        rows = SparseRows(indptr, c, rows[r, c])
+    toks = [f"{i + 1}:{v!r}" for i, v in zip(rows.indices.tolist(), rows.data.tolist())]
+    for y, a, b in zip(dataset.labels.tolist(), rows.indptr[:-1].tolist(),
+                       rows.indptr[1:].tolist()):
+        stream.write(" ".join([str(y)] + toks[a:b]) + "\n")
 
 
 def write_csv(dataset: Dataset, stream: IO[str], label_name: str = "class") -> None:
@@ -439,8 +476,8 @@ def _map_pool(fn, items, workers: int) -> list:
 
 # -- normalization ---------------------------------------------------------
 
-# Block budget of dense z-scoring: the statistics gather column blocks,
-# the write pass covers row blocks, each of at most this many bytes.
+# Block budget of dense z-scoring (column blocks for the statistics, row
+# blocks for the write) and of the sparse search's query buffer and tiles.
 _STATS_BYTES = 1 << 20
 
 
@@ -453,9 +490,9 @@ def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
     (at least one column) and the output is written in row blocks of the
     same budget; both run in a pool of min(``workers``, 8) threads, so
     memory is one copy of the input plus one block per thread.  Results do
-    not depend on ``workers``.  Sparse rows are left untouched and the
-    transform is applied lazily through the recorded statistics (absent
-    entries count as raw zeros).  Nominal features pass through unchanged.
+    not depend on ``workers``.  Sparse rows are shared with the output, raw,
+    and the transform is applied lazily through the recorded statistics
+    (absent entries count as raw zeros).  Nominal features pass through unchanged.
     A numeric feature holding a NaN or an infinity (or values whose sum
     overflows) raises ``DataError`` naming the lowest such feature.
     """
@@ -463,20 +500,22 @@ def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
     if m == 0:
         raise DataError("cannot normalize an empty dataset")
     if dataset.is_sparse:
-        idx = np.concatenate([i for i, _ in dataset.rows])
-        vals = np.concatenate([v for _, v in dataset.rows])
-        # bincount adds in index order, as a per-row loop would.
-        s = np.bincount(idx, weights=vals, minlength=dataset.n_features)
-        sq = np.bincount(idx, weights=vals * vals, minlength=dataset.n_features)
-        _check_finite(s)
-        mean = s / m
-        var = np.maximum(sq / m - mean * mean, 0.0)
-        std = np.sqrt(var)
+        idx, vals = dataset.rows.indices, dataset.rows.data
+        n = dataset.n_features
+        # bincount adds in entry order, as a per-row loop would.
+        mean = np.bincount(idx, weights=vals, minlength=n)
+        _check_finite(mean)
+        mean /= m
+        # Two passes, so a large common offset does not cancel the spread:
+        # the stored entries' squared deviations, plus the absent zeros'.
+        dev = vals - mean[idx]
+        var = np.bincount(idx, weights=dev * dev, minlength=n)
+        var += (m - np.bincount(idx, minlength=n)) * (mean * mean)
+        std = np.sqrt(var / m)
         std[std == 0.0] = 1.0
         # Stored rows stay raw, so z-scoring the effective values collapses
         # to the raw-value transform; prior statistics drop out.
-        rows = [(idx.copy(), vals.copy()) for idx, vals in dataset.rows]
-        out = Dataset(rows, dataset.labels.copy(), dataset.kinds,
+        out = Dataset(dataset.rows, dataset.labels.copy(), dataset.kinds,
                       n_classes=dataset.n_classes)
         out.means, out.stds, out.normalized = mean, std, True
         return out
@@ -592,13 +631,13 @@ class SampleBatch:
     """A batch of sampled instances, each carried as a full copy.
 
     ``indices`` are global row ids in the source dataset; ``rows`` is a
-    dense matrix or a list of sparse rows aligned with them.
+    dense matrix or a ``SparseRows`` aligned with them.
     """
 
     batch_id: int
     indices: np.ndarray
     labels: np.ndarray
-    rows: object
+    rows: np.ndarray | SparseRows
 
     def __len__(self) -> int:
         return int(self.indices.shape[0])
@@ -627,10 +666,6 @@ def draw_sample(pdata: PartitionedDataset, rate: float, batches: int = 1,
     chosen = rng.choice(m, size=size, replace=False).astype(np.int64)
     out = []
     for b, part in enumerate(np.array_split(chosen, batches)):
-        if ds.is_sparse:
-            rows = [(ds.rows[i][0].copy(), ds.rows[i][1].copy()) for i in part]
-        else:
-            rows = ds.rows[part]  # fancy indexing copies
-        out.append(SampleBatch(batch_id=b, indices=part,
-                               labels=ds.labels[part], rows=rows))
+        out.append(SampleBatch(batch_id=b, indices=part, labels=ds.labels[part],
+                               rows=ds.rows[part]))  # fancy indexing copies
     return out

@@ -70,32 +70,18 @@ class WeightVector:
         ]
 
 
-def pair_diffs(a, b, space: FeatureSpace):
-    """Absolute per-feature differences between two instances.
+def pair_diffs(a: np.ndarray, b: np.ndarray, space: FeatureSpace) -> np.ndarray:
+    """Absolute per-feature differences between two dense rows.
 
-    Dense rows give a dense vector (numeric |a-b|, nominal 0/1 mismatch).
-    Sparse rows give (union indices, diffs) with the lazy z-scale applied;
-    features outside the union differ by exactly 0.
+    Numeric features give |a - b|, scaled by ``space.inv_scale`` when it is
+    set (the rows are then raw values of lazily normalized sparse data);
+    nominal features give a 0/1 mismatch.
     """
-    a_sparse = not isinstance(a, np.ndarray)
-    b_sparse = not isinstance(b, np.ndarray)
-    if a_sparse != b_sparse:
-        raise DataError("cannot mix sparse and dense rows in one accumulation")
-    if a_sparse:
-        ia, va = a
-        ib, vb = b
-        union = np.union1d(ia, ib)
-        da = np.zeros(union.size)
-        da[np.searchsorted(union, ia)] = va
-        db = np.zeros(union.size)
-        db[np.searchsorted(union, ib)] = vb
-        diffs = np.abs(da - db)
-        if space.inv_scale is not None:
-            diffs *= space.inv_scale[union]
-        return union, diffs
     if a.shape != b.shape:
         raise DataError("dimension mismatch between instances")
     d = np.abs(a - b)
+    if space.inv_scale is not None:
+        d *= space.inv_scale
     if space.nominal_idx.size:
         d[space.nominal_idx] = (
             a[space.nominal_idx] != b[space.nominal_idx]).astype(np.float64)
@@ -158,7 +144,6 @@ def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
     space = ds.feature_space()
     start = int(pdata.starts[g])
     end = int(pdata.starts[g + 1])
-    block = ds.rows[start:end]
     pending = RateBlock(stats.collisions) if collect_collisions else None
     y = batch.labels
     mine = (rows >= start) & (rows < end)
@@ -167,40 +152,36 @@ def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
     stats.hit_count += np.bincount(y, weights=hits, minlength=C)
     stats.miss_count += np.bincount(y, weights=per_group.sum(axis=1) - hits,
                                     minlength=C)
-    if ds.is_sparse:
-        for i, c, j in zip(*np.nonzero(mine)):
-            diffs = pair_diffs(batch.row(i), block[rows[i, c, j] - start], space)
-            target = stats.hit_dist if c == y[i] else stats.miss_dist
-            idx, vals = diffs
-            np.add.at(target[y[i]], idx, vals)
-            if pending is not None:
-                pending.push(collision_rates(diffs, space, kappa)[None])
-    else:
-        step = max(1, _GATHER_BYTES // (C * k * n * 8))
-        for lo in range(0, s, step):
-            hi = min(lo + step, s)
-            i, c, j = np.nonzero(mine[lo:hi])
-            nbrs = block[rows[lo + i, c, j] - start]
-            diffs = nbrs - batch.rows[lo + i]
-            np.abs(diffs, out=diffs)
-            if space.nominal_idx.size:
-                nom = space.nominal_idx
-                diffs[:, nom] = nbrs[:, nom] != batch.rows[np.ix_(lo + i, nom)]
-            if pending is not None:
-                pending.push(collision_rates(diffs, space, kappa))
-            # Each (sample, class) group sums its slots one add at a time,
-            # other partitions' slots being zero, then the groups fold into
-            # their class row in (sample, class) order: the same float
-            # additions, in the same order, as one pair at a time.
-            padded = np.zeros((hi - lo, C, k, n))
-            padded[i, c, j] = diffs
-            sums = padded[:, :, 0].copy()
-            for slot in range(1, k):
-                sums += padded[:, :, slot]
-            ys = y[lo:hi]
-            hit = np.arange(C) == ys[:, None]
-            np.add.at(stats.hit_dist, ys, sums[hit])
-            np.add.at(stats.miss_dist, np.repeat(ys, C - 1), sums[~hit])
+    step = max(1, _GATHER_BYTES // (C * k * n * 8))
+    for lo in range(0, s, step):
+        hi = min(lo + step, s)
+        i, c, j = np.nonzero(mine[lo:hi])
+        nbrs = ds.rows[rows[lo + i, c, j]]
+        own = batch.rows[lo + i]
+        if ds.is_sparse:  # within the budget of the padded block below
+            nbrs, own = nbrs.to_dense(n), own.to_dense(n)
+        diffs = nbrs - own
+        np.abs(diffs, out=diffs)
+        if space.inv_scale is not None:
+            diffs *= space.inv_scale
+        if space.nominal_idx.size:
+            nom = space.nominal_idx
+            diffs[:, nom] = nbrs[:, nom] != own[:, nom]
+        if pending is not None:
+            pending.push(collision_rates(diffs, space, kappa))
+        # Each (sample, class) group sums its slots one add at a time,
+        # other partitions' slots being zero, then the groups fold into
+        # their class row in (sample, class) order: the same float
+        # additions, in the same order, as one pair at a time.
+        padded = np.zeros((hi - lo, C, k, n))
+        padded[i, c, j] = diffs
+        sums = padded[:, :, 0].copy()
+        for slot in range(1, k):
+            sums += padded[:, :, slot]
+        ys = y[lo:hi]
+        hit = np.arange(C) == ys[:, None]
+        np.add.at(stats.hit_dist, ys, sums[hit])
+        np.add.at(stats.miss_dist, np.repeat(ys, C - 1), sums[~hit])
     if pending is not None:
         pending.flush()
     return stats
@@ -255,12 +236,9 @@ def belief_weights(stats: ClassDistanceStats, priors: np.ndarray) -> WeightVecto
 # -- single-threaded reference rules ---------------------------------------
 
 
-def _reference_neighbors(ds: Dataset, space: FeatureSpace, i: int):
+def _reference_neighbors(X: np.ndarray, space: FeatureSpace, i: int):
     """Distances from instance ``i`` to every other instance, self excluded."""
-    dists = np.empty(ds.n_instances)
-    row = ds.row(i)
-    for j in range(ds.n_instances):
-        dists[j] = instance_distance(row, ds.row(j), space)
+    dists = np.array([instance_distance(X[i], x, space) for x in X])
     dists[i] = np.inf
     return dists
 
@@ -290,20 +268,19 @@ def relieff_reference(dataset: Dataset, sample_indices=None, k: int = 3) -> Weig
         raise DataError("empty sample")
     space = dataset.feature_space()
     priors = dataset.class_priors()
+    X = dataset.rows.to_dense(dataset.n_features) if dataset.is_sparse else dataset.rows
     w = np.zeros(dataset.n_features)
     denom = s * k
     for i in sample_indices:
         y = int(dataset.labels[i])
-        dists = _reference_neighbors(dataset, space, i)
-        row = dataset.row(i)
+        dists = _reference_neighbors(X, space, i)
         for h in _topk_of_class(dists, dataset.labels, y, k):
-            w -= _dense_diffs(row, dataset.row(h), space, dataset.n_features) / denom
+            w -= pair_diffs(X[i], X[h], space) / denom
         for c in range(dataset.n_classes):
             if c == y:
                 continue
             for mss in _topk_of_class(dists, dataset.labels, c, k):
-                w += priors[c] * _dense_diffs(
-                    row, dataset.row(mss), space, dataset.n_features) / denom
+                w += priors[c] * pair_diffs(X[i], X[mss], space) / denom
     return WeightVector(values=w, method="relieff")
 
 
@@ -318,26 +295,16 @@ def relief_reference(dataset: Dataset, sample_indices=None) -> WeightVector:
     if s == 0:
         raise DataError("empty sample")
     space = dataset.feature_space()
+    X = dataset.rows.to_dense(dataset.n_features) if dataset.is_sparse else dataset.rows
     w = np.zeros(dataset.n_features)
     for i in sample_indices:
         y = int(dataset.labels[i])
-        dists = _reference_neighbors(dataset, space, i)
-        row = dataset.row(i)
+        dists = _reference_neighbors(X, space, i)
         hits = _topk_of_class(dists, dataset.labels, y, 1)
         misses = _topk_of_class(dists, dataset.labels, 1 - y, 1)
         if hits.size:
-            w -= _dense_diffs(row, dataset.row(hits[0]), space, dataset.n_features) / s
+            w -= pair_diffs(X[i], X[hits[0]], space) / s
         if misses.size:
-            w += _dense_diffs(row, dataset.row(misses[0]), space, dataset.n_features) / s
+            w += pair_diffs(X[i], X[misses[0]], space) / s
     return WeightVector(values=w, method="relief")
 
-
-def _dense_diffs(a, b, space: FeatureSpace, n_features: int) -> np.ndarray:
-    """pair_diffs with sparse results expanded to a dense vector."""
-    d = pair_diffs(a, b, space)
-    if isinstance(d, tuple):
-        idx, vals = d
-        out = np.zeros(n_features)
-        out[idx] = vals
-        return out
-    return d

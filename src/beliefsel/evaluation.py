@@ -13,8 +13,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, zscore_normalize
+from .dataset import Dataset, FeatureSpace, zscore_normalize
 from .errors import DataError
+from .neighbors import _QUERY_CHUNK, _dense_distances_subtract
 
 __all__ = ["knn_classify", "evaluate", "cross_validate", "stratified_folds"]
 
@@ -31,7 +32,8 @@ def _aligned_matrices(train: Dataset, test: Dataset, features: Sequence[int]):
     if train.n_features != test.n_features:
         raise DataError("train and test feature spaces differ")
     tr = train if train.normalized else zscore_normalize(train)
-    Xtr = np.column_stack([tr.column(j) for j in features])
+    # Column-major, so the kernel sums each distance a feature column at a time.
+    Xtr = np.array([tr.column(j) for j in features]).T
     Xte = np.column_stack([test.column(j) for j in features])
     if not test.normalized and tr.means is not None:
         numeric = train.numeric_mask()
@@ -53,25 +55,16 @@ def knn_classify(train: Dataset, test: Dataset, k: int,
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
     Xtr, Xte, nom_cols, ytr = _aligned_matrices(train, test, features)
+    space = FeatureSpace(n_features=nom_cols.size, numeric_idx=np.flatnonzero(~nom_cols),
+                         nominal_idx=np.flatnonzero(nom_cols), inv_scale=None)
     k = min(k, Xtr.shape[0])
     preds = np.empty(Xte.shape[0], dtype=np.int64)
-    num_cols = ~nom_cols
-    for i in range(Xte.shape[0]):
-        d = Xtr[:, num_cols] - Xte[i, num_cols]
-        sq = (d * d).sum(axis=1)
-        if nom_cols.any():
-            sq = sq + (Xtr[:, nom_cols] != Xte[i, nom_cols]).sum(axis=1)
-        order = np.lexsort((np.arange(sq.shape[0]), sq))[:k]
-        votes = np.bincount(ytr[order])
-        top = votes.max()
-        tied = set(np.flatnonzero(votes == top))
-        if len(tied) == 1:
-            preds[i] = tied.pop()
-        else:
-            for o in order:
-                if int(ytr[o]) in tied:
-                    preds[i] = int(ytr[o])
-                    break
+    for lo in range(0, Xte.shape[0], _QUERY_CHUNK):
+        sq = _dense_distances_subtract(Xte[lo:lo + _QUERY_CHUNK], Xtr, space)
+        nearest = np.argsort(sq, axis=1, kind="stable")[:, :k]
+        for i, order in enumerate(nearest, start=lo):
+            votes = np.bincount(ytr[order])
+            preds[i] = next(c for c in ytr[order] if votes[c] == votes.max())
     return preds
 
 

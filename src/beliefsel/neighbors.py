@@ -18,7 +18,8 @@ the result does not depend on the partition count.
 
 Distances are Euclidean over per-feature diffs: |a - b| for numeric values
 (z-scored beforehand, or scaled lazily for sparse rows) and a 0/1 indicator
-for nominal values.
+for nominal values.  Sparse rows are searched as ||q||^2 + ||b||^2 - 2 q.b
+over a partition's stored entries, a tile of rows at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FeatureKind, FeatureSpace, PartitionedDataset, SampleBatch
+from .dataset import (_STATS_BYTES as _TILE_BYTES, FeatureKind, FeatureSpace,
+                      PartitionedDataset, SampleBatch, SparseRows)
 from .errors import DataError
 
 __all__ = [
@@ -80,49 +82,14 @@ def feature_diff(a: float, b: float, kind: FeatureKind) -> float:
     return abs(a - b)
 
 
-def _sparse_effective(row, space: FeatureSpace):
-    idx, vals = row
-    if space.inv_scale is None:
-        return idx, vals
-    return idx, vals * space.inv_scale[idx]
-
-
-def _sparse_sq_dist(row_a, row_b, space: FeatureSpace) -> float:
-    """Squared distance between two sparse rows by index merge."""
-    ia, va = _sparse_effective(row_a, space)
-    ib, vb = _sparse_effective(row_b, space)
-    na = float(np.dot(va, va))
-    nb = float(np.dot(vb, vb))
-    common, pa, pb = np.intersect1d(ia, ib, assume_unique=True, return_indices=True)
-    cross = float(np.dot(va[pa], vb[pb]))
-    return max(na + nb - 2.0 * cross, 0.0)
-
-
 def instance_distance(x, y, space: FeatureSpace) -> float:
     """Euclidean distance between two instances of the same feature space.
 
     Accepts dense rows (ndarray), sparse rows ((indices, values)), or one of
-    each; sparse values are scaled through the recorded statistics so the
+    each, expanded to dense and, when ``inv_scale`` is set, scaled: the
     result matches the distance between the z-scored dense equivalents.
     """
-    x_sparse = not isinstance(x, np.ndarray)
-    y_sparse = not isinstance(y, np.ndarray)
-    if x_sparse and y_sparse:
-        return math.sqrt(_sparse_sq_dist(x, y, space))
-    if x_sparse or y_sparse:
-        sp, dn = (x, y) if x_sparse else (y, x)
-        if dn.shape[0] != space.n_features:
-            raise DataError("dimension mismatch between instances")
-        scale = space.inv_scale if space.inv_scale is not None else 1.0
-        dn_eff = dn * scale
-        idx, vals = _sparse_effective(sp, space)
-        total = float(np.dot(dn_eff, dn_eff))
-        # Replace the dense-only contribution at the sparse row's indices.
-        delta = vals - dn_eff[idx]
-        total += float(np.dot(delta, delta)) - float(np.dot(dn_eff[idx], dn_eff[idx]))
-        return math.sqrt(max(total, 0.0))
-    if x.shape != y.shape:
-        raise DataError("dimension mismatch between instances")
+    x, y = (_dense_row(v, space) for v in (x, y))
     if space.all_numeric:
         d = x - y
         return math.sqrt(float((d * d).sum()))
@@ -130,6 +97,17 @@ def instance_distance(x, y, space: FeatureSpace) -> float:
     num = float((dn * dn).sum())
     nom = float((x[space.nominal_idx] != y[space.nominal_idx]).sum())
     return math.sqrt(num + nom)
+
+
+def _dense_row(row, space: FeatureSpace) -> np.ndarray:
+    """A dense or (indices, values) row as a dense vector of effective values."""
+    if isinstance(row, tuple):
+        idx, vals = row
+        row = np.zeros(space.n_features)
+        row[idx] = vals
+    elif row.shape != (space.n_features,):
+        raise DataError("dimension mismatch between instances")
+    return row if space.inv_scale is None else row * space.inv_scale
 
 
 # -- dense distance kernels -------------------------------------------------
@@ -174,6 +152,47 @@ def _dense_distances_gram(Q, block, space: FeatureSpace, block_sq) -> np.ndarray
     return out
 
 
+# -- sparse distance kernel -------------------------------------------------
+
+
+def _row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Per-row sums over the last axis of CSR-laid ``values`` (0 for an empty
+    row).  Norms and dot products both go through this one reduction, so an
+    exact duplicate row's product with itself equals its norm bit for bit
+    and the pair sits at distance exactly 0."""
+    out = np.zeros(values.shape[:-1] + (indptr.shape[0] - 1,))
+    full = np.flatnonzero(np.diff(indptr))
+    if full.size:
+        out[..., full] = np.add.reduceat(values, indptr[full] - indptr[0], axis=-1)
+    return out
+
+
+def _sparse_distances(Q: SparseRows, block: SparseRows, block_sq: np.ndarray,
+                      n_features: int) -> np.ndarray:
+    """Squared distances (||q||^2 + ||b||^2) - 2 q.b between sparse rows whose
+    values are already scaled.
+
+    The queries are scattered into one dense buffer.  The block is taken in
+    tiles of consecutive rows whose (queries, stored entries) products fit
+    ``_TILE_BYTES`` (at least one row); each tile gathers the buffer at its
+    stored indices and multiplies by its values.
+    """
+    dense_q = Q.to_dense(n_features)
+    cross = np.empty((len(Q), len(block)))
+    ptr = block.indptr
+    budget = max(1, _TILE_BYTES // (8 * len(Q)))
+    r0 = 0
+    while r0 < len(block):
+        r1 = max(r0 + 1, int(np.searchsorted(ptr, ptr[r0] + budget, side="right")) - 1)
+        prod = np.take(dense_q, block.indices[ptr[r0]:ptr[r1]], axis=1)
+        prod *= block.data[ptr[r0]:ptr[r1]]
+        cross[:, r0:r1] = _row_sums(prod, ptr[r0:r1 + 1])
+        r0 = r1
+    out = _row_sums(Q.data * Q.data, Q.indptr)[:, None] + block_sq - 2.0 * cross
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
 # -- partition map ----------------------------------------------------------
 
 
@@ -212,22 +231,22 @@ def _search_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
     dist = np.full((n_samples, ds.n_classes, k), np.inf)
 
     if ds.is_sparse:
-        block_rows = ds.rows[start:end]
+        block = ds.rows[start:end].scaled(space.inv_scale)
+        block_sq = _row_sums(block.data * block.data, block.indptr)
+        chunk = max(1, min(_QUERY_CHUNK, _TILE_BYTES // (8 * max(ds.n_features, 1))))
     else:
         block = ds.rows[start:end]
+        chunk = _QUERY_CHUNK
         use_gram = ds.n_features >= GRAM_MIN_FEATURES
         if use_gram:
             Bn = block if space.all_numeric else block[:, space.numeric_idx]
             block_sq = (Bn * Bn).sum(axis=1)
 
-    for lo in range(0, n_samples, _QUERY_CHUNK):
-        hi = min(lo + _QUERY_CHUNK, n_samples)
+    for lo in range(0, n_samples, chunk):
+        hi = min(lo + chunk, n_samples)
         if ds.is_sparse:
-            sq = np.empty((hi - lo, end - start))
-            for i in range(lo, hi):
-                qrow = batch.row(i)
-                for j in range(end - start):
-                    sq[i - lo, j] = _sparse_sq_dist(qrow, block_rows[j], space)
+            Q = batch.rows[lo:hi].scaled(space.inv_scale)
+            sq = _sparse_distances(Q, block, block_sq, ds.n_features)
         else:
             Q = batch.rows[lo:hi]
             if use_gram:
@@ -269,7 +288,7 @@ def neighborhood(pdata: PartitionedDataset, batch: SampleBatch, k: int) -> Neigh
     rows, dist = (np.concatenate(a, axis=-1) for a in zip(*parts))
     emitted = rows[rows >= 0]
     if ds.is_sparse:
-        inst_bytes = SPARSE_NONZERO_BYTES * sum(ds.rows[r][0].size for r in emitted)
+        inst_bytes = SPARSE_NONZERO_BYTES * int(np.diff(ds.rows.indptr)[emitted].sum())
     else:
         inst_bytes = emitted.size * DENSE_VALUE_BYTES * ds.n_features
     keep = np.lexsort((rows, dist), axis=-1)[..., :k]

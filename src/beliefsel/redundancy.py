@@ -66,35 +66,21 @@ def collision_rate(a: float, b: float, kind: FeatureKind, kappa: float = 0.8) ->
     return rate
 
 
-def _rates_from_diffs(diffs: np.ndarray, nominal_idx: np.ndarray,
-                      kappa: float) -> np.ndarray:
-    """Vectorized collision rates from absolute per-feature diffs.
+def collision_rates(diffs: np.ndarray, space: FeatureSpace,
+                    kappa: float = 0.8) -> np.ndarray:
+    """Collision rates of instance pairs from their absolute diffs.
 
-    ``diffs`` is one pair's vector or a (pairs, features) block.
+    ``diffs`` is what the weight-estimation pass already computed, so
+    collision tracking adds no distance work of its own: one pair's dense
+    vector or a (pairs, features) block of them.
     """
     rates = 1.0 - diffs / COLLISION_SPAN
     np.maximum(rates, 0.0, out=rates)
     rates[(rates > 0.0) & (rates < kappa)] = 0.0
-    if nominal_idx.size:
+    if space.nominal_idx.size:
         # Nominal diffs are 0/1 indicators: equal -> 1, different -> 0.
-        rates[..., nominal_idx] = 1.0 - diffs[..., nominal_idx]
+        rates[..., space.nominal_idx] = 1.0 - diffs[..., space.nominal_idx]
     return rates
-
-
-def collision_rates(diffs, space: FeatureSpace, kappa: float = 0.8) -> np.ndarray:
-    """Collision rates of instance pairs from their absolute diffs.
-
-    ``diffs`` is what the weight-estimation pass already computed, so
-    collision tracking adds no distance work of its own: a dense vector, a
-    (pairs, features) block of dense rows, or a sparse (union indices,
-    diffs) pair, which expands to a dense vector (features outside the
-    union differ by 0 and so collide at rate 1).
-    """
-    if isinstance(diffs, tuple):
-        idx, vals = diffs
-        diffs = np.zeros(space.n_features)
-        diffs[idx] = vals
-    return _rates_from_diffs(diffs, space.nominal_idx, kappa)
 
 
 @dataclass

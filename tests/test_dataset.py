@@ -340,16 +340,33 @@ class TestZscore:
             rows.append((idx.astype(np.int64), rng.standard_normal(idx.size) * 5))
         ds = Dataset(rows, rng.integers(0, 2, 300), [FeatureKind.NUMERIC] * 40)
         s = np.zeros(40)
-        sq = np.zeros(40)
         for idx, vals in rows:
             np.add.at(s, idx, vals)
-            np.add.at(sq, idx, vals * vals)
         mean = s / 300
-        std = np.sqrt(np.maximum(sq / 300 - mean * mean, 0.0))
+        # Two passes: squared deviations of the stored entries, then the
+        # absent zeros, (300 - count) of them per feature.
+        ss = np.zeros(40)
+        count = np.zeros(40, dtype=np.int64)
+        for idx, vals in rows:
+            np.add.at(ss, idx, (vals - mean[idx]) ** 2)
+            np.add.at(count, idx, 1)
+        std = np.sqrt((ss + (300 - count) * (mean * mean)) / 300)
         std[std == 0.0] = 1.0
         out = zscore_normalize(ds)
         assert np.array_equal(out.means, mean)
         assert np.array_equal(out.stds, std)
+
+    def test_sparse_large_offset_keeps_its_spread(self):
+        # Feature 0 is 1e8 + N(0, 1) in every row, feature 1 in every other
+        # row.  The one-pass sq/m - mean^2 cancels to noise on both.
+        rng = np.random.default_rng(21)
+        X = np.zeros((400, 2))
+        X[:, 0] = 1e8 + rng.standard_normal(400)
+        X[::2, 1] = 1e8 + rng.standard_normal(200)
+        rows = [(np.flatnonzero(x), x[x != 0]) for x in X]
+        sparse = zscore_normalize(Dataset(rows, np.arange(400) % 2, [FeatureKind.NUMERIC] * 2))
+        dense = zscore_normalize(Dataset(X, np.arange(400) % 2, [FeatureKind.NUMERIC] * 2))
+        np.testing.assert_allclose(sparse.stds, dense.stds, rtol=1e-12, atol=0)
 
     def test_sparse_is_lazy(self):
         ds = parse_libsvm(io.StringIO("0 1:2.0\n0 1:4.0\n1 1:6.0\n"))

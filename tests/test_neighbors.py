@@ -2,12 +2,14 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from beliefsel.dataset import (Dataset, FeatureKind, draw_sample, parse_libsvm,
                                partition, zscore_normalize)
+from beliefsel import neighbors
 from beliefsel.errors import DataError
 from beliefsel.neighbors import (GRAM_MIN_FEATURES, LOCATOR_BYTES,
                                  _dense_distances_subtract, feature_diff,
@@ -60,6 +62,27 @@ def random_dataset(seed, m=60, n=6, n_classes=2, nominal=(), lattice=False):
     y = rng.integers(0, n_classes, m)
     y[:n_classes] = np.arange(n_classes)
     return Dataset(X, y, kinds)
+
+
+def sparse_dataset(seed, m=48, n=12, lattice=True):
+    """Sparse rows with 1-4 entries, two empty rows (5 and 17), rows 30 and
+    41 exact copies of row 9 (all n features, long enough for the order of
+    a sum to matter) in its class, and class 2 held by two rows."""
+    rng = np.random.default_rng(seed)
+
+    def values(size):
+        return (rng.integers(1, 4, size).astype(float) if lattice
+                else rng.standard_normal(size))
+
+    rows = [(np.sort(rng.choice(n, size, replace=False)), values(size))
+            for size in rng.integers(1, 5, m)]
+    rows[5] = rows[17] = (np.array([], dtype=np.int64), np.empty(0))
+    rows[9] = rows[30] = rows[41] = (np.arange(n), values(n))
+    y = rng.integers(0, 2, m)
+    y[:2] = [0, 1]
+    y[[30, 41]] = y[9]
+    y[[3, 40]] = 2
+    return Dataset(rows, y, [FeatureKind.NUMERIC] * n)
 
 
 class TestFeatureDiff:
@@ -239,6 +262,67 @@ class TestNeighborhood:
                     assert [t[1] for t in got[gid][c]] == [t[1] for t in want[gid][c]]
                     for (dg, _), (dw, _) in zip(got[gid][c], want[gid][c]):
                         assert dg == pytest.approx(dw, abs=1e-9)
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("lattice", [True, False])
+    def test_sparse_matches_oracle(self, p, k, lattice):
+        # Unscaled lattice values keep every distance exact, so ties resolve
+        # as in the oracle; z-scored normal values exercise the lazy scale.
+        ds = sparse_dataset(60 + p, lattice=lattice)
+        pdata = partition(ds if lattice else zscore_normalize(ds), p)
+        batch = draw_sample(pdata, 1.0, 1, seed=p)[0]
+        got = as_global(batch, neighborhood(pdata, batch, k))
+        want = oracle_neighbors(pdata, batch, k)
+        assert got.keys() == want.keys()
+        for gid in want:
+            assert got[gid].keys() == want[gid].keys()
+            for c in want[gid]:
+                assert [r for _, r in got[gid][c]] == [r for _, r in want[gid][c]]
+                np.testing.assert_allclose([d for d, _ in got[gid][c]],
+                                           [d for d, _ in want[gid][c]],
+                                           rtol=1e-12, atol=0)
+        c = int(ds.labels[9])
+        assert got[30][c][:2] == [(0.0, 9), (0.0, 41)][:k]
+        assert len(got[3][2]) == 1  # class 2 has one row besides row 3
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_sparse_duplicates_sit_at_distance_exactly_zero(self, p):
+        # Rows i and i + 30 are equal and 50 entries long, so a norm summed
+        # in another order than the dot products would be off by an ulp.
+        rng = np.random.default_rng(8)
+        rows = [(np.sort(rng.choice(200, 50, replace=False)), rng.standard_normal(50))
+                for _ in range(30)]
+        y = np.tile(rng.integers(0, 2, 30), 2)
+        ds = zscore_normalize(Dataset(rows + rows, y, [FeatureKind.NUMERIC] * 200))
+        pdata = partition(ds, p)
+        batch = draw_sample(pdata, 1.0, 1, seed=0)[0]
+        table = neighborhood(pdata, batch, k=1)
+        own = table.dist[np.arange(60), y[batch.indices], 0]
+        assert np.all(own == 0.0)
+        assert np.array_equal(table.rows[np.arange(60), y[batch.indices], 0],
+                              (batch.indices + 30) % 60)
+
+    def test_sparse_search_temporaries_stay_in_tiles(self):
+        # 2000 x 2000 with 200 entries a row: a query chunk's products with
+        # the whole partition at once would take about 200 MB.
+        rng = np.random.default_rng(5)
+        m, n, nnz = 2000, 2000, 200
+        rows = [(np.sort(rng.choice(n, nnz, replace=False)), rng.standard_normal(nnz))
+                for _ in range(m)]
+        ds = zscore_normalize(Dataset(rows, np.arange(m) % 2, [FeatureKind.NUMERIC] * n))
+        pdata = partition(ds, 1)
+        batch = draw_sample(pdata, 0.06, 1, seed=0)[0]
+        tracemalloc.start()
+        try:
+            neighborhood(pdata, batch, k=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The scaled values and, while the row norms are summed, their
+        # squares; then per query chunk the dense buffer, one tile of
+        # products and a few distance arrays, each about the tile budget.
+        assert peak <= 2 * ds.rows.data.nbytes + 8 * neighbors._TILE_BYTES
 
     def test_k_below_one_rejected(self):
         pdata = partition(random_dataset(1), 2)

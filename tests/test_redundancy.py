@@ -220,8 +220,10 @@ class TestBatchedFold:
                                    rtol=0, atol=1e-12)
 
     def test_sparse_diffs_collide_fully_outside_the_union(self):
+        # Diffs of two sparse rows whose union is features 1 and 3: the
+        # features outside it differ by exactly 0.
         ds = Dataset([(np.array([0]), np.array([1.0]))], [0], [NUM] * 4)
-        rates = collision_rates((np.array([1, 3]), np.array([1.2, 1.8])),
+        rates = collision_rates(np.array([0.0, 1.2, 0.0, 1.8]),
                                 ds.feature_space(), kappa=0.8)
         assert rates.tolist() == [1.0, pytest.approx(0.8), 1.0, 0.0]
 

@@ -180,6 +180,26 @@ class TestRunBelief:
         assert 0 in above
         assert all(minmax_normalize(res.weights.values)[j] > 0.5 for j in above)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+    def test_sparse_input_matches_its_dense_equivalent(self, seed):
+        # Sparse rows are scaled lazily, dense ones z-scored up front: the
+        # same distances and diffs, up to rounding.
+        rng = np.random.default_rng(seed)
+        m, n = 120, 24
+        y = rng.integers(0, 2, m)
+        y[:2] = [0, 1]
+        X = np.where(rng.random((m, n)) < 0.25, rng.standard_normal((m, n)), 0.0)
+        X[:, :3] += rng.random((m, 3)) < 0.2 + 0.5 * y[:, None]  # planted
+        rows = [(np.flatnonzero(x), x[x != 0]) for x in X]
+        config = SelectorConfig(n_select=5, theta=0.5, sample_rate=0.5,
+                                batches=2, partitions=2, seed=seed)
+        sparse = run_belief(Dataset(rows, y, [FeatureKind.NUMERIC] * n), config)
+        dense = run_belief(Dataset(X, y, [FeatureKind.NUMERIC] * n), config)
+        assert sparse.selected_features() == dense.selected_features()
+        w = dense.weights.values
+        np.testing.assert_allclose(sparse.weights.values, w, rtol=0,
+                                   atol=1e-9 * np.abs(w).max())
+
     def test_single_class_rejected_before_search(self):
         ds = gaussian_classes(7, m=30)
         one = Dataset(ds.rows, np.ones(30, dtype=int), ds.kinds, n_classes=2)
