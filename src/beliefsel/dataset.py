@@ -82,10 +82,6 @@ class SparseRows:
         pos = np.repeat(self.indptr[ids] - ptr[:-1], lengths) + np.arange(ptr[-1])
         return SparseRows(ptr, self.indices[pos], self.data[pos])
 
-    def scaled(self, scale: np.ndarray) -> "SparseRows":
-        """The same rows with each value multiplied by its feature's scale."""
-        return SparseRows(self.indptr, self.indices, self.data * scale[self.indices])
-
     def to_dense(self, n_features: int) -> np.ndarray:
         """The rows as a dense (rows, n_features) array; absent entries are 0."""
         out = np.zeros((len(self), n_features))
@@ -98,10 +94,10 @@ class SparseRows:
 class FeatureSpace:
     """Static view of a feature space used by distance and diff kernels.
 
-    ``inv_scale`` is the per-feature multiplier applied to raw value
-    differences of lazily normalized sparse data (1/sigma); it is all ones
-    for unnormalized data and ``None`` for dense data, whose stored values
-    are already transformed.
+    ``inv_scale`` is the per-feature multiplier (1/sigma) that puts the
+    stored values of lazily normalized sparse data on the z-scale; it is
+    ``None`` for every other dataset, whose stored values are used as they
+    are.  Only ``scaled`` reads it.
     """
 
     n_features: int
@@ -112,6 +108,16 @@ class FeatureSpace:
     @property
     def all_numeric(self) -> bool:
         return self.nominal_idx.size == 0
+
+    def scaled(self, rows):
+        """Dense rows or ``SparseRows`` on the z-scale: the stored values
+        times ``inv_scale``, or ``rows`` itself when there is no scale."""
+        if self.inv_scale is None:
+            return rows
+        if isinstance(rows, SparseRows):
+            return SparseRows(rows.indptr, rows.indices,
+                              rows.data * self.inv_scale[rows.indices])
+        return rows * self.inv_scale
 
 
 class Dataset:
@@ -208,19 +214,24 @@ class Dataset:
 
     def feature_space(self) -> FeatureSpace:
         mask = self.numeric_mask()
-        if self._sparse:
-            if self.normalized and self.stds is not None:
-                inv = 1.0 / self.stds
-            else:
-                inv = np.ones(self.n_features)
-        else:
-            inv = None
+        lazy = self._sparse and self.normalized and self.stds is not None
         return FeatureSpace(
             n_features=self.n_features,
             numeric_idx=np.flatnonzero(mask),
             nominal_idx=np.flatnonzero(~mask),
-            inv_scale=inv,
+            inv_scale=1.0 / self.stds if lazy else None,
         )
+
+    def checked_sums(self) -> np.ndarray:
+        """Per-feature sums of the stored values, raising ``DataError`` on the
+        lowest non-finite one.  Sparse entries add in entry order
+        (``bincount``), as a per-row loop would."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            sums = (np.bincount(self.rows.indices, weights=self.rows.data,
+                                minlength=self.n_features)
+                    if self._sparse else self.rows.sum(axis=0))
+        _check_finite(sums)
+        return sums
 
     def row(self, i: int):
         return self.rows[i]
@@ -243,11 +254,10 @@ class Dataset:
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size and (indices.min() < 0 or indices.max() >= self.n_instances):
             raise DataError("subset index out of range")
-        out = Dataset(self.rows[indices], self.labels[indices], self.kinds,
-                      n_classes=self.n_classes, normalized=self.normalized)
-        out.means = None if self.means is None else self.means.copy()
-        out.stds = None if self.stds is None else self.stds.copy()
-        return out
+        return Dataset(self.rows[indices], self.labels[indices], self.kinds,
+                       n_classes=self.n_classes, normalized=self.normalized,
+                       means=None if self.means is None else self.means.copy(),
+                       stds=None if self.stds is None else self.stds.copy())
 
 
 # -- parsing and serialization --------------------------------------------
@@ -502,10 +512,7 @@ def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
     if dataset.is_sparse:
         idx, vals = dataset.rows.indices, dataset.rows.data
         n = dataset.n_features
-        # bincount adds in entry order, as a per-row loop would.
-        mean = np.bincount(idx, weights=vals, minlength=n)
-        _check_finite(mean)
-        mean /= m
+        mean = dataset.checked_sums() / m
         # Two passes, so a large common offset does not cancel the spread:
         # the stored entries' squared deviations, plus the absent zeros'.
         dev = vals - mean[idx]
@@ -515,10 +522,8 @@ def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
         std[std == 0.0] = 1.0
         # Stored rows stay raw, so z-scoring the effective values collapses
         # to the raw-value transform; prior statistics drop out.
-        out = Dataset(dataset.rows, dataset.labels.copy(), dataset.kinds,
-                      n_classes=dataset.n_classes)
-        out.means, out.stds, out.normalized = mean, std, True
-        return out
+        return Dataset(dataset.rows, dataset.labels.copy(), dataset.kinds,
+                       n_classes=dataset.n_classes, means=mean, stds=std, normalized=True)
     rows = dataset.rows
     n = dataset.n_features
     numeric = np.flatnonzero(dataset.numeric_mask())
@@ -555,10 +560,8 @@ def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
         np.divide(out, std, out=out)
 
     _map_pool(write, range(0, m, height), workers)
-    out = Dataset(X, dataset.labels.copy(), dataset.kinds,
-                  n_classes=dataset.n_classes)
-    out.means, out.stds, out.normalized = mean, std, True
-    return out
+    return Dataset(X, dataset.labels.copy(), dataset.kinds,
+                   n_classes=dataset.n_classes, means=mean, stds=std, normalized=True)
 
 
 def _check_finite(stat: np.ndarray, features: np.ndarray | None = None) -> None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dataset import Dataset, FeatureSpace, PartitionedDataset, SampleBatch
 from .errors import DataError, IntegrityError
-from .neighbors import NeighborTable, instance_distance
+from .neighbors import NeighborTable, instance_distance, pair_diffs
 from .redundancy import CollisionTables, RateBlock, collision_rates
 
 __all__ = [
@@ -68,24 +68,6 @@ class WeightVector:
             {"feature": int(j), "weight": float(self.values[j])}
             for j in self.ranking()
         ]
-
-
-def pair_diffs(a: np.ndarray, b: np.ndarray, space: FeatureSpace) -> np.ndarray:
-    """Absolute per-feature differences between two dense rows.
-
-    Numeric features give |a - b|, scaled by ``space.inv_scale`` when it is
-    set (the rows are then raw values of lazily normalized sparse data);
-    nominal features give a 0/1 mismatch.
-    """
-    if a.shape != b.shape:
-        raise DataError("dimension mismatch between instances")
-    d = np.abs(a - b)
-    if space.inv_scale is not None:
-        d *= space.inv_scale
-    if space.nominal_idx.size:
-        d[space.nominal_idx] = (
-            a[space.nominal_idx] != b[space.nominal_idx]).astype(np.float64)
-    return d
 
 
 @dataclass
@@ -156,17 +138,11 @@ def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
     for lo in range(0, s, step):
         hi = min(lo + step, s)
         i, c, j = np.nonzero(mine[lo:hi])
-        nbrs = ds.rows[rows[lo + i, c, j]]
-        own = batch.rows[lo + i]
+        nbrs = space.scaled(ds.rows[rows[lo + i, c, j]])
+        own = space.scaled(batch.rows[lo + i])
         if ds.is_sparse:  # within the budget of the padded block below
             nbrs, own = nbrs.to_dense(n), own.to_dense(n)
-        diffs = nbrs - own
-        np.abs(diffs, out=diffs)
-        if space.inv_scale is not None:
-            diffs *= space.inv_scale
-        if space.nominal_idx.size:
-            nom = space.nominal_idx
-            diffs[:, nom] = nbrs[:, nom] != own[:, nom]
+        diffs = pair_diffs(nbrs, own, space)
         if pending is not None:
             pending.push(collision_rates(diffs, space, kappa))
         # Each (sample, class) group sums its slots one add at a time,
@@ -236,9 +212,21 @@ def belief_weights(stats: ClassDistanceStats, priors: np.ndarray) -> WeightVecto
 # -- single-threaded reference rules ---------------------------------------
 
 
-def _reference_neighbors(X: np.ndarray, space: FeatureSpace, i: int):
+def _reference_inputs(dataset: Dataset, sample_indices):
+    """The sample ids (all rows by default), feature space and dense rows on
+    the z-scale that the reference rules read."""
+    ids = list(range(dataset.n_instances) if sample_indices is None else sample_indices)
+    if not ids:
+        raise DataError("empty sample")
+    space = dataset.feature_space()
+    X = space.scaled(dataset.rows)
+    return ids, space, X.to_dense(dataset.n_features) if dataset.is_sparse else X
+
+
+def _reference_neighbors(dataset: Dataset, space: FeatureSpace, i: int):
     """Distances from instance ``i`` to every other instance, self excluded."""
-    dists = np.array([instance_distance(X[i], x, space) for x in X])
+    dists = np.array([instance_distance(dataset.row(i), dataset.row(j), space)
+                      for j in range(dataset.n_instances)])
     dists[i] = np.inf
     return dists
 
@@ -260,20 +248,14 @@ def relieff_reference(dataset: Dataset, sample_indices=None, k: int = 3) -> Weig
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-    if sample_indices is None:
-        sample_indices = range(dataset.n_instances)
-    sample_indices = list(sample_indices)
+    sample_indices, space, X = _reference_inputs(dataset, sample_indices)
     s = len(sample_indices)
-    if s == 0:
-        raise DataError("empty sample")
-    space = dataset.feature_space()
     priors = dataset.class_priors()
-    X = dataset.rows.to_dense(dataset.n_features) if dataset.is_sparse else dataset.rows
     w = np.zeros(dataset.n_features)
     denom = s * k
     for i in sample_indices:
         y = int(dataset.labels[i])
-        dists = _reference_neighbors(X, space, i)
+        dists = _reference_neighbors(dataset, space, i)
         for h in _topk_of_class(dists, dataset.labels, y, k):
             w -= pair_diffs(X[i], X[h], space) / denom
         for c in range(dataset.n_classes):
@@ -288,18 +270,12 @@ def relief_reference(dataset: Dataset, sample_indices=None) -> WeightVector:
     """Binary single-neighbor instance-update weighting (reference oracle)."""
     if dataset.n_classes != 2:
         raise DataError("this rule is defined for binary problems")
-    if sample_indices is None:
-        sample_indices = range(dataset.n_instances)
-    sample_indices = list(sample_indices)
+    sample_indices, space, X = _reference_inputs(dataset, sample_indices)
     s = len(sample_indices)
-    if s == 0:
-        raise DataError("empty sample")
-    space = dataset.feature_space()
-    X = dataset.rows.to_dense(dataset.n_features) if dataset.is_sparse else dataset.rows
     w = np.zeros(dataset.n_features)
     for i in sample_indices:
         y = int(dataset.labels[i])
-        dists = _reference_neighbors(X, space, i)
+        dists = _reference_neighbors(dataset, space, i)
         hits = _topk_of_class(dists, dataset.labels, y, 1)
         misses = _topk_of_class(dists, dataset.labels, 1 - y, 1)
         if hits.size:

@@ -14,12 +14,13 @@ Slots (i, c, :) list the nearest class-c rows to sampled instance i in
 ascending (distance, row id) order; a class with fewer than k eligible rows
 pads the tail with row -1 at distance +inf, which sorts after every real
 neighbor.  Ties at equal distance resolve by ascending global row id, so
-the result does not depend on the partition count.
+the result does not depend on the partition count, except for the last
+bits of Gram-path distances (see ``_dense_distances_gram``).
 
-Distances are Euclidean over per-feature diffs: |a - b| for numeric values
-(z-scored beforehand, or scaled lazily for sparse rows) and a 0/1 indicator
-for nominal values.  Sparse rows are searched as ||q||^2 + ||b||^2 - 2 q.b
-over a partition's stored entries, a tile of rows at a time.
+Distances are Euclidean over per-feature diffs (``pair_diffs``): |a - b|
+for numeric values and a 0/1 indicator for nominal values, on rows read
+through ``FeatureSpace.scaled``.  Sparse rows are searched as ||q||^2 +
+||b||^2 - 2 q.b over a partition's stored entries, a tile of rows at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import DataError
 __all__ = [
     "NeighborTable",
     "feature_diff",
+    "pair_diffs",
     "instance_distance",
     "neighborhood",
     "LOCATOR_BYTES",
@@ -82,21 +84,31 @@ def feature_diff(a: float, b: float, kind: FeatureKind) -> float:
     return abs(a - b)
 
 
+def pair_diffs(a: np.ndarray, b: np.ndarray, space: FeatureSpace) -> np.ndarray:
+    """Per-feature differences between two rows, or between two aligned
+    (pairs, features) blocks of rows, already on the z-scale: |a - b| for
+    numeric features and a 0/1 mismatch for nominal ones."""
+    if a.shape != b.shape:
+        raise DataError("dimension mismatch between instances")
+    d = a - b
+    np.abs(d, out=d)
+    nom = space.nominal_idx
+    if nom.size:
+        d[..., nom] = a[..., nom] != b[..., nom]
+    return d
+
+
 def instance_distance(x, y, space: FeatureSpace) -> float:
     """Euclidean distance between two instances of the same feature space.
 
-    Accepts dense rows (ndarray), sparse rows ((indices, values)), or one of
-    each, expanded to dense and, when ``inv_scale`` is set, scaled: the
+    Accepts stored dense rows (ndarray), sparse rows ((indices, values)), or
+    one of each, expanded to dense and read through ``space.scaled``: the
     result matches the distance between the z-scored dense equivalents.
     """
     x, y = (_dense_row(v, space) for v in (x, y))
-    if space.all_numeric:
-        d = x - y
-        return math.sqrt(float((d * d).sum()))
     dn = x[space.numeric_idx] - y[space.numeric_idx]
-    num = float((dn * dn).sum())
-    nom = float((x[space.nominal_idx] != y[space.nominal_idx]).sum())
-    return math.sqrt(num + nom)
+    nom = (x[space.nominal_idx] != y[space.nominal_idx]).sum()
+    return math.sqrt(float((dn * dn).sum()) + float(nom))
 
 
 def _dense_row(row, space: FeatureSpace) -> np.ndarray:
@@ -107,10 +119,25 @@ def _dense_row(row, space: FeatureSpace) -> np.ndarray:
         row[idx] = vals
     elif row.shape != (space.n_features,):
         raise DataError("dimension mismatch between instances")
-    return row if space.inv_scale is None else row * space.inv_scale
+    return space.scaled(row)
 
 
 # -- dense distance kernels -------------------------------------------------
+
+
+def _numeric_cols(rows: np.ndarray, space: FeatureSpace) -> np.ndarray:
+    return rows if space.all_numeric else rows[:, space.numeric_idx]
+
+
+def _add_mismatches(out: np.ndarray, Q, block, space: FeatureSpace) -> None:
+    """Add to each squared distance its nominal term: the number of nominal
+    features on which the query and the block row differ."""
+    if space.all_numeric:
+        return
+    Bc = block[:, space.nominal_idx]
+    Qc = Q[:, space.nominal_idx]
+    for i in range(Q.shape[0]):
+        out[i] += (Bc != Qc[i]).sum(axis=1)
 
 
 def _dense_distances_subtract(Q, block, space: FeatureSpace) -> np.ndarray:
@@ -121,34 +148,27 @@ def _dense_distances_subtract(Q, block, space: FeatureSpace) -> np.ndarray:
     ulp from the scalar value, so only order, not bits, is contractual.
     """
     out = np.empty((Q.shape[0], block.shape[0]))
-    if space.all_numeric:
-        for i in range(Q.shape[0]):
-            d = block - Q[i]
-            out[i] = (d * d).sum(axis=1)
-        return out
-    Bn = block[:, space.numeric_idx]
-    Bc = block[:, space.nominal_idx]
-    Qn = Q[:, space.numeric_idx]
-    Qc = Q[:, space.nominal_idx]
+    Qn, Bn = _numeric_cols(Q, space), _numeric_cols(block, space)
     for i in range(Q.shape[0]):
         d = Bn - Qn[i]
-        out[i] = (d * d).sum(axis=1) + (Bc != Qc[i]).sum(axis=1)
+        out[i] = (d * d).sum(axis=1)
+    _add_mismatches(out, Q, block, space)
     return out
 
 
 def _dense_distances_gram(Q, block, space: FeatureSpace, block_sq) -> np.ndarray:
-    if space.all_numeric:
-        Qn, Bn = Q, block
-    else:
-        Qn, Bn = Q[:, space.numeric_idx], block[:, space.numeric_idx]
+    """(||q||^2 + ||b||^2) - 2 q.b over the numeric columns, clipped at 0,
+    plus the nominal term.  BLAS rounds the matmul by the shapes it is
+    handed, so a distance can move in its last bits with the partition
+    count (the neighbor ids have not been seen to move), and an exact
+    duplicate can sit at a small positive distance (up to ≈1e-6 seen on
+    z-scored rows) instead of 0.0.
+    """
+    Qn = _numeric_cols(Q, space)
     q_sq = (Qn * Qn).sum(axis=1)
-    out = q_sq[:, None] + block_sq[None, :] - 2.0 * (Qn @ Bn.T)
+    out = q_sq[:, None] + block_sq[None, :] - 2.0 * (Qn @ _numeric_cols(block, space).T)
     np.maximum(out, 0.0, out=out)
-    if not space.all_numeric:
-        Bc = block[:, space.nominal_idx]
-        Qc = Q[:, space.nominal_idx]
-        for i in range(Q.shape[0]):
-            out[i] += (Bc != Qc[i]).sum(axis=1)
+    _add_mismatches(out, Q, block, space)
     return out
 
 
@@ -230,29 +250,26 @@ def _search_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
     rows = np.full((n_samples, ds.n_classes, k), -1, dtype=np.int64)
     dist = np.full((n_samples, ds.n_classes, k), np.inf)
 
+    block = space.scaled(ds.rows[start:end])
     if ds.is_sparse:
-        block = ds.rows[start:end].scaled(space.inv_scale)
         block_sq = _row_sums(block.data * block.data, block.indptr)
         chunk = max(1, min(_QUERY_CHUNK, _TILE_BYTES // (8 * max(ds.n_features, 1))))
     else:
-        block = ds.rows[start:end]
         chunk = _QUERY_CHUNK
         use_gram = ds.n_features >= GRAM_MIN_FEATURES
         if use_gram:
-            Bn = block if space.all_numeric else block[:, space.numeric_idx]
+            Bn = _numeric_cols(block, space)
             block_sq = (Bn * Bn).sum(axis=1)
 
     for lo in range(0, n_samples, chunk):
         hi = min(lo + chunk, n_samples)
+        Q = space.scaled(batch.rows[lo:hi])
         if ds.is_sparse:
-            Q = batch.rows[lo:hi].scaled(space.inv_scale)
             sq = _sparse_distances(Q, block, block_sq, ds.n_features)
+        elif use_gram:
+            sq = _dense_distances_gram(Q, block, space, block_sq)
         else:
-            Q = batch.rows[lo:hi]
-            if use_gram:
-                sq = _dense_distances_gram(Q, block, space, block_sq)
-            else:
-                sq = _dense_distances_subtract(Q, block, space)
+            sq = _dense_distances_subtract(Q, block, space)
         d = np.sqrt(sq, out=sq)
         gids = batch.indices[lo:hi]
         own = np.flatnonzero((gids >= start) & (gids < end))

@@ -150,6 +150,8 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
                         f"got {present}")
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
+    if dataset.normalized:
+        dataset.checked_sums()  # the finite check zscore_normalize makes
     ds = (dataset if dataset.normalized
           else zscore_normalize(dataset, workers=config.partitions))
     timings["normalize_s"] = time.perf_counter() - t0

@@ -403,6 +403,22 @@ class TestZscore:
         with pytest.raises(DataError, match=r"feature 1 "):
             zscore_normalize(ds)
 
+    def test_prenormalized_dense_input_is_checked_before_search(self):
+        # Pre-normalized input skips zscore_normalize, and with it the
+        # statistics that check the numeric columns.
+        ds = make_dense(m=20, n=5, nominal=(0,), seed=5)
+        ds.rows[7, 3] = np.nan
+        pre = Dataset(ds.rows, ds.labels, ds.kinds, normalized=True)
+        with pytest.raises(DataError, match=r"feature 3 "):
+            run_belief(pre, SelectorConfig(n_select=2))
+
+    def test_prenormalized_sparse_input_is_checked_before_search(self):
+        rows = [(np.array([0]), np.array([1.0])), (np.array([1]), np.array([np.inf])),
+                (np.array([0, 1]), np.array([2.0, 3.0])), (np.array([1]), np.array([1.0]))]
+        pre = Dataset(rows, [0, 1, 0, 1], [FeatureKind.NUMERIC] * 2, normalized=True)
+        with pytest.raises(DataError, match=r"feature 1 "):
+            run_belief(pre, SelectorConfig(n_select=1, k=1))
+
 
 class TestPartition:
     def test_sizes_differ_by_at_most_one(self):
@@ -563,6 +579,17 @@ class TestDatasetBasics:
             else:
                 with pytest.raises(DataError, match="ascending and unique"):
                     Dataset(rows, labels, [])
+
+    def test_feature_space_scales_only_normalized_sparse_rows(self):
+        dense = make_dense(m=12, seed=2)
+        assert zscore_normalize(dense).feature_space().scaled(dense.rows) is dense.rows
+        raw = parse_libsvm(io.StringIO("0 1:2.0 3:4.0\n1 2:1.0\n0 1:6.0\n"))
+        assert raw.feature_space().scaled(raw.rows) is raw.rows  # no x1.0 copy
+        norm = zscore_normalize(raw)
+        got = norm.feature_space().scaled(norm.rows)
+        assert np.array_equal(got.indptr, raw.rows.indptr)
+        assert np.array_equal(got.indices, raw.rows.indices)
+        assert np.array_equal(got.data, raw.rows.data * (1.0 / norm.stds)[raw.rows.indices])
 
     def test_sparse_must_be_numeric(self):
         rows = [(np.array([0]), np.array([1.0]))]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from beliefsel import estimation
 from beliefsel.dataset import (Dataset, FeatureKind, draw_sample, partition,
                                zscore_normalize)
 from beliefsel.errors import IntegrityError
@@ -54,6 +55,25 @@ def belief_oracle(ds, sample_ids, k):
     havg = np.divide(hit, hc[:, None], out=np.zeros_like(hit),
                      where=hc[:, None] > 0)
     return priors @ mavg - priors @ havg
+
+
+def accumulation_input(kind, seed):
+    """Continuous z-scored mixed-kind, all-nominal, or z-scored sparse data
+    over three classes, so slot order can move the bits of a sum."""
+    rng = np.random.default_rng(seed)
+    m, n = 40, 6
+    y = rng.integers(0, 3, m)
+    y[:3] = [0, 1, 2]
+    if kind == "sparse":
+        rows = [(np.sort(rng.choice(n, size, replace=False)), rng.standard_normal(size))
+                for size in rng.integers(0, 5, m)]
+        return zscore_normalize(Dataset(rows, y, [FeatureKind.NUMERIC] * n))
+    if kind == "nominal":
+        return Dataset(rng.integers(0, 3, (m, n)).astype(float), y, [FeatureKind.NOMINAL] * n)
+    X = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-3, 4, n)
+    X[:, [1, 4]] = rng.integers(0, 3, (m, 2))
+    kinds = [FeatureKind.NOMINAL if j in (1, 4) else FeatureKind.NUMERIC for j in range(n)]
+    return zscore_normalize(Dataset(X, y, kinds))
 
 
 def pipeline_weights(ds, k=1, p=1, rate=1.0, seed=0):
@@ -135,6 +155,50 @@ class TestAccumulation:
         _, w1 = pipeline_weights(ds, k=2, p=6, rate=0.5)
         _, w2 = pipeline_weights(ds, k=2, p=6, rate=0.5)
         assert np.array_equal(w1.values, w2.values)
+
+    @pytest.mark.parametrize("kind", ["mixed", "nominal", "sparse"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_sums_add_pair_by_pair_in_slot_order(self, kind, p, k, monkeypatch):
+        # The padded-block sums are the same float additions, in the same
+        # order, as this loop: each (sample, class) group adds its slot
+        # diffs in slot order, then folds into its class row in (sample,
+        # class) order.  A budget of three samples per gather chunk makes
+        # the fold cross chunks.
+        from beliefsel.neighbors import neighborhood
+        ds = accumulation_input(kind, 10 * k + p)
+        space = ds.feature_space()
+        X = space.scaled(ds.rows)
+        X = X.to_dense(ds.n_features) if ds.is_sparse else X
+        C, n = ds.n_classes, ds.n_features
+        monkeypatch.setattr(estimation, "_GATHER_BYTES", 3 * C * k * n * 8)
+        pdata = partition(ds, p)
+        batch = draw_sample(pdata, 0.6, 1, seed=p)[0]
+        table = neighborhood(pdata, batch, k)
+        valid = table.rows >= 0
+        nbrs = table.rows[valid]
+        own = np.broadcast_to(batch.indices[:, None, None], table.rows.shape)[valid]
+        block = pair_diffs(X[nbrs], X[own], space)
+        assert np.array_equal(block, [pair_diffs(X[a], X[b], space)
+                                      for a, b in zip(nbrs, own)])
+        for g in range(p):
+            start, end = pdata.starts[g], pdata.starts[g + 1]
+            hit, miss = np.zeros((C, n)), np.zeros((C, n))
+            hc, mc = np.zeros(C), np.zeros(C)
+            for pos, i in enumerate(batch.indices):
+                y = batch.labels[pos]
+                for c in range(C):
+                    group = np.zeros(n)
+                    mine = [r for r in table.rows[pos, c] if start <= r < end]
+                    for r in mine:
+                        group += pair_diffs(X[r], X[i], space)
+                    (hit if c == y else miss)[y] += group
+                    (hc if c == y else mc)[y] += len(mine)
+            stats = accumulate_partition(pdata, g, batch, table)
+            assert np.array_equal(stats.hit_dist, hit)
+            assert np.array_equal(stats.miss_dist, miss)
+            assert np.array_equal(stats.hit_count, hc)
+            assert np.array_equal(stats.miss_count, mc)
 
     def test_missing_bucket_is_integrity_error(self):
         ds = tiny_bits()
