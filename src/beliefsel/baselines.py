@@ -104,25 +104,14 @@ def mrmr_select(dataset: Dataset, n_select: int, bins: int = 10) -> RankingResul
     labels = dataset.labels
     relevance = np.array([mutual_information(codes[j], labels) for j in range(n)])
 
-    pair_cache: dict[tuple[int, int], float] = {}
-
-    def pair_mi(i: int, j: int) -> float:
-        key = (i, j) if i < j else (j, i)
-        if key not in pair_cache:
-            pair_cache[key] = mutual_information(codes[key[0]], codes[key[1]])
-        return pair_cache[key]
-
+    # total[i] is the running sum of MI(i, j) over the selected features j,
+    # added one pick at a time in pick order.
+    total = np.zeros(n)
     selected: list[SelectedFeature] = []
-    chosen: list[int] = []
     remaining = np.ones(n, dtype=bool)
     for _ in range(n_select):
         cand = np.flatnonzero(remaining)
-        if chosen:
-            red = np.array([
-                sum(pair_mi(int(i), j) for j in chosen) / len(chosen)
-                for i in cand])
-        else:
-            red = np.zeros(cand.size)
+        red = total[cand] / len(selected) if selected else np.zeros(cand.size)
         scores = relevance[cand] - red
         pick = int(cand[np.lexsort((cand, -scores))[0]])
         pos = int(np.flatnonzero(cand == pick)[0])
@@ -133,8 +122,10 @@ def mrmr_select(dataset: Dataset, n_select: int, bins: int = 10) -> RankingResul
             penalty=float(red[pos]),
             score=float(scores[pos]),
         ))
-        chosen.append(pick)
         remaining[pick] = False
+        if len(selected) < n_select:
+            for i in np.flatnonzero(remaining).tolist():
+                total[i] += mutual_information(codes[min(i, pick)], codes[max(i, pick)])
     weights = WeightVector(values=relevance, method="mrmr")
     return RankingResult(selected=selected, weights=weights,
                          metadata={"bins": bins})

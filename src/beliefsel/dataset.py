@@ -588,7 +588,9 @@ class PartitionedDataset:
     Blocks are contiguous ranges of the original row order, so the
     (partition, local) lexicographic order of any two instances equals
     their global row order; distance ties therefore resolve identically
-    for every partition count.
+    for every partition count, as long as the distances themselves do.
+    Gram-path distances can move in their last bits with the partition
+    count (see ``neighbors._dense_distances_gram``).
     """
 
     dataset: Dataset

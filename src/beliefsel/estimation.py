@@ -43,11 +43,12 @@ __all__ = [
 ]
 
 
-# The dense accumulation pass gathers a chunk of samples into a zero-padded
-# (samples, classes, k, features) diff block of at most this many bytes (at
-# least one sample), so its memory stays flat whatever the batch size.  On a
-# 75 x 500, three-class run, 128 KiB kept peak RSS within 1 MB of a
-# pair-at-a-time loop; 256 KiB made it swing by 4 MB from run to run.
+# The accumulation pass gathers its neighbor pairs a chunk of samples at a
+# time; a chunk's gathered (pairs, features) arrays are at most this many
+# bytes (at least one sample's pairs), so their memory stays flat whatever
+# the batch size.  On a 75 x 500, three-class run, 128 KiB kept peak RSS
+# within 1 MB of a pair-at-a-time loop; 256 KiB made it swing by 4 MB from
+# run to run.
 _GATHER_BYTES = 1 << 17
 
 
@@ -127,37 +128,33 @@ def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
     start = int(pdata.starts[g])
     end = int(pdata.starts[g + 1])
     pending = RateBlock(stats.collisions) if collect_collisions else None
-    y = batch.labels
     mine = (rows >= start) & (rows < end)
-    per_group = np.count_nonzero(mine, axis=2)
-    hits = per_group[np.arange(s), y]
-    stats.hit_count += np.bincount(y, weights=hits, minlength=C)
-    stats.miss_count += np.bincount(y, weights=per_group.sum(axis=1) - hits,
-                                    minlength=C)
     step = max(1, _GATHER_BYTES // (C * k * n * 8))
     for lo in range(0, s, step):
-        hi = min(lo + step, s)
-        i, c, j = np.nonzero(mine[lo:hi])
+        i, c, j = np.nonzero(mine[lo:lo + step])
+        if i.size == 0:
+            continue
         nbrs = space.scaled(ds.rows[rows[lo + i, c, j]])
         own = space.scaled(batch.rows[lo + i])
-        if ds.is_sparse:  # within the budget of the padded block below
+        if ds.is_sparse:  # within the gather budget
             nbrs, own = nbrs.to_dense(n), own.to_dense(n)
         diffs = pair_diffs(nbrs, own, space)
         if pending is not None:
             pending.push(collision_rates(diffs, space, kappa))
-        # Each (sample, class) group sums its slots one add at a time,
-        # other partitions' slots being zero, then the groups fold into
-        # their class row in (sample, class) order: the same float
-        # additions, in the same order, as one pair at a time.
-        padded = np.zeros((hi - lo, C, k, n))
-        padded[i, c, j] = diffs
-        sums = padded[:, :, 0].copy()
-        for slot in range(1, k):
-            sums += padded[:, :, slot]
-        ys = y[lo:hi]
-        hit = np.arange(C) == ys[:, None]
-        np.add.at(stats.hit_dist, ys, sums[hit])
-        np.add.at(stats.miss_dist, np.repeat(ys, C - 1), sums[~hit])
+        # The pairs come in (sample, class, slot) order.  Each run of one
+        # (sample, class) sums its diffs one add at a time, then folds into
+        # its class row: the same float additions, in the same order, as
+        # one pair at a time.
+        firsts = np.flatnonzero(np.diff(i * C + c, prepend=-1))
+        ends = firsts[1:].tolist() + [i.size]
+        ys = batch.labels[lo + i[firsts]].tolist()
+        for a, b, yg, cg in zip(firsts.tolist(), ends, ys, c[firsts].tolist()):
+            group = diffs[a].copy()
+            for r in range(a + 1, b):
+                group += diffs[r]
+            hit = cg == yg
+            (stats.hit_dist if hit else stats.miss_dist)[yg] += group
+            (stats.hit_count if hit else stats.miss_count)[yg] += b - a
     if pending is not None:
         pending.flush()
     return stats

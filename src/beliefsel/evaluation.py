@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Dataset, FeatureSpace, zscore_normalize
 from .errors import DataError
-from .neighbors import _QUERY_CHUNK, _dense_distances_subtract
+from .neighbors import _QUERY_CHUNK, _dense_distances_subtract, _top_k
 
 __all__ = ["knn_classify", "evaluate", "cross_validate", "stratified_folds"]
 
@@ -61,8 +61,7 @@ def knn_classify(train: Dataset, test: Dataset, k: int,
     preds = np.empty(Xte.shape[0], dtype=np.int64)
     for lo in range(0, Xte.shape[0], _QUERY_CHUNK):
         sq = _dense_distances_subtract(Xte[lo:lo + _QUERY_CHUNK], Xtr, space)
-        nearest = np.argsort(sq, axis=1, kind="stable")[:, :k]
-        for i, order in enumerate(nearest, start=lo):
+        for i, order in enumerate(_top_k(sq, k), start=lo):
             votes = np.bincount(ytr[order])
             preds[i] = next(c for c in ytr[order] if votes[c] == votes.max())
     return preds

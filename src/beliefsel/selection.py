@@ -190,8 +190,6 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
         # accumulated so far.
         tracked = eta_tracked(belief_weights(total, priors).values,
                               config.n_select, config.eta)
-    if total is None:
-        raise DataError("sampling produced no instances")
     timings["search_s"] = search_s
     timings["estimate_s"] = estimate_s
 

@@ -149,6 +149,26 @@ class TestEval:
         assert 0.0 <= doc["accuracy_mean"] <= 1.0
         assert len(doc["selected_per_fold"]) == 2
 
+    def test_cross_validation_of_belief_selects_inside_each_fold(self, tmp_path):
+        from beliefsel.dataset import parse_csv
+        from beliefsel.evaluation import stratified_folds
+        from beliefsel.selection import SelectorConfig, run_belief
+        data, _ = run_gen(tmp_path, "xor100")
+        out = tmp_path / "cv.json"
+        assert main(["eval", "--input", str(data), "--cv", "3",
+                     "--method", "belief", "--nfeat", "2", "--theta", "0.5",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())["cv"]
+        assert doc["folds"] == 3
+        assert len(doc["per_fold"]) == 3
+        with open(data) as fh:
+            ds = parse_csv(fh)
+        folds = stratified_folds(ds.labels, 3, seed=0)
+        config = SelectorConfig(n_select=2, theta=0.5)
+        assert doc["selected_per_fold"] == [
+            run_belief(ds.subset(np.flatnonzero(folds != f)), config).selected_features()
+            for f in range(3)]
+
 
 class TestBench:
     def test_accounting_report(self, tmp_path):

@@ -183,6 +183,19 @@ class TestRoundTrip:
             assert np.array_equal(ds.row(i)[0], ds2.row(i)[0])
             assert np.array_equal(ds.row(i)[1], ds2.row(i)[1])
 
+    def test_dense_libsvm_round_trip_keeps_all_zero_rows(self):
+        ds = make_dense(m=10, n=6, seed=4)
+        rows = ds.rows.copy()
+        rows[rows < 0.3] = 0.0
+        rows[3] = 0.0
+        ds = Dataset(rows, ds.labels, ds.kinds)
+        buf = io.StringIO()
+        write_libsvm(ds, buf)
+        assert buf.getvalue().splitlines()[3] == str(ds.labels[3])
+        ds2 = parse_libsvm(io.StringIO(buf.getvalue()), n_features=ds.n_features)
+        assert ds2.labels.tolist() == ds.labels.tolist()
+        assert np.array_equal(ds2.rows.to_dense(ds.n_features), rows)
+
     def test_csv_round_trip(self):
         ds = make_dense(m=15, n=6, nominal=(2, 4), seed=5)
         buf = io.StringIO()

@@ -58,12 +58,16 @@ def belief_oracle(ds, sample_ids, k):
 
 
 def accumulation_input(kind, seed):
-    """Continuous z-scored mixed-kind, all-nominal, or z-scored sparse data
-    over three classes, so slot order can move the bits of a sum."""
+    """Continuous z-scored mixed-kind, all-nominal, z-scored sparse or
+    z-scored one-feature data over three classes, so slot order can move
+    the bits of a sum."""
     rng = np.random.default_rng(seed)
     m, n = 40, 6
     y = rng.integers(0, 3, m)
     y[:3] = [0, 1, 2]
+    if kind == "single":
+        X = rng.standard_normal((m, 1))
+        return zscore_normalize(Dataset(X, y, [FeatureKind.NUMERIC]))
     if kind == "sparse":
         rows = [(np.sort(rng.choice(n, size, replace=False)), rng.standard_normal(size))
                 for size in rng.integers(0, 5, m)]
@@ -156,15 +160,16 @@ class TestAccumulation:
         _, w2 = pipeline_weights(ds, k=2, p=6, rate=0.5)
         assert np.array_equal(w1.values, w2.values)
 
-    @pytest.mark.parametrize("kind", ["mixed", "nominal", "sparse"])
+    @pytest.mark.parametrize("kind", ["mixed", "nominal", "sparse", "single"])
     @pytest.mark.parametrize("p", [1, 2, 3])
-    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("k", [1, 3, 5, 9])
     def test_sums_add_pair_by_pair_in_slot_order(self, kind, p, k, monkeypatch):
-        # The padded-block sums are the same float additions, in the same
+        # The accumulated sums are the same float additions, in the same
         # order, as this loop: each (sample, class) group adds its slot
         # diffs in slot order, then folds into its class row in (sample,
         # class) order.  A budget of three samples per gather chunk makes
-        # the fold cross chunks.
+        # the fold cross chunks.  One feature with k = 9 gives groups of
+        # eight and more slots, where a pairwise sum would differ.
         from beliefsel.neighbors import neighborhood
         ds = accumulation_input(kind, 10 * k + p)
         space = ds.feature_space()

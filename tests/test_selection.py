@@ -166,6 +166,17 @@ class TestRunBelief:
                                    atol=1e-9, rtol=0)
         assert one.selected_features() == four.selected_features()
 
+    def test_more_batches_than_samples_skips_the_empty_ones(self):
+        # 10% of 60 rows is 6 samples; cut into 9 batches, three are empty
+        # and the other six hold one sample each, as with 6 batches.
+        ds = gaussian_classes(8, m=60)
+        cfg = dict(n_select=4, sample_rate=0.1, theta=0.5, partitions=2, seed=3)
+        six = run_belief(ds, SelectorConfig(batches=6, **cfg))
+        nine = run_belief(ds, SelectorConfig(batches=9, **cfg))
+        assert six.metadata["sample_size"] == nine.metadata["sample_size"] == 6
+        assert np.array_equal(six.weights.values, nine.weights.values)
+        assert six.selected_features() == nine.selected_features()
+
     def test_window_excludes_untracked_pairs_not_weights(self):
         ds = gaussian_classes(4)
         wide = run_belief(ds, SelectorConfig(n_select=2, eta=4.0))
