@@ -82,9 +82,8 @@ def discretize_equal_width(values: np.ndarray, bins: int = 10) -> np.ndarray:
     return np.minimum(codes, bins - 1)
 
 
-def _feature_codes(dataset: Dataset, j: int, bins: int) -> np.ndarray:
-    col = dataset.column(j)
-    if dataset.kinds[j] is FeatureKind.NOMINAL:
+def _feature_codes(col: np.ndarray, kind: FeatureKind, bins: int) -> np.ndarray:
+    if kind is FeatureKind.NOMINAL:
         return col.astype(np.int64)
     return discretize_equal_width(col, bins)
 
@@ -100,7 +99,8 @@ def mrmr_select(dataset: Dataset, n_select: int, bins: int = 10) -> RankingResul
     n = dataset.n_features
     if not 1 <= n_select <= n:
         raise DataError(f"selection size {n_select} not in 1..{n}")
-    codes = [_feature_codes(dataset, j, bins) for j in range(n)]
+    codes = [_feature_codes(col, kind, bins)
+             for col, kind in zip(dataset.columns(range(n)), dataset.kinds)]
     labels = dataset.labels
     relevance = np.array([mutual_information(codes[j], labels) for j in range(n)])
 

@@ -10,6 +10,18 @@ Values of nominal features are stored as integer codes (first-appearance
 order); labels are integer class ids ``0..n_classes-1``.  Sparse rows are
 CSR arrays (``SparseRows``), z-scored lazily at distance time through the
 recorded per-feature statistics, so sparsity is never destroyed.
+
+Dense rows can be read the same way.  ``zscore_normalize(..., copy=False)``
+(what ``run_belief`` calls) computes the statistics only and keeps the rows
+raw; every reader then z-scores what it reads through
+``FeatureSpace.scaled`` as ``(x - mean) / std``, one ``np.subtract`` and one
+``np.divide``.  Those are the same two correctly rounded operations that
+write ``zscore_normalize``'s copy, so every value read keeps its bits and no
+(m x n) copy of the input is ever made.  The neighbor search streams each
+partition through z-scored row tiles (see ``neighbors``); estimation reads
+its gathers through the same method.  Tiles are consecutive rows, a
+multiple of 8 rows high with the partition spread evenly over them, which
+kept the Gram matmul's bits equal to a whole-partition product on OpenBLAS.
 """
 
 from __future__ import annotations
@@ -94,24 +106,31 @@ class SparseRows:
 class FeatureSpace:
     """Static view of a feature space used by distance and diff kernels.
 
-    ``inv_scale`` is the per-feature multiplier (1/sigma) that puts the
-    stored values of lazily normalized sparse data on the z-scale; it is
-    ``None`` for every other dataset, whose stored values are used as they
-    are.  Only ``scaled`` reads it.
+    ``scaled`` puts stored rows on the z-scale and is the only reader of
+    the last three fields.  Dense rows stored raw are read as
+    ``(x - means) / stds``; the values of lazily normalized sparse rows are
+    multiplied by ``inv_scale`` (1/sigma).  All three are ``None`` when the
+    stored values are read as they are.
     """
 
     n_features: int
     numeric_idx: np.ndarray
     nominal_idx: np.ndarray
     inv_scale: np.ndarray | None
+    means: np.ndarray | None = None
+    stds: np.ndarray | None = None
 
     @property
     def all_numeric(self) -> bool:
         return self.nominal_idx.size == 0
 
-    def scaled(self, rows):
-        """Dense rows or ``SparseRows`` on the z-scale: the stored values
-        times ``inv_scale``, or ``rows`` itself when there is no scale."""
+    def scaled(self, rows, out=None):
+        """Dense rows or ``SparseRows`` on the z-scale, or ``rows`` itself
+        when there is nothing to apply.  Raw dense rows are centered, then
+        divided, into ``out`` when it is given."""
+        if self.means is not None:
+            out = np.subtract(rows, self.means, out=out)
+            return np.divide(out, self.stds, out=out)
         if self.inv_scale is None:
             return rows
         if isinstance(rows, SparseRows):
@@ -131,10 +150,20 @@ class Dataset:
         Integer class ids in ``0..n_classes-1``.
     kinds : sequence of FeatureKind
         Per-feature kind; sparse datasets must be all numeric.
+    means, stds, normalized, scale_on_read
+        ``normalized`` means the values read out of the dataset (through
+        ``feature_space().scaled``, ``column`` or ``columns``) are z-scored.
+        ``scale_on_read`` is True when the rows are stored raw and the
+        recorded ``means``/``stds`` are applied as they are read: always so
+        for sparse rows with statistics, and for dense rows only when asked
+        (``zscore_normalize(..., copy=False)`` does).  Otherwise the stored
+        rows are read as they are, so a dense dataset that is already
+        z-scored (``zscore_normalize``'s copy, or a caller's rows passed with
+        ``normalized=True``) is never transformed twice.
     """
 
     def __init__(self, rows, labels, kinds, n_classes=None,
-                 means=None, stds=None, normalized=False):
+                 means=None, stds=None, normalized=False, scale_on_read=False):
         labels = np.asarray(labels, dtype=np.int64)
         if isinstance(rows, np.ndarray):
             rows = np.ascontiguousarray(rows, dtype=np.float64)
@@ -191,6 +220,8 @@ class Dataset:
         self.means = means
         self.stds = stds
         self.normalized = bool(normalized)
+        self.scale_on_read = (self.normalized and stds is not None
+                              and (self._sparse or bool(scale_on_read)))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -214,12 +245,14 @@ class Dataset:
 
     def feature_space(self) -> FeatureSpace:
         mask = self.numeric_mask()
-        lazy = self._sparse and self.normalized and self.stds is not None
+        dense_stats = self.scale_on_read and not self._sparse
         return FeatureSpace(
             n_features=self.n_features,
             numeric_idx=np.flatnonzero(mask),
             nominal_idx=np.flatnonzero(~mask),
-            inv_scale=1.0 / self.stds if lazy else None,
+            inv_scale=1.0 / self.stds if self.scale_on_read and self._sparse else None,
+            means=self.means if dense_stats else None,
+            stds=self.stds if dense_stats else None,
         )
 
     def checked_sums(self) -> np.ndarray:
@@ -238,16 +271,33 @@ class Dataset:
 
     def column(self, j: int) -> np.ndarray:
         """Effective (post-normalization) values of feature ``j`` as a dense vector."""
-        if not 0 <= j < self.n_features:
-            raise DataError(f"feature index {j} out of range")
-        if not self._sparse:
-            return self.rows[:, j].copy()
-        col = np.zeros(self.n_instances)
-        at = np.flatnonzero(self.rows.indices == j)
-        col[np.searchsorted(self.rows.indptr, at, side="right") - 1] = self.rows.data[at]
-        if self.normalized and self.means is not None:
-            col = (col - self.means[j]) / self.stds[j]
-        return col
+        return self.columns([j])[0]
+
+    def columns(self, features: Sequence[int]) -> np.ndarray:
+        """Effective values of the given features, one row per requested
+        feature: row i equals ``column(features[i])``.  Sparse entries are
+        read in one pass, whatever the number of features.  With
+        ``scale_on_read`` each value is read as ``(x - mean) / std``."""
+        feats = np.asarray(features, dtype=np.int64).reshape(-1)
+        bad = feats[(feats < 0) | (feats >= self.n_features)]
+        if bad.size:
+            raise DataError(f"feature index {bad[0]} out of range")
+        if self._sparse:
+            uniq, inverse = np.unique(feats, return_inverse=True)
+            slot = np.full(self.n_features, -1)
+            slot[uniq] = np.arange(uniq.size)
+            at = slot[self.rows.indices]
+            hit = np.flatnonzero(at >= 0)
+            out = np.zeros((uniq.size, self.n_instances))
+            out[at[hit], np.searchsorted(self.rows.indptr, hit, side="right") - 1] = \
+                self.rows.data[hit]
+            out = out[inverse]
+        else:
+            out = self.rows.T[feats]
+        if self.scale_on_read:
+            out -= self.means[feats, None]
+            out /= self.stds[feats, None]
+        return out
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         """New Dataset restricted to the given instances (order preserved)."""
@@ -257,7 +307,8 @@ class Dataset:
         return Dataset(self.rows[indices], self.labels[indices], self.kinds,
                        n_classes=self.n_classes, normalized=self.normalized,
                        means=None if self.means is None else self.means.copy(),
-                       stds=None if self.stds is None else self.stds.copy())
+                       stds=None if self.stds is None else self.stds.copy(),
+                       scale_on_read=self.scale_on_read)
 
 
 # -- parsing and serialization --------------------------------------------
@@ -491,18 +542,21 @@ def _map_pool(fn, items, workers: int) -> list:
 _STATS_BYTES = 1 << 20
 
 
-def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
+def zscore_normalize(dataset: Dataset, workers: int = 1, copy: bool = True) -> Dataset:
     """Z-score numeric features with population statistics.
 
     Constant features get a recorded standard deviation of 1, which sends
-    their values to exactly 0.  Dense values are materialized in one new
-    array.  Statistics come from column blocks of at most ``_STATS_BYTES``
-    (at least one column) and the output is written in row blocks of the
-    same budget; both run in a pool of min(``workers``, 8) threads, so
-    memory is one copy of the input plus one block per thread.  Results do
-    not depend on ``workers``.  Sparse rows are shared with the output, raw,
-    and the transform is applied lazily through the recorded statistics
-    (absent entries count as raw zeros).  Nominal features pass through unchanged.
+    their values to exactly 0.  Dense statistics come from column blocks of
+    at most ``_STATS_BYTES`` (at least one column), run in a pool of
+    min(``workers``, 8) threads.  With ``copy`` (the default) the dense
+    values are then materialized in one new array, written in row blocks of
+    the same budget on the same pool, so memory is one copy of the input
+    plus one block per thread.  Without it the rows are shared, raw, and
+    z-scored as they are read (``Dataset.scale_on_read``): ``run_belief``
+    uses only the statistics this way.  Results do not depend on
+    ``workers``.  Sparse rows are always shared with the output, raw, and
+    the transform is applied lazily through the recorded statistics (absent
+    entries count as raw zeros).  Nominal features pass through unchanged.
     A numeric feature holding a NaN or an infinity (or values whose sum
     overflows) raises ``DataError`` naming the lowest such feature.
     """
@@ -525,7 +579,32 @@ def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
         return Dataset(dataset.rows, dataset.labels.copy(), dataset.kinds,
                        n_classes=dataset.n_classes, means=mean, stds=std, normalized=True)
     rows = dataset.rows
-    n = dataset.n_features
+    mean, std = _dense_statistics(dataset, workers)
+    if not copy:
+        return Dataset(rows, dataset.labels.copy(), dataset.kinds,
+                       n_classes=dataset.n_classes, means=mean, stds=std,
+                       normalized=True, scale_on_read=True)
+    # Nominal columns have mean 0 and std 1, so (x - 0) / 1 keeps them exact.
+    X = np.empty_like(rows)
+    height = max(1, _STATS_BYTES // (8 * max(dataset.n_features, 1)))
+
+    def write(a):
+        out = X[a:a + height]
+        np.subtract(rows[a:a + height], mean, out=out)
+        np.divide(out, std, out=out)
+
+    _map_pool(write, range(0, m, height), workers)
+    return Dataset(X, dataset.labels.copy(), dataset.kinds,
+                   n_classes=dataset.n_classes, means=mean, stds=std, normalized=True)
+
+
+def _dense_statistics(dataset: Dataset, workers: int):
+    """Per-feature means and population stds of a dense dataset (0 and 1 for
+    nominal features, std 1 for constant ones), from column blocks of at
+    most ``_STATS_BYTES`` mapped over the pool; raises ``DataError`` on the
+    lowest non-finite numeric feature."""
+    rows = dataset.rows
+    m = dataset.n_instances
     numeric = np.flatnonzero(dataset.numeric_mask())
     width = max(1, _STATS_BYTES // (8 * m))
     blocks = [numeric[a:a + width] for a in range(0, numeric.size, width)]
@@ -543,25 +622,14 @@ def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
             np.square(block, out=block)
             return mu, np.sqrt(block.sum(axis=0) / m)  # population
 
-    mean = np.zeros(n)
-    std = np.ones(n)
+    mean = np.zeros(dataset.n_features)
+    std = np.ones(dataset.n_features)
     for cols, (mu, sigma) in zip(blocks, _map_pool(column_stats, blocks, workers)):
         _check_finite(mu, cols)
         sigma[sigma == 0.0] = 1.0
         mean[cols] = mu
         std[cols] = sigma
-    # Nominal columns have mean 0 and std 1, so (x - 0) / 1 keeps them exact.
-    X = np.empty_like(rows)
-    height = max(1, _STATS_BYTES // (8 * max(n, 1)))
-
-    def write(a):
-        out = X[a:a + height]
-        np.subtract(rows[a:a + height], mean, out=out)
-        np.divide(out, std, out=out)
-
-    _map_pool(write, range(0, m, height), workers)
-    return Dataset(X, dataset.labels.copy(), dataset.kinds,
-                   n_classes=dataset.n_classes, means=mean, stds=std, normalized=True)
+    return mean, std
 
 
 def _check_finite(stat: np.ndarray, features: np.ndarray | None = None) -> None:
@@ -590,7 +658,7 @@ class PartitionedDataset:
     their global row order; distance ties therefore resolve identically
     for every partition count, as long as the distances themselves do.
     Gram-path distances can move in their last bits with the partition
-    count (see ``neighbors._dense_distances_gram``).
+    count (see ``neighbors._gram_sq``).
     """
 
     dataset: Dataset

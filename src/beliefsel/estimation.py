@@ -135,7 +135,7 @@ def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
         if i.size == 0:
             continue
         nbrs = space.scaled(ds.rows[rows[lo + i, c, j]])
-        own = space.scaled(batch.rows[lo + i])
+        own = space.scaled(batch.rows[lo:lo + step])[i]  # each sample once
         if ds.is_sparse:  # within the gather budget
             nbrs, own = nbrs.to_dense(n), own.to_dense(n)
         diffs = pair_diffs(nbrs, own, space)

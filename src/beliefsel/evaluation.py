@@ -31,10 +31,10 @@ def _aligned_matrices(train: Dataset, test: Dataset, features: Sequence[int]):
             raise DataError(f"feature index {j} out of range")
     if train.n_features != test.n_features:
         raise DataError("train and test feature spaces differ")
-    tr = train if train.normalized else zscore_normalize(train)
+    tr = train if train.normalized else zscore_normalize(train, copy=False)
     # Column-major, so the kernel sums each distance a feature column at a time.
-    Xtr = np.array([tr.column(j) for j in features]).T
-    Xte = np.column_stack([test.column(j) for j in features])
+    Xtr = tr.columns(features).T
+    Xte = test.columns(features).T
     if not test.normalized and tr.means is not None:
         numeric = train.numeric_mask()
         for pos, j in enumerate(features):

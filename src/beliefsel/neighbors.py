@@ -15,12 +15,25 @@ ascending (distance, row id) order; a class with fewer than k eligible rows
 pads the tail with row -1 at distance +inf, which sorts after every real
 neighbor.  Ties at equal distance resolve by ascending global row id, so
 the result does not depend on the partition count, except for the last
-bits of Gram-path distances (see ``_dense_distances_gram``).
+bits of Gram-path distances (see ``_gram_sq``).
 
 Distances are Euclidean over per-feature diffs (``pair_diffs``): |a - b|
 for numeric values and a 0/1 indicator for nominal values, on rows read
-through ``FeatureSpace.scaled``.  Sparse rows are searched as ||q||^2 +
-||b||^2 - 2 q.b over a partition's stored entries, a tile of rows at a time.
+through ``FeatureSpace.scaled``.  The batch is put on the z-scale once.
+Sparse rows are searched as ||q||^2 + ||b||^2 - 2 q.b over a partition's
+stored entries, a tile of rows at a time.
+
+Dense rows are streamed through row tiles: consecutive row ranges, in row
+order, each z-scored once per batch into one reused buffer (raw rows with
+recorded statistics) or read in place (rows stored z-scored).  Each tile's
+distances to the queries are folded into running per-(query, class) best
+lists with the same (distance, row id) rule that merges partitions, so the
+search holds a few tile-sized buffers per thread whatever the partition
+height.  Bits: a distance depends only on its query and row, except that
+BLAS rounds the Gram matmul by the shapes it is handed.  Tiles of a
+multiple of 8 rows, with the partition spread evenly over them
+(``_tile_height``), gave the whole-partition bits on OpenBLAS 0.3.31; rows
+gathered by class, or tile heights off the multiple of 8, did not.
 """
 
 from __future__ import annotations
@@ -55,6 +68,14 @@ SPARSE_NONZERO_BYTES = 12
 GRAM_MIN_FEATURES = 256
 
 _QUERY_CHUNK = 128
+
+# Byte budget of a dense search tile: a partition's rows are z-scored into a
+# buffer of at most this many bytes, and a block of query distances to them
+# takes about as much again.  On a 10,000 x 500 input searched by two threads
+# (500 queries; 2-vCPU Xeon, numpy 2.4, OpenBLAS on one thread), a run with
+# 4 MiB tiles added about 37 MB to the peak RSS and with 8 MiB tiles about
+# 57 MB; with a z-scored copy and whole-partition distance blocks, 83 MB.
+_DENSE_TILE_BYTES = 1 << 22
 
 
 @dataclass
@@ -129,47 +150,68 @@ def _numeric_cols(rows: np.ndarray, space: FeatureSpace) -> np.ndarray:
     return rows if space.all_numeric else rows[:, space.numeric_idx]
 
 
-def _add_mismatches(out: np.ndarray, Q, block, space: FeatureSpace) -> None:
+def _add_mismatches(out: np.ndarray, Qc: np.ndarray, Bc: np.ndarray) -> None:
     """Add to each squared distance its nominal term: the number of nominal
-    features on which the query and the block row differ."""
-    if space.all_numeric:
-        return
-    Bc = block[:, space.nominal_idx]
-    Qc = Q[:, space.nominal_idx]
-    for i in range(Q.shape[0]):
+    features (the columns of ``Qc`` and ``Bc``) on which the query and the
+    block row differ."""
+    for i in range(Qc.shape[0]):
         out[i] += (Bc != Qc[i]).sum(axis=1)
 
 
-def _dense_distances_subtract(Q, block, space: FeatureSpace) -> np.ndarray:
-    """Row-wise subtract-and-square distances, same terms as the scalar path.
+def _subtract_sq(Qn: np.ndarray, Bn: np.ndarray, out: np.ndarray) -> None:
+    """Row-wise subtract-and-square over numeric columns, into ``out``.
 
     The per-row reduction happens inside a 2-D block, where numpy may group
     the additions differently than a lone 1-D sum; the result can sit one
     ulp from the scalar value, so only order, not bits, is contractual.
+    Each row's sum depends on that row alone, so tiling the block keeps the
+    bits.
     """
+    d = np.empty_like(Bn)  # Bn's layout sets the order of each row's sum
+    for i in range(Qn.shape[0]):
+        np.subtract(Bn, Qn[i], out=d)
+        np.multiply(d, d, out=d)
+        d.sum(axis=1, out=out[i])
+
+
+def _dense_distances_subtract(Q, block, space: FeatureSpace) -> np.ndarray:
+    """Squared distances between dense rows, by ``_subtract_sq`` plus the
+    nominal term."""
     out = np.empty((Q.shape[0], block.shape[0]))
-    Qn, Bn = _numeric_cols(Q, space), _numeric_cols(block, space)
-    for i in range(Q.shape[0]):
-        d = Bn - Qn[i]
-        out[i] = (d * d).sum(axis=1)
-    _add_mismatches(out, Q, block, space)
+    _subtract_sq(_numeric_cols(Q, space), _numeric_cols(block, space), out)
+    if not space.all_numeric:
+        _add_mismatches(out, Q[:, space.nominal_idx], block[:, space.nominal_idx])
     return out
 
 
-def _dense_distances_gram(Q, block, space: FeatureSpace, block_sq) -> np.ndarray:
-    """(||q||^2 + ||b||^2) - 2 q.b over the numeric columns, clipped at 0,
-    plus the nominal term.  BLAS rounds the matmul by the shapes it is
+def _gram_sq(q_sq, b_sq, out: np.ndarray, scratch: np.ndarray) -> None:
+    """(||q||^2 + ||b||^2) - 2 q.b over numeric columns, clipped at 0, in
+    place on ``out``, which holds the matmul q.b on entry; ``scratch`` is
+    shaped like ``out``.  BLAS rounds the matmul by the shapes it is
     handed, so a distance can move in its last bits with the partition
     count (the neighbor ids have not been seen to move), and an exact
     duplicate can sit at a small positive distance (up to ≈1e-6 seen on
     z-scored rows) instead of 0.0.
     """
-    Qn = _numeric_cols(Q, space)
-    q_sq = (Qn * Qn).sum(axis=1)
-    out = q_sq[:, None] + block_sq[None, :] - 2.0 * (Qn @ _numeric_cols(block, space).T)
+    np.add(q_sq[:, None], b_sq, out=scratch)
+    np.multiply(out, 2.0, out=out)
+    np.subtract(scratch, out, out=out)
     np.maximum(out, 0.0, out=out)
-    _add_mismatches(out, Q, block, space)
-    return out
+
+
+def _tile_height(rows: int, n_features: int) -> int:
+    """Height of the dense search's row tiles over a partition of ``rows``.
+
+    A tile of ``_DENSE_TILE_BYTES`` (a multiple of 8 rows, at least 8) sets
+    the tile count; the rows are then spread evenly over that many tiles,
+    each a multiple of 8 rows but the last.  On OpenBLAS 0.3.31 a matmul
+    against a tile so cut gave the same bits as against the whole partition
+    on the benchmark shapes, while a narrow last tile (under ≈200 rows) or a
+    height off the multiple of 8 moved some entries in their last bits.
+    """
+    cap = max(8, _DENSE_TILE_BYTES // (8 * max(n_features, 1)) // 8 * 8)
+    tiles = max(1, -(-rows // cap))
+    return -(-rows // (8 * tiles)) * 8
 
 
 # -- sparse distance kernel -------------------------------------------------
@@ -237,10 +279,65 @@ def _top_k(dc: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(idx, order, axis=1)
 
 
+def _merge_into(rows, dist, qi, new_rows, new_dist, k: int) -> None:
+    """Merge candidates (query ``qi``, ascending; row; distance) into the
+    running (queries, k) best lists ``rows``/``dist``, in place, by
+    (distance, row id): the rule ``neighborhood`` applies across
+    partitions.  Each query's candidates are laid out after its k slots,
+    padded with (-1, +inf), and every row of that block sorted at once."""
+    q = rows.shape[0]
+    count = np.bincount(qi, minlength=q)
+    slot = k + np.arange(qi.size) - np.repeat(np.cumsum(count) - count, count)
+    all_rows = np.full((q, k + int(count.max())), -1, dtype=np.int64)
+    all_dist = np.full(all_rows.shape, np.inf)
+    all_rows[:, :k], all_dist[:, :k] = rows, dist
+    all_rows[qi, slot], all_dist[qi, slot] = new_rows, new_dist
+    keep = np.lexsort((all_rows, all_dist), axis=-1)[:, :k]
+    rows[:] = np.take_along_axis(all_rows, keep, axis=1)
+    dist[:] = np.take_along_axis(all_dist, keep, axis=1)
+
+
+def _emit_top_k(rows, dist, d: np.ndarray, first: int, members: dict,
+                lo: int, hi: int, k: int) -> None:
+    """Fold the distances ``d`` from queries lo:hi to the consecutive block
+    rows first, first + 1, ... into their running best lists, class by
+    class.  ``members`` holds each class's block positions, ascending.
+
+    The first step that holds a class fills its lists with ``_top_k``.
+    Steps run in ascending row order, so later a row of ``d`` can only
+    enter a best list by beating its k-th distance outright.  When at most
+    k entries per query do, on average, they are merged as they are; else
+    (while the lists still hold padding) ``_top_k`` picks each query's k
+    first.  All three give the same lists.
+    """
+    for c, cand in members.items():
+        cand = cand[np.searchsorted(cand, first):np.searchsorted(cand, first + d.shape[1])]
+        if cand.size == 0:
+            continue
+        # take() copies in C order, where d[:, cand] would come back
+        # column-major and argpartition would walk each row with a stride.
+        dc = np.take(d, cand - first, axis=1)
+        best_rows, best_dist = rows[lo:hi, c], dist[lo:hi, c]
+        if np.isinf(best_dist[:, 0]).all():  # nothing to merge with yet
+            top = _top_k(dc, k)
+            best_rows[:, :top.shape[1]] = cand[top]
+            best_dist[:, :top.shape[1]] = np.take_along_axis(dc, top, axis=1)
+            continue
+        beats = dc < best_dist[:, -1:]
+        if np.count_nonzero(beats) > beats.shape[0] * k:
+            top = _top_k(dc, k)
+            qi, j = np.repeat(np.arange(hi - lo), top.shape[1]), top.ravel()
+        else:
+            qi, j = np.divmod(np.flatnonzero(beats), cand.size)
+        if qi.size:
+            _merge_into(best_rows, best_dist, qi, cand[j], dc[qi, j], k)
+
+
 def _search_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
-                      k: int, space: FeatureSpace):
+                      Q, k: int, space: FeatureSpace):
     """Local top-k per class for every sampled instance, as the (rows,
-    dist) arrays of a ``NeighborTable``."""
+    dist) arrays of a ``NeighborTable``.  ``Q`` holds the batch's rows on
+    the z-scale."""
     ds = pdata.dataset
     start = int(pdata.starts[g])
     end = int(pdata.starts[g + 1])
@@ -249,41 +346,83 @@ def _search_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
     n_samples = len(batch)
     rows = np.full((n_samples, ds.n_classes, k), -1, dtype=np.int64)
     dist = np.full((n_samples, ds.n_classes, k), np.inf)
-
-    block = space.scaled(ds.rows[start:end])
-    if ds.is_sparse:
-        block_sq = _row_sums(block.data * block.data, block.indptr)
-        chunk = max(1, min(_QUERY_CHUNK, _TILE_BYTES // (8 * max(ds.n_features, 1))))
-    else:
-        chunk = _QUERY_CHUNK
-        use_gram = ds.n_features >= GRAM_MIN_FEATURES
-        if use_gram:
-            Bn = _numeric_cols(block, space)
-            block_sq = (Bn * Bn).sum(axis=1)
-
-    for lo in range(0, n_samples, chunk):
-        hi = min(lo + chunk, n_samples)
-        Q = space.scaled(batch.rows[lo:hi])
-        if ds.is_sparse:
-            sq = _sparse_distances(Q, block, block_sq, ds.n_features)
-        elif use_gram:
-            sq = _dense_distances_gram(Q, block, space, block_sq)
-        else:
-            sq = _dense_distances_subtract(Q, block, space)
-        d = np.sqrt(sq, out=sq)
-        gids = batch.indices[lo:hi]
-        own = np.flatnonzero((gids >= start) & (gids < end))
-        d[own, gids[own] - start] = np.inf  # never its own neighbor
-        for c, cand in members.items():
-            # take() copies in C order, where d[:, cand] would come back
-            # column-major and argpartition would walk each row with a stride.
-            dc = np.take(d, cand, axis=1)
-            top = _top_k(dc, k)
-            w = top.shape[1]
-            dist[lo:hi, c, :w] = np.take_along_axis(dc, top, axis=1)
-            rows[lo:hi, c, :w] = start + cand[top]
+    own_local = batch.indices - start  # never its own neighbor
+    search = _search_sparse if ds.is_sparse else _search_dense
+    for first, lo, hi, d in search(ds.rows, start, end, Q, space):
+        own = np.flatnonzero((own_local[lo:hi] >= first)
+                             & (own_local[lo:hi] < first + d.shape[1]))
+        d[own, own_local[lo + own] - first] = np.inf
+        _emit_top_k(rows, dist, d, first, members, lo, hi, k)
     rows[np.isinf(dist)] = -1
+    rows[rows >= 0] += start
     return rows, dist
+
+
+def _search_sparse(stored: SparseRows, start: int, end: int, Q: SparseRows,
+                   space: FeatureSpace):
+    """Distances from query chunks to the whole partition, as
+    (first block row, query lo, query hi, distances) steps."""
+    block = space.scaled(stored[start:end])
+    block_sq = _row_sums(block.data * block.data, block.indptr)
+    chunk = max(1, min(_QUERY_CHUNK, _TILE_BYTES // (8 * max(space.n_features, 1))))
+    for lo in range(0, len(Q), chunk):
+        hi = min(lo + chunk, len(Q))
+        sq = _sparse_distances(Q[lo:hi], block, block_sq, space.n_features)
+        yield 0, lo, hi, np.sqrt(sq, out=sq)
+
+
+def _search_dense(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
+                  space: FeatureSpace):
+    """Distances from the queries to the partition, a row tile at a time, as
+    (first block row, query lo, query hi, distances) steps.
+
+    Tiles are consecutive row ranges (``_tile_height``) in the outer loop,
+    so each is z-scored once per batch; the queries run in groups of
+    ``_QUERY_CHUNK`` multiples that fill about ``_DENSE_TILE_BYTES`` of
+    distances.  The Gram matmul of a tile of a multiple of 8 rows takes the
+    whole group at once, which gave the same bits as ``_QUERY_CHUNK``
+    queries at a time; the last tile of an uneven partition is multiplied
+    ``_QUERY_CHUNK`` queries at a time, as the whole-partition search was,
+    since there the query count moved some bits.  The tile, distance and
+    epilogue buffers are allocated once and reused; a step's distances are
+    only valid until the next step.
+    """
+    n_samples = Q.shape[0]
+    height = _tile_height(end - start, space.n_features)
+    group = max(1, _DENSE_TILE_BYTES // (8 * height * _QUERY_CHUNK)) * _QUERY_CHUNK
+    gram = space.n_features >= GRAM_MIN_FEATURES
+    Qn = _numeric_cols(Q, space)
+    Qc = None if space.all_numeric else Q[:, space.nominal_idx]
+    q_sq = (Qn * Qn).sum(axis=1) if gram else None
+    tile_buf = (None if space.means is None
+                else np.empty(height * space.n_features))
+    dist_buf = np.empty(min(group, n_samples) * height)
+    scratch = np.empty(_QUERY_CHUNK * height) if gram else None
+    for first in range(0, end - start, height):
+        h = min(height, end - start - first)
+        raw = stored[start + first:start + first + h]
+        tile = space.scaled(raw, out=None if tile_buf is None
+                            else tile_buf[:raw.size].reshape(raw.shape))
+        Bn = _numeric_cols(tile, space)
+        Bc = None if Qc is None else tile[:, space.nominal_idx]
+        b_sq = (Bn * Bn).sum(axis=1) if gram else None
+        for g0 in range(0, n_samples, group):
+            g1 = min(g0 + group, n_samples)
+            d = dist_buf[:(g1 - g0) * h].reshape(g1 - g0, h)
+            if gram and h % 8 == 0:
+                np.matmul(Qn[g0:g1], Bn.T, out=d)
+            for lo in range(g0, g1, _QUERY_CHUNK):
+                hi = min(lo + _QUERY_CHUNK, g1)
+                out = d[lo - g0:hi - g0]
+                if gram:
+                    if h % 8:
+                        np.matmul(Qn[lo:hi], Bn.T, out=out)
+                    _gram_sq(q_sq[lo:hi], b_sq, out, scratch[:out.size].reshape(out.shape))
+                else:
+                    _subtract_sq(Qn[lo:hi], Bn, out)
+                if Qc is not None:
+                    _add_mismatches(out, Qc[lo:hi], Bc)
+            yield first, g0, g1, np.sqrt(d, out=d)
 
 
 def neighborhood(pdata: PartitionedDataset, batch: SampleBatch, k: int) -> NeighborTable:
@@ -300,8 +439,9 @@ def neighborhood(pdata: PartitionedDataset, batch: SampleBatch, k: int) -> Neigh
         raise DataError(f"k must be >= 1, got {k}")
     ds = pdata.dataset
     space = ds.feature_space()
+    Q = space.scaled(batch.rows)  # once per batch, shared by the partitions
     parts = pdata.map_partitions(
-        lambda g: _search_partition(pdata, g, batch, k, space))
+        lambda g: _search_partition(pdata, g, batch, Q, k, space))
     rows, dist = (np.concatenate(a, axis=-1) for a in zip(*parts))
     emitted = rows[rows >= 0]
     if ds.is_sparse:

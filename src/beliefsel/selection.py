@@ -152,8 +152,9 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
     t0 = time.perf_counter()
     if dataset.normalized:
         dataset.checked_sums()  # the finite check zscore_normalize makes
+    # Statistics only: dense rows stay raw and are z-scored as they are read.
     ds = (dataset if dataset.normalized
-          else zscore_normalize(dataset, workers=config.partitions))
+          else zscore_normalize(dataset, workers=config.partitions, copy=False))
     timings["normalize_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -317,7 +317,9 @@ class TestZscore:
         monkeypatch.setattr(dataset, "_map_pool", spy)
         run_belief(make_dense(m=30, n=4, seed=6),
                    SelectorConfig(n_select=2, partitions=3, theta=0.0))
-        assert ("column_stats", 3) in seen and ("write", 3) in seen
+        # Statistics only: the rows stay raw and are z-scored as read.
+        assert ("column_stats", 3) in seen
+        assert not any(name == "write" for name, _ in seen)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pooled_normalize_holds_one_stats_block_per_worker(self, workers):
@@ -592,6 +594,54 @@ class TestDatasetBasics:
             else:
                 with pytest.raises(DataError, match="ascending and unique"):
                     Dataset(rows, labels, [])
+
+    def test_dense_statistics_are_applied_on_read(self):
+        # zscore_normalize(copy=False) shares the raw rows; every read
+        # z-scores them to the copy's values, bit for bit.
+        ds = make_dense(m=40, n=6, nominal=(2,), seed=3)
+        ds.rows[:, 4] *= 1e4
+        copy, lazy = zscore_normalize(ds), zscore_normalize(ds, copy=False)
+        assert lazy.rows is ds.rows and lazy.scale_on_read and not copy.scale_on_read
+        assert np.array_equal(lazy.means, copy.means) and np.array_equal(lazy.stds, copy.stds)
+        assert np.array_equal(lazy.feature_space().scaled(ds.rows), copy.rows)
+        assert np.array_equal(lazy.columns(range(6)), copy.rows.T)
+        sub = lazy.subset([5, 1, 30])
+        assert sub.scale_on_read
+        assert np.array_equal(sub.feature_space().scaled(sub.rows), copy.rows[[5, 1, 30]])
+        # Already z-scored rows passed as normalized are read as they are.
+        pre = Dataset(copy.rows, ds.labels, ds.kinds, means=copy.means,
+                      stds=copy.stds, normalized=True)
+        assert not pre.scale_on_read
+        assert pre.feature_space().scaled(pre.rows) is pre.rows
+        assert np.array_equal(pre.column(4), copy.rows[:, 4])
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_sparse_columns_match_a_scan_per_column(self, normalized):
+        # Features 2 and 9 have no entries and rows 1 and 4 are empty;
+        # features are asked for out of order and twice.
+        rows = [(np.array([0, 3]), np.array([1.5, -2.0])), (np.array([], int), np.array([])),
+                (np.array([0, 1, 7]), np.array([3.0, 4.0, 0.25])), (np.array([3]), np.array([8.0])),
+                (np.array([], int), np.array([])), (np.array([1, 3, 7]), np.array([-1.0, 2.0, 5.0]))]
+        ds = Dataset(rows, [0, 1, 0, 1, 0, 1], [FeatureKind.NUMERIC] * 10)
+        if normalized:
+            ds = zscore_normalize(ds)
+
+        def scan(j):  # one pass over every stored entry per column
+            col = np.zeros(ds.n_instances)
+            at = np.flatnonzero(ds.rows.indices == j)
+            col[np.searchsorted(ds.rows.indptr, at, side="right") - 1] = ds.rows.data[at]
+            if normalized:
+                col = (col - ds.means[j]) / ds.stds[j]
+            return col
+
+        feats = [7, 2, 0, 9, 3, 7, 1]
+        got = ds.columns(feats)
+        assert got.shape == (len(feats), ds.n_instances)
+        for row, j in zip(got, feats):
+            assert np.array_equal(row, scan(j))
+            assert np.array_equal(row, ds.column(j))
+        with pytest.raises(DataError, match="feature index 10"):
+            ds.columns([1, 10])
 
     def test_feature_space_scales_only_normalized_sparse_rows(self):
         dense = make_dense(m=12, seed=2)

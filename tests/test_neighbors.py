@@ -3,9 +3,12 @@
 import io
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefsel.dataset import (Dataset, FeatureKind, draw_sample, parse_libsvm,
                                partition, zscore_normalize)
@@ -83,6 +86,66 @@ def sparse_dataset(seed, m=48, n=12, lattice=True):
     y[[30, 41]] = y[9]
     y[[3, 40]] = 2
     return Dataset(rows, y, [FeatureKind.NUMERIC] * n)
+
+
+def tiled_dataset(seed, m=61, n=7, lattice=True, twins=True):
+    """Mixed-kind rows in three classes, for 8-row search tiles: rows 16..39
+    are all class 0 (so whole tiles hold no class 1 or 2 row), class 2 is
+    rows 3 and 50 only, and, with ``twins``, row 8 is an exact copy of row 7
+    in its class, on the other side of the first tile boundary."""
+    rng = np.random.default_rng(seed)
+    X = (rng.integers(0, 4, (m, n)).astype(float) if lattice
+         else rng.standard_normal((m, n)))
+    X[:, 1] = rng.integers(0, 3, m)
+    y = rng.integers(0, 2, m)
+    y[16:40] = 0
+    y[[3, 50]] = 2
+    if twins:
+        X[8], y[8] = X[7], y[7]
+    kinds = [FeatureKind.NOMINAL if j == 1 else FeatureKind.NUMERIC for j in range(n)]
+    return Dataset(X, y, kinds)
+
+
+def assert_matches_oracle(pdata, batch, k, rtol=1e-12):
+    """Ids exact, distances within ``rtol``, against ``oracle_neighbors``."""
+    got = as_global(batch, neighborhood(pdata, batch, k))
+    want = oracle_neighbors(pdata, batch, k)
+    assert got.keys() == want.keys()
+    for gid in want:
+        assert got[gid].keys() == want[gid].keys()
+        for c in want[gid]:
+            assert [r for _, r in got[gid][c]] == [r for _, r in want[gid][c]]
+            np.testing.assert_allclose([d for d, _ in got[gid][c]],
+                                       [d for d, _ in want[gid][c]], rtol=rtol, atol=0)
+    return got
+
+
+@st.composite
+def lattice_datasets(draw):
+    """Small mixed-kind datasets on a coarse lattice, so distance ties and
+    exact duplicate rows are common.  2-4 classes hold rows; the last of
+    them holds only one or two, and one more class is declared with none.
+    Rows are either stored as read, or raw with statistics applied on read:
+    integer means and power-of-two stds, so every z-scored value, and
+    every distance, is exact."""
+    m = draw(st.integers(8, 60))
+    n = draw(st.integers(1, 12))
+    present = draw(st.integers(2, 4))
+    kinds = draw(st.lists(st.sampled_from(list(FeatureKind)), min_size=n, max_size=n))
+    X = np.array(draw(st.lists(st.integers(0, 3), min_size=m * n, max_size=m * n)),
+                 dtype=float).reshape(m, n)
+    y = np.array(draw(st.lists(st.integers(0, present - 2), min_size=m, max_size=m)))
+    few = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2, unique=True))
+    y[few] = present - 1
+    numeric = np.array([kind is FeatureKind.NUMERIC for kind in kinds])
+    if draw(st.booleans()):
+        return Dataset(X, y, kinds, n_classes=present + 1)
+    means = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=float)
+    stds = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+                                  min_size=n, max_size=n)))
+    means[~numeric], stds[~numeric] = 0.0, 1.0
+    return Dataset(X, y, kinds, n_classes=present + 1, means=means, stds=stds,
+                   normalized=True, scale_on_read=True)
 
 
 class TestFeatureDiff:
@@ -272,16 +335,7 @@ class TestNeighborhood:
         ds = sparse_dataset(60 + p, lattice=lattice)
         pdata = partition(ds if lattice else zscore_normalize(ds), p)
         batch = draw_sample(pdata, 1.0, 1, seed=p)[0]
-        got = as_global(batch, neighborhood(pdata, batch, k))
-        want = oracle_neighbors(pdata, batch, k)
-        assert got.keys() == want.keys()
-        for gid in want:
-            assert got[gid].keys() == want[gid].keys()
-            for c in want[gid]:
-                assert [r for _, r in got[gid][c]] == [r for _, r in want[gid][c]]
-                np.testing.assert_allclose([d for d, _ in got[gid][c]],
-                                           [d for d, _ in want[gid][c]],
-                                           rtol=1e-12, atol=0)
+        got = assert_matches_oracle(pdata, batch, k)
         c = int(ds.labels[9])
         assert got[30][c][:2] == [(0.0, 9), (0.0, 41)][:k]
         assert len(got[3][2]) == 1  # class 2 has one row besides row 3
@@ -323,6 +377,48 @@ class TestNeighborhood:
         # squares; then per query chunk the dense buffer, one tile of
         # products and a few distance arrays, each about the tile budget.
         assert peak <= 2 * ds.rows.data.nbytes + 8 * neighbors._TILE_BYTES
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stored", ["raw", "zscored"])
+    def test_tiled_search_matches_oracle(self, monkeypatch, p, k, stored):
+        # 8-row tiles over partitions of 61, 31/30 and 21/20/20 rows: every
+        # row is sampled, so tile edges are queries too.  Row 7 ends a tile
+        # and row 8, its twin, starts the next; class 2 has two rows, fewer
+        # than k = 3 or 5.
+        monkeypatch.setattr(neighbors, "_DENSE_TILE_BYTES", 0)
+        ds = tiled_dataset(70 + p)
+        pdata = partition(zscore_normalize(ds, copy=stored == "zscored"), p)
+        assert pdata.dataset.scale_on_read == (stored == "raw")
+        batch = draw_sample(pdata, 1.0, 1, seed=p)[0]
+        got = assert_matches_oracle(pdata, batch, k)
+        c = int(ds.labels[7])
+        assert got[7][c][0] == (0.0, 8) and got[8][c][0] == (0.0, 7)
+        for gid in set(got) - {7}:  # the twins tie; the lower row id wins
+            ids = [r for _, r in got[gid].get(c, [])]
+            assert 8 not in ids or ids[ids.index(8) - 1:ids.index(8)] == [7]
+        assert len(got[3][2]) == 1 and len(got[10][2]) == min(k, 2)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_tiled_gram_search_matches_oracle(self, monkeypatch, p):
+        monkeypatch.setattr(neighbors, "_DENSE_TILE_BYTES", 0)
+        monkeypatch.setattr(neighbors, "GRAM_MIN_FEATURES", 1)
+        ds = tiled_dataset(80 + p, lattice=False, twins=False)
+        pdata = partition(zscore_normalize(ds, copy=False), p)
+        batch = draw_sample(pdata, 0.5, 1, seed=p)[0]
+        assert_matches_oracle(pdata, batch, 3)
+
+    @settings(max_examples=40)
+    @given(ds=lattice_datasets(), p=st.integers(1, 5), k=st.integers(1, 7),
+           gram=st.booleans())
+    def test_tiled_search_matches_oracle_on_lattice_data(self, ds, p, k, gram):
+        # Exact arithmetic on both sides, so distances must agree exactly
+        # and ties must resolve by row id as in the oracle.
+        with mock.patch.object(neighbors, "_DENSE_TILE_BYTES", 0), \
+                mock.patch.object(neighbors, "GRAM_MIN_FEATURES", 1 if gram else 10 ** 6):
+            pdata = partition(ds, min(p, ds.n_instances))
+            batch = draw_sample(pdata, 0.3, 1, seed=k)[0]
+            assert_matches_oracle(pdata, batch, k, rtol=0)
 
     def test_k_below_one_rejected(self):
         pdata = partition(random_dataset(1), 2)

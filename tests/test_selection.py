@@ -1,11 +1,14 @@
 """Forward selection scoring and the end-to-end pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefsel.dataset import Dataset, FeatureKind
+from beliefsel import selection
+from beliefsel.dataset import Dataset, FeatureKind, zscore_normalize
 from beliefsel.errors import DataError
 from beliefsel.estimation import WeightVector
 from beliefsel.redundancy import RedundancyTable
@@ -144,14 +147,63 @@ class TestRunBelief:
         assert np.array_equal(a.weights.values, b.weights.values)
         assert a.selected_features() == b.selected_features()
 
-    def test_default_repeat_runs_agree_to_addition_order(self):
-        # Partials fold in partition order whatever order threads finish in.
+    def test_default_repeat_runs_agree_to_addition_order(self, monkeypatch):
+        # Partials fold in partition order whatever order threads finish in,
+        # so collision tables summed over three partition threads and two
+        # batches come out the same, bit for bit, on every run.
+        tables = []
+        mcr = selection.compute_mcr
+        monkeypatch.setattr(selection, "compute_mcr",
+                            lambda t: tables.append(t) or mcr(t))
         ds = gaussian_classes(1)
-        cfg = SelectorConfig(n_select=4, partitions=3, sample_rate=0.5, seed=11)
+        cfg = SelectorConfig(n_select=4, partitions=3, sample_rate=0.5, batches=2,
+                             theta=0.5, seed=11)
         a = run_belief(ds, cfg)
         b = run_belief(ds, cfg)
         assert np.array_equal(a.weights.values, b.weights.values)
+        ta, tb = tables
+        assert ta.joint.any() and ta.pair_count == tb.pair_count
+        for field in ("tracked", "joint", "marginal"):
+            assert np.array_equal(getattr(ta, field), getattr(tb, field))
         assert a.selected_features() == b.selected_features()
+
+    @pytest.mark.parametrize("n", [9, 260])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_raw_dense_input_weighs_like_its_zscored_copy(self, n, p):
+        # run_belief keeps raw rows and z-scores what it reads; the values
+        # read are the copy's, bit for bit.  n = 260 takes the Gram kernel.
+        rng = np.random.default_rng(p)
+        m = 150
+        X = rng.standard_normal((m, n)) * rng.uniform(0.01, 100, n) + rng.uniform(-1e3, 1e3, n)
+        y = rng.integers(0, 3, m)
+        nominal = (0, 5)
+        for j in nominal:
+            X[:, j] = rng.integers(0, 4, m)
+        X[:, 7] = 2.5  # constant
+        kinds = [FeatureKind.NOMINAL if j in nominal else FeatureKind.NUMERIC
+                 for j in range(n)]
+        ds = Dataset(X, y, kinds)
+        cfg = SelectorConfig(n_select=4, partitions=p, sample_rate=0.4, batches=2,
+                             theta=0.5, seed=p)
+        raw = run_belief(ds, cfg)
+        copy = run_belief(zscore_normalize(ds), cfg)
+        assert np.array_equal(raw.weights.values, copy.weights.values)
+        assert raw.selected_features() == copy.selected_features()
+
+    def test_dense_run_holds_no_copy_of_the_input(self):
+        # numpy reports its buffers to tracemalloc.  Search holds a few
+        # row tiles, estimation its gather chunks; neither a z-scored copy
+        # (32 MB here) nor a (queries x partition rows) distance block.
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((20000, 200))
+        ds = Dataset(X, rng.integers(0, 2, 20000), [FeatureKind.NUMERIC] * 200)
+        tracemalloc.start()
+        try:
+            run_belief(ds, SelectorConfig(n_select=5, sample_rate=0.002, theta=0.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 2
 
     def test_zero_theta_skips_collision_tracking(self):
         ds = gaussian_classes(2)
