@@ -25,6 +25,9 @@ __all__ = [
     "mrmr_select",
 ]
 
+# Byte budget of the block of float columns mrmr discretizes at a time.
+_COLUMN_BLOCK_BYTES = 1 << 22
+
 
 @dataclass
 class ContingencyTable:
@@ -99,8 +102,13 @@ def mrmr_select(dataset: Dataset, n_select: int, bins: int = 10) -> RankingResul
     n = dataset.n_features
     if not 1 <= n_select <= n:
         raise DataError(f"selection size {n_select} not in 1..{n}")
+    # Columns are read a block at a time, so the float values never sit
+    # next to all the codes at once.
+    width = max(1, _COLUMN_BLOCK_BYTES // (8 * max(dataset.n_instances, 1)))
     codes = [_feature_codes(col, kind, bins)
-             for col, kind in zip(dataset.columns(range(n)), dataset.kinds)]
+             for a in range(0, n, width)
+             for col, kind in zip(dataset.columns(range(a, min(a + width, n))),
+                                  dataset.kinds[a:a + width])]
     labels = dataset.labels
     relevance = np.array([mutual_information(codes[j], labels) for j in range(n)])
 

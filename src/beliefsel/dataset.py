@@ -11,17 +11,17 @@ order); labels are integer class ids ``0..n_classes-1``.  Sparse rows are
 CSR arrays (``SparseRows``), z-scored lazily at distance time through the
 recorded per-feature statistics, so sparsity is never destroyed.
 
-Dense rows can be read the same way.  ``zscore_normalize(..., copy=False)``
-(what ``run_belief`` calls) computes the statistics only and keeps the rows
-raw; every reader then z-scores what it reads through
-``FeatureSpace.scaled`` as ``(x - mean) / std``, one ``np.subtract`` and one
-``np.divide``.  Those are the same two correctly rounded operations that
-write ``zscore_normalize``'s copy, so every value read keeps its bits and no
-(m x n) copy of the input is ever made.  The neighbor search streams each
-partition through z-scored row tiles (see ``neighbors``); estimation reads
-its gathers through the same method.  Tiles are consecutive rows, a
-multiple of 8 rows high with the partition spread evenly over them, which
-kept the Gram matmul's bits equal to a whole-partition product on OpenBLAS.
+Dense rows can be read the same way.  ``run_belief`` computes the z-score
+statistics only (``_zscore_on_read``) and keeps the rows raw; every reader
+then z-scores what it reads through ``FeatureSpace.scaled`` as
+``(x - mean) / std``, one ``np.subtract`` and one ``np.divide``.  Those are
+the same two correctly rounded operations that write ``zscore_normalize``'s
+copy, so every value read keeps its bits and selection makes no (m x n)
+copy of the input.  The neighbor search streams each partition through
+z-scored row tiles (see ``neighbors``); estimation reads its gathers
+through the same method.  Tiles are consecutive rows, a multiple of 8 rows
+high with the partition spread evenly over them, which kept the Gram
+matmul's bits equal to a whole-partition product on OpenBLAS.
 """
 
 from __future__ import annotations
@@ -156,9 +156,9 @@ class Dataset:
         ``scale_on_read`` is True when the rows are stored raw and the
         recorded ``means``/``stds`` are applied as they are read: always so
         for sparse rows with statistics, and for dense rows only when asked
-        (``zscore_normalize(..., copy=False)`` does).  Otherwise the stored
-        rows are read as they are, so a dense dataset that is already
-        z-scored (``zscore_normalize``'s copy, or a caller's rows passed with
+        (``run_belief`` does).  Otherwise the stored rows are read as they
+        are, so a dense dataset that is already z-scored
+        (``zscore_normalize``'s copy, or a caller's rows passed with
         ``normalized=True``) is never transformed twice.
     """
 
@@ -291,7 +291,8 @@ class Dataset:
             out = np.zeros((uniq.size, self.n_instances))
             out[at[hit], np.searchsorted(self.rows.indptr, hit, side="right") - 1] = \
                 self.rows.data[hit]
-            out = out[inverse]
+            if not np.array_equal(uniq, feats):  # repeated or out of order
+                out = out[inverse]
         else:
             out = self.rows.T[feats]
         if self.scale_on_read:
@@ -542,24 +543,45 @@ def _map_pool(fn, items, workers: int) -> list:
 _STATS_BYTES = 1 << 20
 
 
-def zscore_normalize(dataset: Dataset, workers: int = 1, copy: bool = True) -> Dataset:
+def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
     """Z-score numeric features with population statistics.
 
     Constant features get a recorded standard deviation of 1, which sends
     their values to exactly 0.  Dense statistics come from column blocks of
-    at most ``_STATS_BYTES`` (at least one column), run in a pool of
-    min(``workers``, 8) threads.  With ``copy`` (the default) the dense
-    values are then materialized in one new array, written in row blocks of
-    the same budget on the same pool, so memory is one copy of the input
-    plus one block per thread.  Without it the rows are shared, raw, and
-    z-scored as they are read (``Dataset.scale_on_read``): ``run_belief``
-    uses only the statistics this way.  Results do not depend on
-    ``workers``.  Sparse rows are always shared with the output, raw, and
-    the transform is applied lazily through the recorded statistics (absent
-    entries count as raw zeros).  Nominal features pass through unchanged.
-    A numeric feature holding a NaN or an infinity (or values whose sum
-    overflows) raises ``DataError`` naming the lowest such feature.
+    at most ``_STATS_BYTES`` (at least one column) and the values are then
+    materialized in one new array, written in row blocks of the same
+    budget; both run in a pool of min(``workers``, 8) threads, so memory is
+    one copy of the input plus one block per thread.  ``run_belief`` uses
+    only the statistics: it keeps dense rows raw and z-scores them as they
+    are read (``_zscore_on_read``).  Results do not depend on ``workers``.
+    Sparse rows are shared with the output, raw, and the transform is
+    applied lazily through the recorded statistics (absent entries count as
+    raw zeros).  Nominal features pass through unchanged.  A numeric feature
+    holding a NaN or an infinity (or values whose sum overflows) raises
+    ``DataError`` naming the lowest such feature.
     """
+    lazy = _zscore_on_read(dataset, workers)
+    if dataset.is_sparse:
+        return lazy
+    rows, mean, std = dataset.rows, lazy.means, lazy.stds
+    # Nominal columns have mean 0 and std 1, so (x - 0) / 1 keeps them exact.
+    X = np.empty_like(rows)
+    height = max(1, _STATS_BYTES // (8 * max(dataset.n_features, 1)))
+
+    def write(a):
+        out = X[a:a + height]
+        np.subtract(rows[a:a + height], mean, out=out)
+        np.divide(out, std, out=out)
+
+    _map_pool(write, range(0, dataset.n_instances, height), workers)
+    return Dataset(X, lazy.labels, dataset.kinds,
+                   n_classes=dataset.n_classes, means=mean, stds=std, normalized=True)
+
+
+def _zscore_on_read(dataset: Dataset, workers: int = 1) -> Dataset:
+    """``dataset`` with its z-score statistics recorded and its rows shared,
+    raw, to be z-scored as they are read (``Dataset.scale_on_read``): the
+    statistics ``zscore_normalize`` computes, without its copy."""
     m = dataset.n_instances
     if m == 0:
         raise DataError("cannot normalize an empty dataset")
@@ -576,26 +598,11 @@ def zscore_normalize(dataset: Dataset, workers: int = 1, copy: bool = True) -> D
         std[std == 0.0] = 1.0
         # Stored rows stay raw, so z-scoring the effective values collapses
         # to the raw-value transform; prior statistics drop out.
-        return Dataset(dataset.rows, dataset.labels.copy(), dataset.kinds,
-                       n_classes=dataset.n_classes, means=mean, stds=std, normalized=True)
-    rows = dataset.rows
-    mean, std = _dense_statistics(dataset, workers)
-    if not copy:
-        return Dataset(rows, dataset.labels.copy(), dataset.kinds,
-                       n_classes=dataset.n_classes, means=mean, stds=std,
-                       normalized=True, scale_on_read=True)
-    # Nominal columns have mean 0 and std 1, so (x - 0) / 1 keeps them exact.
-    X = np.empty_like(rows)
-    height = max(1, _STATS_BYTES // (8 * max(dataset.n_features, 1)))
-
-    def write(a):
-        out = X[a:a + height]
-        np.subtract(rows[a:a + height], mean, out=out)
-        np.divide(out, std, out=out)
-
-    _map_pool(write, range(0, m, height), workers)
-    return Dataset(X, dataset.labels.copy(), dataset.kinds,
-                   n_classes=dataset.n_classes, means=mean, stds=std, normalized=True)
+    else:
+        mean, std = _dense_statistics(dataset, workers)
+    return Dataset(dataset.rows, dataset.labels.copy(), dataset.kinds,
+                   n_classes=dataset.n_classes, means=mean, stds=std,
+                   normalized=True, scale_on_read=True)
 
 
 def _dense_statistics(dataset: Dataset, workers: int):

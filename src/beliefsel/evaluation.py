@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, FeatureSpace, zscore_normalize
+from .dataset import Dataset, FeatureSpace, _zscore_on_read
 from .errors import DataError
 from .neighbors import _QUERY_CHUNK, _dense_distances_subtract, _top_k
 
@@ -31,7 +31,7 @@ def _aligned_matrices(train: Dataset, test: Dataset, features: Sequence[int]):
             raise DataError(f"feature index {j} out of range")
     if train.n_features != test.n_features:
         raise DataError("train and test feature spaces differ")
-    tr = train if train.normalized else zscore_normalize(train, copy=False)
+    tr = train if train.normalized else _zscore_on_read(train)
     # Column-major, so the kernel sums each distance a feature column at a time.
     Xtr = tr.columns(features).T
     Xte = test.columns(features).T

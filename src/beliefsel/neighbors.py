@@ -70,11 +70,13 @@ GRAM_MIN_FEATURES = 256
 _QUERY_CHUNK = 128
 
 # Byte budget of a dense search tile: a partition's rows are z-scored into a
-# buffer of at most this many bytes, and a block of query distances to them
-# takes about as much again.  On a 10,000 x 500 input searched by two threads
-# (500 queries; 2-vCPU Xeon, numpy 2.4, OpenBLAS on one thread), a run with
-# 4 MiB tiles added about 37 MB to the peak RSS and with 8 MiB tiles about
-# 57 MB; with a z-scored copy and whole-partition distance blocks, 83 MB.
+# buffer of at most this many bytes, and a block of at least _QUERY_CHUNK
+# query distances to them takes at most as much again, which caps a tile at
+# 4096 rows however few the features.  On a 10,000 x 500 input searched by
+# two threads (500 queries; 2-vCPU Xeon, numpy 2.4, OpenBLAS on one
+# thread), a run with 4 MiB tiles added about 37 MB to the peak RSS and
+# with 8 MiB tiles about 57 MB; with a z-scored copy and whole-partition
+# distance blocks, 83 MB.
 _DENSE_TILE_BYTES = 1 << 22
 
 
@@ -202,14 +204,16 @@ def _gram_sq(q_sq, b_sq, out: np.ndarray, scratch: np.ndarray) -> None:
 def _tile_height(rows: int, n_features: int) -> int:
     """Height of the dense search's row tiles over a partition of ``rows``.
 
-    A tile of ``_DENSE_TILE_BYTES`` (a multiple of 8 rows, at least 8) sets
-    the tile count; the rows are then spread evenly over that many tiles,
-    each a multiple of 8 rows but the last.  On OpenBLAS 0.3.31 a matmul
+    A tile of at most ``_DENSE_TILE_BYTES`` whose distances to
+    ``_QUERY_CHUNK`` queries fit the same budget (a multiple of 8 rows, at
+    least 8) sets the tile count; the rows are then spread evenly over that
+    many tiles, each a multiple of 8 rows but the last.  On OpenBLAS 0.3.31 a matmul
     against a tile so cut gave the same bits as against the whole partition
     on the benchmark shapes, while a narrow last tile (under ≈200 rows) or a
     height off the multiple of 8 moved some entries in their last bits.
     """
-    cap = max(8, _DENSE_TILE_BYTES // (8 * max(n_features, 1)) // 8 * 8)
+    widest = max(n_features, _QUERY_CHUNK)
+    cap = max(8, _DENSE_TILE_BYTES // (8 * widest) // 8 * 8)
     tiles = max(1, -(-rows // cap))
     return -(-rows // (8 * tiles)) * 8
 
@@ -279,37 +283,29 @@ def _top_k(dc: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(idx, order, axis=1)
 
 
-def _merge_into(rows, dist, qi, new_rows, new_dist, k: int) -> None:
-    """Merge candidates (query ``qi``, ascending; row; distance) into the
-    running (queries, k) best lists ``rows``/``dist``, in place, by
-    (distance, row id): the rule ``neighborhood`` applies across
-    partitions.  Each query's candidates are laid out after its k slots,
-    padded with (-1, +inf), and every row of that block sorted at once."""
-    q = rows.shape[0]
-    count = np.bincount(qi, minlength=q)
-    slot = k + np.arange(qi.size) - np.repeat(np.cumsum(count) - count, count)
-    all_rows = np.full((q, k + int(count.max())), -1, dtype=np.int64)
-    all_dist = np.full(all_rows.shape, np.inf)
-    all_rows[:, :k], all_dist[:, :k] = rows, dist
-    all_rows[qi, slot], all_dist[qi, slot] = new_rows, new_dist
-    keep = np.lexsort((all_rows, all_dist), axis=-1)[:, :k]
-    rows[:] = np.take_along_axis(all_rows, keep, axis=1)
-    dist[:] = np.take_along_axis(all_dist, keep, axis=1)
+def _keep_k(rows: np.ndarray, dist: np.ndarray, k: int):
+    """The first k entries of each (..., candidates) list by (distance, row
+    id), as (rows, dist).  Padding (-1, +inf) sorts after every finite
+    distance.  Tiles merge into a partition's lists, and partitions into
+    the table, by this one rule."""
+    keep = np.lexsort((rows, dist), axis=-1)[..., :k]
+    return (np.take_along_axis(rows, keep, axis=-1),
+            np.take_along_axis(dist, keep, axis=-1))
 
 
-def _emit_top_k(rows, dist, d: np.ndarray, first: int, members: dict,
-                lo: int, hi: int, k: int) -> None:
-    """Fold the distances ``d`` from queries lo:hi to the consecutive block
-    rows first, first + 1, ... into their running best lists, class by
-    class.  ``members`` holds each class's block positions, ascending.
+def _merge_step(rows, dist, d: np.ndarray, first: int, members: dict, k: int):
+    """Merge the distances ``d`` from a group of queries to the consecutive
+    block rows first, first + 1, ... into the group's running (query,
+    class, k) lists ``rows``/``dist``, in place, class by class.
+    ``members`` holds each class's block positions, ascending.
 
-    The first step that holds a class fills its lists with ``_top_k``.
-    Steps run in ascending row order, so later a row of ``d`` can only
-    enter a best list by beating its k-th distance outright.  When at most
-    k entries per query do, on average, they are merged as they are; else
-    (while the lists still hold padding) ``_top_k`` picks each query's k
-    first.  All three give the same lists.
+    Steps come in ascending row order, so an entry can enter a list only
+    by beating its k-th distance (+inf while the list has room).  When no
+    more than k entries per query do so, on average, those are merged;
+    otherwise (the first step that holds a class) each query's ``_top_k``
+    is.  Either way one ``_keep_k`` sorts the lists with their candidates.
     """
+    q = d.shape[0]
     for c, cand in members.items():
         cand = cand[np.searchsorted(cand, first):np.searchsorted(cand, first + d.shape[1])]
         if cand.size == 0:
@@ -317,20 +313,20 @@ def _emit_top_k(rows, dist, d: np.ndarray, first: int, members: dict,
         # take() copies in C order, where d[:, cand] would come back
         # column-major and argpartition would walk each row with a stride.
         dc = np.take(d, cand - first, axis=1)
-        best_rows, best_dist = rows[lo:hi, c], dist[lo:hi, c]
-        if np.isinf(best_dist[:, 0]).all():  # nothing to merge with yet
+        beats = dc < dist[:, c, -1:]
+        if np.count_nonzero(beats) > k * q:
             top = _top_k(dc, k)
-            best_rows[:, :top.shape[1]] = cand[top]
-            best_dist[:, :top.shape[1]] = np.take_along_axis(dc, top, axis=1)
-            continue
-        beats = dc < best_dist[:, -1:]
-        if np.count_nonzero(beats) > beats.shape[0] * k:
-            top = _top_k(dc, k)
-            qi, j = np.repeat(np.arange(hi - lo), top.shape[1]), top.ravel()
+            qi, j = np.repeat(np.arange(q), top.shape[1]), top.ravel()
         else:
             qi, j = np.divmod(np.flatnonzero(beats), cand.size)
-        if qi.size:
-            _merge_into(best_rows, best_dist, qi, cand[j], dc[qi, j], k)
+        # Each query's candidates go after its k slots, padded with (-1, +inf).
+        count = np.bincount(qi, minlength=q)
+        slot = k + np.arange(qi.size) - np.repeat(np.cumsum(count) - count, count)
+        all_rows = np.full((q, k + int(count.max())), -1, dtype=np.int64)
+        all_dist = np.full(all_rows.shape, np.inf)
+        all_rows[:, :k], all_dist[:, :k] = rows[:, c], dist[:, c]
+        all_rows[qi, slot], all_dist[qi, slot] = cand[j], dc[qi, j]
+        rows[:, c], dist[:, c] = _keep_k(all_rows, all_dist, k)
 
 
 def _search_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
@@ -352,7 +348,7 @@ def _search_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
         own = np.flatnonzero((own_local[lo:hi] >= first)
                              & (own_local[lo:hi] < first + d.shape[1]))
         d[own, own_local[lo + own] - first] = np.inf
-        _emit_top_k(rows, dist, d, first, members, lo, hi, k)
+        _merge_step(rows[lo:hi], dist[lo:hi], d, first, members, k)
     rows[np.isinf(dist)] = -1
     rows[rows >= 0] += start
     return rows, dist
@@ -378,7 +374,7 @@ def _search_dense(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
 
     Tiles are consecutive row ranges (``_tile_height``) in the outer loop,
     so each is z-scored once per batch; the queries run in groups of
-    ``_QUERY_CHUNK`` multiples that fill about ``_DENSE_TILE_BYTES`` of
+    ``_QUERY_CHUNK`` multiples that fill at most ``_DENSE_TILE_BYTES`` of
     distances.  The Gram matmul of a tile of a multiple of 8 rows takes the
     whole group at once, which gave the same bits as ``_QUERY_CHUNK``
     queries at a time; the last tile of an uneven partition is multiplied
@@ -448,11 +444,11 @@ def neighborhood(pdata: PartitionedDataset, batch: SampleBatch, k: int) -> Neigh
         inst_bytes = SPARSE_NONZERO_BYTES * int(np.diff(ds.rows.indptr)[emitted].sum())
     else:
         inst_bytes = emitted.size * DENSE_VALUE_BYTES * ds.n_features
-    keep = np.lexsort((rows, dist), axis=-1)[..., :k]
+    top_rows, top_dist = _keep_k(rows, dist, k)
     return NeighborTable(
         k=k,
-        rows=np.take_along_axis(rows, keep, axis=-1),
-        dist=np.take_along_axis(dist, keep, axis=-1),
+        rows=top_rows,
+        dist=top_dist,
         emitted_records=emitted.size,
         emitted_bytes=emitted.size * LOCATOR_BYTES,
         full_instance_bytes=inst_bytes,

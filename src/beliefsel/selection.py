@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .dataset import Dataset, draw_sample, partition, zscore_normalize
+from .dataset import Dataset, _zscore_on_read, draw_sample, partition
 from .errors import DataError
 from .estimation import (ClassDistanceStats, WeightVector, belief_weights,
                          estimate_batch, merge_stats)
@@ -151,10 +151,10 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     if dataset.normalized:
-        dataset.checked_sums()  # the finite check zscore_normalize makes
+        dataset.checked_sums()  # the finite check normalizing makes
     # Statistics only: dense rows stay raw and are z-scored as they are read.
     ds = (dataset if dataset.normalized
-          else zscore_normalize(dataset, workers=config.partitions, copy=False))
+          else _zscore_on_read(dataset, workers=config.partitions))
     timings["normalize_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

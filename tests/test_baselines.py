@@ -1,10 +1,12 @@
 """Mutual information, discretization, and the greedy MI baseline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from beliefsel import baselines
 from beliefsel.baselines import (ContingencyTable, discretize_equal_width,
                                  mrmr_select, mutual_information)
 from beliefsel.dataset import Dataset, FeatureKind
@@ -127,6 +129,35 @@ class TestMrmrSelect:
         ds = Dataset(X, y, [FeatureKind.NUMERIC] * 7)
         assert (mrmr_select(ds, 5).selected_features()
                 == mrmr_select(ds, 5).selected_features())
+
+    @pytest.mark.parametrize("budget", [0, 8 * 120 * 3])
+    def test_column_blocks_do_not_change_the_result(self, monkeypatch, budget):
+        # Blocks of one and of three columns cut across the nominal columns.
+        rng = np.random.default_rng(13)
+        y = rng.integers(0, 3, 120)
+        X = rng.standard_normal((120, 8))
+        X[:, [2, 5]] = rng.integers(0, 3, (120, 2))
+        X[:, 6] = y + 0.3 * rng.standard_normal(120)
+        ds = Dataset(X, y, [FeatureKind.NOMINAL if j in (2, 5) else FeatureKind.NUMERIC
+                            for j in range(8)])
+        whole = mrmr_select(ds, 4)
+        monkeypatch.setattr(baselines, "_COLUMN_BLOCK_BYTES", budget)
+        assert mrmr_select(ds, 4).selected == whole.selected
+
+    def test_sparse_columns_are_read_a_block_at_a_time(self):
+        # All 3000 columns as floats next to their codes would take 48 MB.
+        rng = np.random.default_rng(14)
+        m, n = 1000, 3000
+        rows = [(np.sort(rng.choice(n, 5, replace=False)), rng.standard_normal(5))
+                for _ in range(m)]
+        ds = Dataset(rows, rng.integers(0, 2, m), [FeatureKind.NUMERIC] * n)
+        tracemalloc.start()
+        try:
+            mrmr_select(ds, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * m * n + 3 * baselines._COLUMN_BLOCK_BYTES
 
     def test_selection_size_validated(self):
         ds = Dataset(np.zeros((4, 2)), [0, 1, 0, 1], [FeatureKind.NUMERIC] * 2)

@@ -596,11 +596,11 @@ class TestDatasetBasics:
                     Dataset(rows, labels, [])
 
     def test_dense_statistics_are_applied_on_read(self):
-        # zscore_normalize(copy=False) shares the raw rows; every read
-        # z-scores them to the copy's values, bit for bit.
+        # The statistics-only dataset shares the raw rows; every read
+        # z-scores them to zscore_normalize's values, bit for bit.
         ds = make_dense(m=40, n=6, nominal=(2,), seed=3)
         ds.rows[:, 4] *= 1e4
-        copy, lazy = zscore_normalize(ds), zscore_normalize(ds, copy=False)
+        copy, lazy = zscore_normalize(ds), dataset._zscore_on_read(ds)
         assert lazy.rows is ds.rows and lazy.scale_on_read and not copy.scale_on_read
         assert np.array_equal(lazy.means, copy.means) and np.array_equal(lazy.stds, copy.stds)
         assert np.array_equal(lazy.feature_space().scaled(ds.rows), copy.rows)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefsel.dataset import (Dataset, FeatureKind, draw_sample, parse_libsvm,
-                               partition, zscore_normalize)
+from beliefsel.dataset import (Dataset, FeatureKind, _zscore_on_read, draw_sample,
+                               parse_libsvm, partition, zscore_normalize)
 from beliefsel import neighbors
 from beliefsel.errors import DataError
 from beliefsel.neighbors import (GRAM_MIN_FEATURES, LOCATOR_BYTES,
@@ -378,6 +378,26 @@ class TestNeighborhood:
         # products and a few distance arrays, each about the tile budget.
         assert peak <= 2 * ds.rows.data.nbytes + 8 * neighbors._TILE_BYTES
 
+    def test_narrow_dense_search_buffers_stay_in_budget(self):
+        # 100,000 x 4 raw rows in one partition.  Tiles sized by their own
+        # bytes alone would be one 100,000-row tile, and a 128-query block
+        # of distances to it 102 MB.
+        rng = np.random.default_rng(6)
+        m = 100_000
+        ds = Dataset(rng.standard_normal((m, 4)), np.arange(m) % 3, [FeatureKind.NUMERIC] * 4)
+        pdata = partition(_zscore_on_read(ds), 1)
+        batch = draw_sample(pdata, 0.001, 1, seed=0)[0]
+        tracemalloc.start()
+        try:
+            neighborhood(pdata, batch, k=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The class member lists (2.4 MB), then per tile the z-scored rows,
+        # the distance block, a class's copy of it and its argpartition
+        # indices, each within the tile budget.
+        assert peak <= 4 * neighbors._DENSE_TILE_BYTES
+
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("stored", ["raw", "zscored"])
@@ -388,7 +408,7 @@ class TestNeighborhood:
         # than k = 3 or 5.
         monkeypatch.setattr(neighbors, "_DENSE_TILE_BYTES", 0)
         ds = tiled_dataset(70 + p)
-        pdata = partition(zscore_normalize(ds, copy=stored == "zscored"), p)
+        pdata = partition((zscore_normalize if stored == "zscored" else _zscore_on_read)(ds), p)
         assert pdata.dataset.scale_on_read == (stored == "raw")
         batch = draw_sample(pdata, 1.0, 1, seed=p)[0]
         got = assert_matches_oracle(pdata, batch, k)
@@ -404,7 +424,7 @@ class TestNeighborhood:
         monkeypatch.setattr(neighbors, "_DENSE_TILE_BYTES", 0)
         monkeypatch.setattr(neighbors, "GRAM_MIN_FEATURES", 1)
         ds = tiled_dataset(80 + p, lattice=False, twins=False)
-        pdata = partition(zscore_normalize(ds, copy=False), p)
+        pdata = partition(_zscore_on_read(ds), p)
         batch = draw_sample(pdata, 0.5, 1, seed=p)[0]
         assert_matches_oracle(pdata, batch, 3)
 
