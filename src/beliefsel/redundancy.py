@@ -35,7 +35,6 @@ __all__ = [
     "collision_rate",
     "collision_rates",
     "CollisionTables",
-    "RateBlock",
     "RedundancyTable",
     "compute_mcr",
     "eta_tracked",
@@ -46,12 +45,6 @@ COLLISION_SPAN = 6.0
 # Batch 1 tracks all pairs up to this many features; above it, the first
 # batch records marginals only and joint tracking starts at batch 2.
 BOOTSTRAP_TRACK_LIMIT = 5000
-# Queued collision-rate rows are folded once they fill this many bytes.
-# That bounds memory whatever the sample size, and the fold's temporaries
-# (the size of the block) stay in a core's L2 cache: on a Xeon with 2 MiB
-# of L2 per core, 1 MiB blocks folded fastest among 256 KiB..4 MiB on
-# 500- and 4060-feature data.
-_RATE_BLOCK_BYTES = 1 << 20
 # Row-block budget of compute_mcr.
 _MCR_BLOCK_BYTES = 1 << 20
 
@@ -178,39 +171,6 @@ class CollisionTables:
             if r < self.tracked.size and self.tracked[r] == a:
                 total += self.joint[r, b]
         return total
-
-
-class RateBlock:
-    """Collision-rate rows waiting to be folded into one ``CollisionTables``.
-
-    Rows are copied into a preallocated block of ``_RATE_BLOCK_BYTES`` (at
-    least one row), which is folded with ``add_rate_rows`` whenever it
-    fills; ``flush`` folds the rest.  Memory therefore stays bounded
-    whatever the number of pairs.
-    """
-
-    def __init__(self, tables: CollisionTables):
-        self.tables = tables
-        n = tables.n_features
-        self._rows = np.empty((max(1, _RATE_BLOCK_BYTES // (8 * max(n, 1))), n))
-        self._fill = 0
-
-    def push(self, rates: np.ndarray) -> None:
-        """Queue a (pairs, features) block of rate rows."""
-        cap = self._rows.shape[0]
-        while rates.shape[0]:
-            take = min(cap - self._fill, rates.shape[0])
-            self._rows[self._fill:self._fill + take] = rates[:take]
-            self._fill += take
-            rates = rates[take:]
-            if self._fill == cap:
-                self.flush()
-
-    def flush(self) -> None:
-        """Fold every queued row into the tables."""
-        if self._fill:
-            self.tables.add_rate_rows(self._rows[:self._fill])
-            self._fill = 0
 
 
 @dataclass

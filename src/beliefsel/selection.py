@@ -144,6 +144,12 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
     if not 1 <= config.n_select <= dataset.n_features:
         raise DataError(
             f"selection size {config.n_select} not in 1..{dataset.n_features}")
+    if not 0.0 <= config.kappa <= 1.0:
+        raise DataError(f"kappa must be in [0, 1], got {config.kappa}")
+    if not 0.0 <= config.theta < np.inf:
+        raise DataError(f"theta must be finite and >= 0, got {config.theta}")
+    if not 0.0 < config.eta < np.inf:
+        raise DataError(f"eta must be finite and > 0, got {config.eta}")
     present = np.count_nonzero(np.bincount(dataset.labels, minlength=2))
     if present < 2:
         raise DataError(f"weighting needs instances of at least two classes, "

@@ -104,6 +104,12 @@ class TestSelectAndRank:
         data, _ = run_gen(tmp_path)
         assert main(["select", "--input", str(data), "--nfeat", "99"]) == 2
 
+    def test_out_of_range_kappa_is_exit_two(self, tmp_path, capsys):
+        data, _ = run_gen(tmp_path)
+        assert main(["select", "--input", str(data), "--nfeat", "2",
+                     "--kappa", "1.5"]) == 2
+        assert "kappa" in capsys.readouterr().err
+
 
 class TestMrmr:
     def test_selects_and_reports(self, tmp_path):

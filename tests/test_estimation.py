@@ -1,5 +1,7 @@
 """Distance accumulation and weighting against hand-worked values."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -167,16 +169,18 @@ class TestAccumulation:
         # The accumulated sums are the same float additions, in the same
         # order, as this loop: each (sample, class) group adds its slot
         # diffs in slot order, then folds into its class row in (sample,
-        # class) order.  A budget of three samples per gather chunk makes
-        # the fold cross chunks.  One feature with k = 9 gives groups of
-        # eight and more slots, where a pairwise sum would differ.
+        # class) order.  A budget of four pairs per chunk makes groups of
+        # three (k = 3) and nine (k = 9) straddle chunk boundaries, so
+        # their sums carry from one chunk into the next.  One feature with
+        # k = 9 gives groups of eight and more slots, where a pairwise sum
+        # would differ.
         from beliefsel.neighbors import neighborhood
         ds = accumulation_input(kind, 10 * k + p)
         space = ds.feature_space()
         X = space.scaled(ds.rows)
         X = X.to_dense(ds.n_features) if ds.is_sparse else X
         C, n = ds.n_classes, ds.n_features
-        monkeypatch.setattr(estimation, "_GATHER_BYTES", 3 * C * k * n * 8)
+        monkeypatch.setattr(estimation, "_CHUNK_BYTES", 4 * n * 8)
         pdata = partition(ds, p)
         batch = draw_sample(pdata, 0.6, 1, seed=p)[0]
         table = neighborhood(pdata, batch, k)
@@ -186,10 +190,12 @@ class TestAccumulation:
         block = pair_diffs(X[nbrs], X[own], space)
         assert np.array_equal(block, [pair_diffs(X[a], X[b], space)
                                       for a, b in zip(nbrs, own)])
+        straddling = 0
         for g in range(p):
             start, end = pdata.starts[g], pdata.starts[g + 1]
             hit, miss = np.zeros((C, n)), np.zeros((C, n))
             hc, mc = np.zeros(C), np.zeros(C)
+            walked = 0
             for pos, i in enumerate(batch.indices):
                 y = batch.labels[pos]
                 for c in range(C):
@@ -199,11 +205,15 @@ class TestAccumulation:
                         group += pair_diffs(X[r], X[i], space)
                     (hit if c == y else miss)[y] += group
                     (hc if c == y else mc)[y] += len(mine)
+                    if mine and walked // 4 != (walked + len(mine) - 1) // 4:
+                        straddling += 1
+                    walked += len(mine)
             stats = accumulate_partition(pdata, g, batch, table)
             assert np.array_equal(stats.hit_dist, hit)
             assert np.array_equal(stats.miss_dist, miss)
             assert np.array_equal(stats.hit_count, hc)
             assert np.array_equal(stats.miss_count, mc)
+        assert straddling or k not in (3, 9)
 
     def test_missing_bucket_is_integrity_error(self):
         ds = tiny_bits()
@@ -269,6 +279,70 @@ class TestAccumulation:
         accumulate_partition(pdata, 0, batch, table,
                              tracked=np.arange(4), collect_collisions=True)
         assert calls["n"] == without  # rates reuse the diffs already taken
+
+    @pytest.mark.parametrize("n, budget", [(4, 5 * 4 * 8), (2000, None)])
+    def test_pairs_go_through_in_budget_sized_chunks(self, n, budget, monkeypatch):
+        # Chunks hold exactly cap = budget // (8 n) pairs, whatever the
+        # number of samples they span: 5 pairs at n = 4 with a patched
+        # budget, 65 at n = 2000 with the real one.  Chunks sized by
+        # samples would make one pair_diffs call per sample here.
+        if budget is not None:
+            monkeypatch.setattr(estimation, "_CHUNK_BYTES", budget)
+        rng = np.random.default_rng(29)
+        X = rng.standard_normal((120, n))
+        y = rng.integers(0, 2, 120)
+        y[:2] = [0, 1]
+        ds = zscore_normalize(Dataset(X, y, [FeatureKind.NUMERIC] * n))
+        pdata = partition(ds, 2)
+        batch = draw_sample(pdata, 0.8, 1, seed=3)[0]
+        from beliefsel.neighbors import neighborhood
+        table = neighborhood(pdata, batch, 3)
+        sizes = []
+        real = estimation.pair_diffs
+
+        def spy(a, b, space):
+            sizes.append(a.shape[0])
+            return real(a, b, space)
+
+        monkeypatch.setattr(estimation, "pair_diffs", spy)
+        cap = max(1, estimation._CHUNK_BYTES // (8 * n))
+        for g in range(2):
+            sizes.clear()
+            pairs = int(((table.rows >= pdata.starts[g])
+                         & (table.rows < pdata.starts[g + 1])).sum())
+            accumulate_partition(pdata, g, batch, table)
+            assert len(sizes) == -(-pairs // cap) < len(batch)
+            assert sum(sizes) == pairs and max(sizes) == cap
+
+    @pytest.mark.parametrize("collect", [False, True])
+    def test_memory_is_tables_plus_a_few_chunks(self, collect):
+        # numpy reports its buffers to tracemalloc.  3000 x 300 rows read
+        # through the z-scale, half of them sampled: 9000 pairs, 33 chunks
+        # of 436 pairs (about 1 MiB each).  The peak must stay within the
+        # stats and collision tables plus a few chunk-sized buffers and the
+        # per-pair index arrays, not grow with the pair count.
+        from beliefsel.dataset import _zscore_on_read
+        from beliefsel.neighbors import neighborhood
+        rng = np.random.default_rng(37)
+        X = rng.standard_normal((3000, 300))
+        y = rng.integers(0, 2, 3000)
+        ds = _zscore_on_read(Dataset(X, y, [FeatureKind.NUMERIC] * 300))
+        pdata = partition(ds, 1)
+        batch = draw_sample(pdata, 0.5, 1, seed=0)[0]
+        table = neighborhood(pdata, batch, 3)
+        tracked = np.arange(300)
+        tracemalloc.start()
+        try:
+            stats = accumulate_partition(pdata, 0, batch, table, tracked=tracked,
+                                         collect_collisions=collect)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tables = sum(a.nbytes for a in (
+            stats.miss_dist, stats.hit_dist, stats.miss_count, stats.hit_count,
+            stats.collisions.joint, stats.collisions.marginal))
+        assert stats.collisions.pair_count == (9000 if collect else 0)
+        assert peak <= tables + 6 * estimation._CHUNK_BYTES
 
 
 class TestReferenceRules:

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefsel import redundancy
-from beliefsel.dataset import Dataset, FeatureKind
+from beliefsel import estimation, redundancy
+from beliefsel.dataset import (Dataset, FeatureKind, draw_sample, partition,
+                               zscore_normalize)
 from beliefsel.errors import DataError, IntegrityError
+from beliefsel.estimation import accumulate_partition
+from beliefsel.neighbors import NeighborTable, neighborhood, pair_diffs
 from beliefsel.redundancy import (BOOTSTRAP_TRACK_LIMIT, COLLISION_SPAN,
-                                  CollisionTables, RateBlock, bootstrap_tracked,
+                                  CollisionTables, bootstrap_tracked,
                                   collision_rate, collision_rates, compute_mcr,
                                   eta_tracked)
 
@@ -171,33 +174,55 @@ class TestBatchedFold:
         assert t.pair_count == 17
 
     @pytest.mark.parametrize("tracked", TRACKED_SETS)
-    def test_blocks_crossing_the_flush_size(self, tracked, monkeypatch):
-        # Three rows fill the block, so pushes of 1..7 rows cross it at
-        # every offset; the tables must equal the one-pair-at-a-time fold.
-        monkeypatch.setattr(redundancy, "_RATE_BLOCK_BYTES", 3 * 8 * 9)
+    def test_partition_folds_rate_rows_in_budget_blocks(self, tracked, monkeypatch):
+        # A budget of three rows cuts each partition's pairs into 3-pair
+        # chunks; each chunk's rate rows must fold as one add_rate_rows
+        # block, in (sample, class, slot) order, so the tables have the
+        # bits of that fold and match the pair-by-pair oracle.
+        monkeypatch.setattr(estimation, "_CHUNK_BYTES", 3 * 8 * 9)
         rng = np.random.default_rng(12)
-        rows = random_rates(rng, 30, 9)
-        t = CollisionTables.empty(9, tracked)
-        block = RateBlock(t)
-        start = 0
-        for size in (1, 4, 2, 7, 3, 0, 5, 6, 2):
-            block.push(rows[start:start + size])
-            start += size
-        assert start == 30
-        block.flush()
-        one = CollisionTables.empty(9, tracked)
-        for row in rows:
-            one.add_pair_rates(row)
-        want = joint_oracle(rows, tracked, 9)
-        np.testing.assert_allclose(t.joint, want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(one.joint, want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(t.marginal, one.marginal, rtol=0, atol=1e-12)
-        assert t.pair_count == one.pair_count == 30
+        X = rng.standard_normal((40, 9))
+        X[:, [2, 7]] = rng.integers(0, 2, (40, 2))
+        y = rng.integers(0, 3, 40)
+        y[:3] = [0, 1, 2]
+        kinds = [NOM if j in (2, 7) else NUM for j in range(9)]
+        ds = zscore_normalize(Dataset(X, y, kinds))
+        space = ds.feature_space()
+        pdata = partition(ds, 2)
+        batch = draw_sample(pdata, 0.6, 1, seed=1)[0]
+        table = neighborhood(pdata, batch, 3)
+        for g in range(2):
+            mine = (table.rows >= pdata.starts[g]) & (table.rows < pdata.starts[g + 1])
+            i, c, j = np.nonzero(mine)
+            diffs = pair_diffs(ds.rows[table.rows[i, c, j]], batch.rows[i], space)
+            rates = collision_rates(diffs, space, kappa=0.8)
+            assert rates.shape[0] > 6 and rates.any()
+            want = CollisionTables.empty(9, tracked)
+            for lo in range(0, rates.shape[0], 3):
+                want.add_rate_rows(rates[lo:lo + 3])
+            got = accumulate_partition(pdata, g, batch, table, tracked=tracked,
+                                       kappa=0.8, collect_collisions=True).collisions
+            assert np.array_equal(got.joint, want.joint)
+            assert np.array_equal(got.marginal, want.marginal)
+            np.testing.assert_allclose(got.marginal, rates.sum(axis=0),
+                                       rtol=0, atol=1e-12)
+            assert got.pair_count == want.pair_count == rates.shape[0]
+            np.testing.assert_allclose(got.joint, joint_oracle(rates, tracked, 9),
+                                       rtol=0, atol=1e-12)
 
-    def test_flush_without_rows_changes_nothing(self):
-        t = CollisionTables.empty(4, range(4))
-        RateBlock(t).flush()
-        assert t.pair_count == 0 and not t.joint.any()
+    def test_partition_without_pairs_changes_nothing(self):
+        ds = Dataset(np.arange(8.0).reshape(4, 2), [0, 0, 1, 1], [NUM] * 2)
+        pdata = partition(ds, 1)
+        batch = draw_sample(pdata, 1.0, 1, seed=0)[0]
+        shape = (len(batch), 2, 1)
+        table = NeighborTable(k=1, rows=np.full(shape, -1),
+                              dist=np.full(shape, np.inf))
+        stats = accumulate_partition(pdata, 0, batch, table, tracked=range(2),
+                                     collect_collisions=True)
+        assert stats.collisions.pair_count == 0
+        assert stats.collisions.joint.shape == (2, 2)
+        assert not stats.collisions.joint.any()
+        assert not stats.collisions.marginal.any()
 
     def test_block_of_diffs_with_nominal_columns(self):
         rng = np.random.default_rng(13)

@@ -274,6 +274,24 @@ class TestRunBelief:
         with pytest.raises(DataError):
             run_belief(ds, SelectorConfig(n_select=99))
 
+    @pytest.mark.parametrize("bad", [
+        {"kappa": 1.5}, {"kappa": -0.1}, {"kappa": float("nan")},
+        {"theta": float("nan")}, {"theta": float("inf")}, {"theta": -0.5},
+        {"eta": float("nan")}, {"eta": float("inf")}, {"eta": 0.0},
+        {"eta": -1.0}])
+    def test_bad_config_value_is_data_error(self, bad):
+        # kappa outside [0, 1] used to discard every collision, a NaN
+        # theta gave an arbitrary selection, and a NaN eta raised a bare
+        # ValueError from math.ceil.
+        ds = gaussian_classes(6, m=30)
+        with pytest.raises(DataError, match=next(iter(bad))):
+            run_belief(ds, SelectorConfig(n_select=2, **bad))
+
+    def test_config_bounds_are_accepted(self):
+        ds = gaussian_classes(6, m=30)
+        for ok in ({"kappa": 0.0}, {"kappa": 1.0}, {"theta": 0.0}, {"eta": 1e-3}):
+            run_belief(ds, SelectorConfig(n_select=2, **ok))
+
 
 class TestRankingResult:
     def test_json_and_text_forms(self):
