@@ -7,21 +7,19 @@ Responsibilities:
     * draw a uniform sample without replacement and cut it into batches.
 
 Values of nominal features are stored as integer codes (first-appearance
-order); labels are integer class ids ``0..n_classes-1``.  Sparse rows are
-CSR arrays (``SparseRows``), z-scored lazily at distance time through the
-recorded per-feature statistics, so sparsity is never destroyed.
+order); labels are integer class ids ``0..n_classes-1``.
 
-Dense rows can be read the same way.  ``run_belief`` computes the z-score
-statistics only (``_zscore_on_read``) and keeps the rows raw; every reader
-then z-scores what it reads through ``FeatureSpace.scaled`` as
-``(x - mean) / std``, one ``np.subtract`` and one ``np.divide``.  Those are
-the same two correctly rounded operations that write ``zscore_normalize``'s
-copy, so every value read keeps its bits and selection makes no (m x n)
-copy of the input.  The neighbor search streams each partition through
-z-scored row tiles (see ``neighbors``); estimation reads its gathers
-through the same method.  Tiles are consecutive rows, a multiple of 8 rows
-high with the partition spread evenly over them, which kept the Gram
-matmul's bits equal to a whole-partition product on OpenBLAS.
+``zscore_normalize`` records the z-score statistics only and keeps the rows,
+dense or sparse, raw.  A dataset whose statistics are recorded is read
+through them: dense rows as ``(x - mean) / std`` by ``FeatureSpace.scaled``,
+one ``np.subtract`` and one ``np.divide`` per value, and sparse values
+multiplied by ``1 / std`` at distance time, so sparsity is never
+destroyed.  Selection therefore makes no (m x n) copy of the input.  The
+neighbor search streams each partition through z-scored row tiles (see
+``neighbors``); estimation reads its gathers through the same method.
+Tiles are consecutive rows, a multiple of 8 rows high with the partition
+spread evenly over them, which kept the Gram matmul's bits equal to a
+whole-partition product on OpenBLAS.
 """
 
 from __future__ import annotations
@@ -150,20 +148,17 @@ class Dataset:
         Integer class ids in ``0..n_classes-1``.
     kinds : sequence of FeatureKind
         Per-feature kind; sparse datasets must be all numeric.
-    means, stds, normalized, scale_on_read
+    means, stds, normalized
         ``normalized`` means the values read out of the dataset (through
         ``feature_space().scaled``, ``column`` or ``columns``) are z-scored.
-        ``scale_on_read`` is True when the rows are stored raw and the
-        recorded ``means``/``stds`` are applied as they are read: always so
-        for sparse rows with statistics, and for dense rows only when asked
-        (``run_belief`` does).  Otherwise the stored rows are read as they
-        are, so a dense dataset that is already z-scored
-        (``zscore_normalize``'s copy, or a caller's rows passed with
-        ``normalized=True``) is never transformed twice.
+        Recorded statistics (both or neither, finite, one per feature, every
+        std > 0, on a normalized dataset only) mean the rows are stored raw
+        and read as ``(x - mean) / std``; a normalized dataset without them
+        holds rows already on the z-scale, read as they are.
     """
 
     def __init__(self, rows, labels, kinds, n_classes=None,
-                 means=None, stds=None, normalized=False, scale_on_read=False):
+                 means=None, stds=None, normalized=False):
         labels = np.asarray(labels, dtype=np.int64)
         if isinstance(rows, np.ndarray):
             rows = np.ascontiguousarray(rows, dtype=np.float64)
@@ -217,11 +212,22 @@ class Dataset:
             int(labels.max()) + 1 if m else 0)
         if m and labels.max() >= self.n_classes:
             raise DataError("label id outside 0..n_classes-1")
+        if (means is None) != (stds is None):
+            raise DataError("means and stds must be given together")
+        if stds is not None:
+            means = np.asarray(means, dtype=np.float64)
+            stds = np.asarray(stds, dtype=np.float64)
+            if means.shape != (n,) or stds.shape != (n,):
+                raise DataError(f"means and stds must each hold {n} values")
+            if not (np.isfinite(means).all() and np.isfinite(stds).all()):
+                raise DataError("means and stds must be finite")
+            if not (stds > 0).all():
+                raise DataError("every std must be > 0")
+            if not normalized:
+                raise DataError("statistics are recorded only on a normalized dataset")
         self.means = means
         self.stds = stds
         self.normalized = bool(normalized)
-        self.scale_on_read = (self.normalized and stds is not None
-                              and (self._sparse or bool(scale_on_read)))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -245,12 +251,12 @@ class Dataset:
 
     def feature_space(self) -> FeatureSpace:
         mask = self.numeric_mask()
-        dense_stats = self.scale_on_read and not self._sparse
+        dense_stats = self.stds is not None and not self._sparse
         return FeatureSpace(
             n_features=self.n_features,
             numeric_idx=np.flatnonzero(mask),
             nominal_idx=np.flatnonzero(~mask),
-            inv_scale=1.0 / self.stds if self.scale_on_read and self._sparse else None,
+            inv_scale=1.0 / self.stds if self.stds is not None and self._sparse else None,
             means=self.means if dense_stats else None,
             stds=self.stds if dense_stats else None,
         )
@@ -276,8 +282,8 @@ class Dataset:
     def columns(self, features: Sequence[int]) -> np.ndarray:
         """Effective values of the given features, one row per requested
         feature: row i equals ``column(features[i])``.  Sparse entries are
-        read in one pass, whatever the number of features.  With
-        ``scale_on_read`` each value is read as ``(x - mean) / std``."""
+        read in one pass, whatever the number of features.  With recorded
+        statistics each value is read as ``(x - mean) / std``."""
         feats = np.asarray(features, dtype=np.int64).reshape(-1)
         bad = feats[(feats < 0) | (feats >= self.n_features)]
         if bad.size:
@@ -295,7 +301,7 @@ class Dataset:
                 out = out[inverse]
         else:
             out = self.rows.T[feats]
-        if self.scale_on_read:
+        if self.stds is not None:
             out -= self.means[feats, None]
             out /= self.stds[feats, None]
         return out
@@ -308,8 +314,7 @@ class Dataset:
         return Dataset(self.rows[indices], self.labels[indices], self.kinds,
                        n_classes=self.n_classes, normalized=self.normalized,
                        means=None if self.means is None else self.means.copy(),
-                       stds=None if self.stds is None else self.stds.copy(),
-                       scale_on_read=self.scale_on_read)
+                       stds=None if self.stds is None else self.stds.copy())
 
 
 # -- parsing and serialization --------------------------------------------
@@ -538,50 +543,26 @@ def _map_pool(fn, items, workers: int) -> list:
 
 # -- normalization ---------------------------------------------------------
 
-# Block budget of dense z-scoring (column blocks for the statistics, row
-# blocks for the write) and of the sparse search's query buffer and tiles.
+# Block budget of the dense statistics' column blocks and of the sparse
+# search's query buffer and tiles.
 _STATS_BYTES = 1 << 20
 
 
 def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
-    """Z-score numeric features with population statistics.
+    """``dataset`` with its z-score statistics (population) recorded and its
+    rows, dense or sparse, shared raw, to be z-scored as they are read.
 
     Constant features get a recorded standard deviation of 1, which sends
     their values to exactly 0.  Dense statistics come from column blocks of
-    at most ``_STATS_BYTES`` (at least one column) and the values are then
-    materialized in one new array, written in row blocks of the same
-    budget; both run in a pool of min(``workers``, 8) threads, so memory is
-    one copy of the input plus one block per thread.  ``run_belief`` uses
-    only the statistics: it keeps dense rows raw and z-scores them as they
-    are read (``_zscore_on_read``).  Results do not depend on ``workers``.
-    Sparse rows are shared with the output, raw, and the transform is
-    applied lazily through the recorded statistics (absent entries count as
-    raw zeros).  Nominal features pass through unchanged.  A numeric feature
-    holding a NaN or an infinity (or values whose sum overflows) raises
-    ``DataError`` naming the lowest such feature.
+    at most ``_STATS_BYTES`` (at least one column), run in a pool of
+    min(``workers``, 8) threads, so memory is one block per thread; results
+    do not depend on ``workers``.  Nominal features get mean 0 and std 1,
+    which reads them unchanged.  Absent sparse entries count as raw zeros.
+    Statistics come from the stored rows, so normalizing again records the
+    same ones.  A numeric feature holding a NaN or an infinity (or values
+    whose sum overflows) raises ``DataError`` naming the lowest such
+    feature.
     """
-    lazy = _zscore_on_read(dataset, workers)
-    if dataset.is_sparse:
-        return lazy
-    rows, mean, std = dataset.rows, lazy.means, lazy.stds
-    # Nominal columns have mean 0 and std 1, so (x - 0) / 1 keeps them exact.
-    X = np.empty_like(rows)
-    height = max(1, _STATS_BYTES // (8 * max(dataset.n_features, 1)))
-
-    def write(a):
-        out = X[a:a + height]
-        np.subtract(rows[a:a + height], mean, out=out)
-        np.divide(out, std, out=out)
-
-    _map_pool(write, range(0, dataset.n_instances, height), workers)
-    return Dataset(X, lazy.labels, dataset.kinds,
-                   n_classes=dataset.n_classes, means=mean, stds=std, normalized=True)
-
-
-def _zscore_on_read(dataset: Dataset, workers: int = 1) -> Dataset:
-    """``dataset`` with its z-score statistics recorded and its rows shared,
-    raw, to be z-scored as they are read (``Dataset.scale_on_read``): the
-    statistics ``zscore_normalize`` computes, without its copy."""
     m = dataset.n_instances
     if m == 0:
         raise DataError("cannot normalize an empty dataset")
@@ -596,13 +577,11 @@ def _zscore_on_read(dataset: Dataset, workers: int = 1) -> Dataset:
         var += (m - np.bincount(idx, minlength=n)) * (mean * mean)
         std = np.sqrt(var / m)
         std[std == 0.0] = 1.0
-        # Stored rows stay raw, so z-scoring the effective values collapses
-        # to the raw-value transform; prior statistics drop out.
     else:
         mean, std = _dense_statistics(dataset, workers)
     return Dataset(dataset.rows, dataset.labels.copy(), dataset.kinds,
                    n_classes=dataset.n_classes, means=mean, stds=std,
-                   normalized=True, scale_on_read=True)
+                   normalized=True)
 
 
 def _dense_statistics(dataset: Dataset, workers: int):

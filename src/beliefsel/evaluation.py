@@ -1,28 +1,33 @@
 """Classifier-based evaluation of feature selections.
 
-A small k-nearest-neighbor classifier (same distance metric as the search
-engine, majority vote) plus stratified cross-validation that reruns the
-selection inside every training fold, so test labels can never leak into
-the selection step.
+A small k-nearest-neighbor classifier plus stratified cross-validation
+that reruns the selection inside every training fold, so test labels can
+never leak into the selection step.  The classifier runs on the selector's
+dense search: the same row-tile loop (``neighbors._search_dense``), the
+same distances (the Gram kernel from ``GRAM_MIN_FEATURES`` selected
+features on) and the same (distance, row id) merge, over one class that
+holds every training row; a majority vote then labels each test row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, FeatureSpace, _zscore_on_read
+from .dataset import Dataset, FeatureSpace, zscore_normalize
 from .errors import DataError
-from .neighbors import _QUERY_CHUNK, _dense_distances_subtract, _top_k
+from .neighbors import _merge_step, _search_dense
 
 __all__ = ["knn_classify", "evaluate", "cross_validate", "stratified_folds"]
 
 
 def _aligned_matrices(train: Dataset, test: Dataset, features: Sequence[int]):
-    """Dense effective matrices over the feature subset, test rows scaled
-    with the training statistics."""
+    """Dense effective matrices over the feature subset (a test set that is
+    not normalized is scaled with the training statistics), the training
+    labels, and the subset's ``FeatureSpace``, which reads rows as they
+    are.  A NaN or an infinity in either matrix raises ``DataError``."""
     features = list(int(j) for j in features)
     if not features:
         raise DataError("empty feature subset")
@@ -31,18 +36,24 @@ def _aligned_matrices(train: Dataset, test: Dataset, features: Sequence[int]):
             raise DataError(f"feature index {j} out of range")
     if train.n_features != test.n_features:
         raise DataError("train and test feature spaces differ")
-    tr = train if train.normalized else _zscore_on_read(train)
+    if train.n_instances == 0:
+        raise DataError("empty training set")
+    tr = train if train.normalized else zscore_normalize(train)
+    nominal = ~train.numeric_mask()[features]
+    space = FeatureSpace(n_features=len(features), numeric_idx=np.flatnonzero(~nominal),
+                         nominal_idx=np.flatnonzero(nominal), inv_scale=None)
     # Column-major, so the kernel sums each distance a feature column at a time.
     Xtr = tr.columns(features).T
     Xte = test.columns(features).T
-    if not test.normalized and tr.means is not None:
-        numeric = train.numeric_mask()
-        for pos, j in enumerate(features):
-            if numeric[j]:
-                Xte[:, pos] = (Xte[:, pos] - tr.means[j]) / tr.stds[j]
-    nominal = ~train.numeric_mask()
-    nom_cols = np.array([nominal[j] for j in features], dtype=bool)
-    return Xtr, Xte, nom_cols, tr.labels
+    if not test.normalized and tr.stds is not None:
+        replace(space, means=tr.means[features],
+                stds=tr.stds[features]).scaled(Xte, out=Xte)
+    for name, X in (("train", Xtr), ("test", Xte)):
+        bad = np.argwhere(~np.isfinite(X))
+        if bad.size:  # it would never enter a neighbor list
+            raise DataError(f"{name} row {bad[0, 0]}: non-finite value in "
+                            f"feature {features[bad[0, 1]]}")
+    return Xtr, Xte, tr.labels, space
 
 
 def knn_classify(train: Dataset, test: Dataset, k: int,
@@ -51,19 +62,22 @@ def knn_classify(train: Dataset, test: Dataset, k: int,
 
     Neighbor order breaks distance ties by training row index; a tied vote
     goes to the tied class that appears earliest in that neighbor order.
+    A NaN or an infinity among the values read raises ``DataError``.
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-    Xtr, Xte, nom_cols, ytr = _aligned_matrices(train, test, features)
-    space = FeatureSpace(n_features=nom_cols.size, numeric_idx=np.flatnonzero(~nom_cols),
-                         nominal_idx=np.flatnonzero(nom_cols), inv_scale=None)
-    k = min(k, Xtr.shape[0])
+    Xtr, Xte, ytr, space = _aligned_matrices(train, test, features)
+    m = Xtr.shape[0]
+    k = min(k, m)
+    rows = np.full((Xte.shape[0], 1, k), -1, dtype=np.int64)
+    dist = np.full(rows.shape, np.inf)
+    every = {0: np.arange(m)}
+    for first, lo, hi, d in _search_dense(Xtr, 0, m, Xte, space):
+        _merge_step(rows[lo:hi], dist[lo:hi], d, first, every, k)
     preds = np.empty(Xte.shape[0], dtype=np.int64)
-    for lo in range(0, Xte.shape[0], _QUERY_CHUNK):
-        sq = _dense_distances_subtract(Xte[lo:lo + _QUERY_CHUNK], Xtr, space)
-        for i, order in enumerate(_top_k(sq, k), start=lo):
-            votes = np.bincount(ytr[order])
-            preds[i] = next(c for c in ytr[order] if votes[c] == votes.max())
+    for i, near in enumerate(ytr[rows[:, 0]]):
+        votes = np.bincount(near)
+        preds[i] = next(c for c in near if votes[c] == votes.max())
     return preds
 
 

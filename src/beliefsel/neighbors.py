@@ -176,16 +176,6 @@ def _subtract_sq(Qn: np.ndarray, Bn: np.ndarray, out: np.ndarray) -> None:
         d.sum(axis=1, out=out[i])
 
 
-def _dense_distances_subtract(Q, block, space: FeatureSpace) -> np.ndarray:
-    """Squared distances between dense rows, by ``_subtract_sq`` plus the
-    nominal term."""
-    out = np.empty((Q.shape[0], block.shape[0]))
-    _subtract_sq(_numeric_cols(Q, space), _numeric_cols(block, space), out)
-    if not space.all_numeric:
-        _add_mismatches(out, Q[:, space.nominal_idx], block[:, space.nominal_idx])
-    return out
-
-
 def _gram_sq(q_sq, b_sq, out: np.ndarray, scratch: np.ndarray) -> None:
     """(||q||^2 + ||b||^2) - 2 q.b over numeric columns, clipped at 0, in
     place on ``out``, which holds the matmul q.b on entry; ``scratch`` is

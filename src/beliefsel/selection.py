@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .dataset import Dataset, _zscore_on_read, draw_sample, partition
+from .dataset import Dataset, draw_sample, partition, zscore_normalize
 from .errors import DataError
 from .estimation import (ClassDistanceStats, WeightVector, belief_weights,
                          estimate_batch, merge_stats)
@@ -160,7 +160,7 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
         dataset.checked_sums()  # the finite check normalizing makes
     # Statistics only: dense rows stay raw and are z-scored as they are read.
     ds = (dataset if dataset.normalized
-          else _zscore_on_read(dataset, workers=config.partitions))
+          else zscore_normalize(dataset, workers=config.partitions))
     timings["normalize_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -224,7 +224,7 @@ class TestZscore:
                      [FeatureKind.NUMERIC])
         out = zscore_normalize(ds)
         root = math.sqrt(1.5)
-        np.testing.assert_allclose(out.rows[:, 0], [-root, 0.0, root],
+        np.testing.assert_allclose(out.column(0), [-root, 0.0, root],
                                    rtol=0, atol=1e-15)
         assert out.means[0] == 4.0
         np.testing.assert_allclose(out.stds[0], math.sqrt(8.0 / 3.0))
@@ -240,22 +240,24 @@ class TestZscore:
         X = np.column_stack([np.full(5, 7.0), np.arange(5.0)])
         ds = Dataset(X, [0, 1, 0, 1, 0], [FeatureKind.NUMERIC] * 2)
         out = zscore_normalize(ds)
-        assert np.all(out.rows[:, 0] == 0.0)
+        assert np.all(out.column(0) == 0.0)
         assert out.stds[0] == 1.0
 
     def test_post_state_and_idempotence(self):
         ds = make_dense(m=40, n=6, seed=1)
         out = zscore_normalize(ds)
         assert out.normalized
-        assert np.all(np.abs(out.rows.mean(axis=0)) < 1e-9)
-        assert np.all(np.abs(out.rows.std(axis=0) - 1.0) < 1e-6)
+        Z = out.feature_space().scaled(out.rows)
+        assert np.all(np.abs(Z.mean(axis=0)) < 1e-9)
+        assert np.all(np.abs(Z.std(axis=0) - 1.0) < 1e-6)
         again = zscore_normalize(out)
-        np.testing.assert_allclose(again.rows, out.rows, atol=1e-9, rtol=0)
+        np.testing.assert_allclose(again.feature_space().scaled(again.rows), Z,
+                                   atol=1e-9, rtol=0)
 
     def test_nominal_untouched(self):
         ds = make_dense(m=20, n=4, nominal=(1,), seed=2)
         out = zscore_normalize(ds)
-        assert np.array_equal(out.rows[:, 1], ds.rows[:, 1])
+        assert np.array_equal(out.column(1), ds.rows[:, 1])
 
     @pytest.mark.parametrize("m", [1, 7, 9000])
     @pytest.mark.parametrize("width", [None, 1, 3])
@@ -268,7 +270,7 @@ class TestZscore:
         before = ds.rows.copy()
         out = zscore_normalize(ds)
         X, mean, std = reference_zscore(ds)
-        assert np.array_equal(out.rows, X)
+        assert np.array_equal(out.feature_space().scaled(out.rows), X)
         assert np.array_equal(out.means, mean)
         assert np.array_equal(out.stds, std)
         assert np.array_equal(ds.rows, before)
@@ -291,10 +293,9 @@ class TestZscore:
     @pytest.mark.parametrize("m, width", [(5, 2), (40, None), (9000, 3)])
     def test_pooled_normalize_matches_single_thread(self, m, width, workers,
                                                     monkeypatch):
-        # (5, 2): five stats blocks and five one-row write blocks, so eight
-        # workers outnumber both the blocks and the rows.  (40, None): one
-        # block of each, which stays on the calling thread.  (9000, 3):
-        # three stats blocks and four write blocks of 2454 rows.
+        # (5, 2): five stats blocks, so eight workers outnumber the blocks.
+        # (40, None): one block, which stays on the calling thread.
+        # (9000, 3): three stats blocks of four columns or fewer.
         if width is not None:
             monkeypatch.setattr(dataset, "_STATS_BYTES", 8 * m * width)
         ds = mixed_dense(m, 11, seed=m)
@@ -302,7 +303,7 @@ class TestZscore:
         out = zscore_normalize(ds, workers=workers)
         X, mean, std = reference_zscore(ds)
         for got in (one, out):
-            assert np.array_equal(got.rows, X)
+            assert np.array_equal(got.feature_space().scaled(got.rows), X)
             assert np.array_equal(got.means, mean)
             assert np.array_equal(got.stds, std)
 
@@ -324,7 +325,7 @@ class TestZscore:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pooled_normalize_holds_one_stats_block_per_worker(self, workers):
         # Each thread holds one statistics block at a time (the variance
-        # reuses it) and writes its rows straight into the output.
+        # reuses it); the rows are shared, not copied.
         ds = make_dense(m=20000, n=60, nominal=(3, 40), seed=9)
         tracemalloc.start()
         try:
@@ -332,20 +333,21 @@ class TestZscore:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= ds.rows.nbytes + workers * dataset._STATS_BYTES
+        assert peak <= (workers + 1) * dataset._STATS_BYTES
 
-    def test_dense_normalize_allocates_one_copy(self):
-        # numpy reports its buffers to tracemalloc.  The output is one copy
-        # of rows; a statistics block and std's temporary are each at most
-        # _STATS_BYTES, and both are freed before the output is allocated.
+    def test_dense_normalize_makes_no_copy(self):
+        # numpy reports its buffers to tracemalloc.  A statistics block and
+        # std's temporary are each at most _STATS_BYTES; the output shares
+        # the input's rows.
         ds = make_dense(m=20000, n=60, nominal=(3, 40), seed=9)
         tracemalloc.start()
         try:
-            zscore_normalize(ds)
+            out = zscore_normalize(ds)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= ds.rows.nbytes + 2 * dataset._STATS_BYTES
+        assert out.rows is ds.rows
+        assert peak <= 2 * dataset._STATS_BYTES
 
     def test_sparse_statistics_match_per_row_loop(self):
         rng = np.random.default_rng(8)
@@ -596,24 +598,47 @@ class TestDatasetBasics:
                     Dataset(rows, labels, [])
 
     def test_dense_statistics_are_applied_on_read(self):
-        # The statistics-only dataset shares the raw rows; every read
-        # z-scores them to zscore_normalize's values, bit for bit.
+        # The normalized dataset shares the raw rows; every read z-scores
+        # them to the three-copy reference's values, bit for bit.
         ds = make_dense(m=40, n=6, nominal=(2,), seed=3)
         ds.rows[:, 4] *= 1e4
-        copy, lazy = zscore_normalize(ds), dataset._zscore_on_read(ds)
-        assert lazy.rows is ds.rows and lazy.scale_on_read and not copy.scale_on_read
-        assert np.array_equal(lazy.means, copy.means) and np.array_equal(lazy.stds, copy.stds)
-        assert np.array_equal(lazy.feature_space().scaled(ds.rows), copy.rows)
-        assert np.array_equal(lazy.columns(range(6)), copy.rows.T)
+        X, mean, std = reference_zscore(ds)
+        lazy = zscore_normalize(ds)
+        assert lazy.rows is ds.rows
+        assert np.array_equal(lazy.means, mean) and np.array_equal(lazy.stds, std)
+        assert np.array_equal(lazy.feature_space().scaled(ds.rows), X)
+        assert np.array_equal(lazy.columns(range(6)), X.T)
         sub = lazy.subset([5, 1, 30])
-        assert sub.scale_on_read
-        assert np.array_equal(sub.feature_space().scaled(sub.rows), copy.rows[[5, 1, 30]])
-        # Already z-scored rows passed as normalized are read as they are.
-        pre = Dataset(copy.rows, ds.labels, ds.kinds, means=copy.means,
-                      stds=copy.stds, normalized=True)
-        assert not pre.scale_on_read
+        assert np.array_equal(sub.feature_space().scaled(sub.rows), X[[5, 1, 30]])
+        # Rows passed as normalized without statistics are read as they are.
+        pre = Dataset(X, ds.labels, ds.kinds, normalized=True)
         assert pre.feature_space().scaled(pre.rows) is pre.rows
-        assert np.array_equal(pre.column(4), copy.rows[:, 4])
+        assert np.array_equal(pre.column(4), X[:, 4])
+        assert pre.subset([3]).feature_space().means is None
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("means, stds, normalized, message", [
+        pytest.param(np.zeros(3), None, True, "given together", id="no-stds"),
+        pytest.param(None, np.ones(3), True, "given together", id="no-means"),
+        pytest.param(np.zeros(2), np.ones(2), True, "each hold 3 values", id="short"),
+        pytest.param(np.zeros(3), np.ones((3, 1)), True, "each hold 3 values", id="2-d"),
+        pytest.param([0.0, np.nan, 0.0], np.ones(3), True, "finite", id="nan-mean"),
+        pytest.param(np.zeros(3), [1.0, np.inf, 1.0], True, "finite", id="inf-std"),
+        pytest.param(np.zeros(3), [1.0, np.nan, 1.0], True, "finite", id="nan-std"),
+        pytest.param(np.zeros(3), [1.0, 0.0, 1.0], True, "> 0", id="zero-std"),
+        pytest.param(np.zeros(3), [1.0, 1.0, -2.0], True, "> 0", id="negative-std"),
+        pytest.param(np.zeros(3), np.ones(3), False, "only on a normalized dataset",
+                     id="not-normalized"),
+    ])
+    def test_bad_statistics_rejected(self, sparse, means, stds, normalized, message):
+        X = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]])
+        rows = [(np.flatnonzero(x), x[x != 0]) for x in X] if sparse else X
+        with pytest.raises(DataError, match=message):
+            Dataset(rows, [0, 1], [FeatureKind.NUMERIC] * 3, means=means,
+                    stds=stds, normalized=normalized)
+        ok = Dataset(rows, [0, 1], [FeatureKind.NUMERIC] * 3, means=[0.0, 1.0, 2.0],
+                     stds=[1.0, 2.0, 0.5], normalized=True)
+        assert np.array_equal(ok.column(1), [-0.5, 1.0])
 
     @pytest.mark.parametrize("normalized", [False, True])
     def test_sparse_columns_match_a_scan_per_column(self, normalized):
@@ -643,9 +668,11 @@ class TestDatasetBasics:
         with pytest.raises(DataError, match="feature index 10"):
             ds.columns([1, 10])
 
-    def test_feature_space_scales_only_normalized_sparse_rows(self):
+    def test_feature_space_scales_only_rows_with_statistics(self):
         dense = make_dense(m=12, seed=2)
-        assert zscore_normalize(dense).feature_space().scaled(dense.rows) is dense.rows
+        assert dense.feature_space().scaled(dense.rows) is dense.rows
+        pre = Dataset(dense.rows, dense.labels, dense.kinds, normalized=True)
+        assert pre.feature_space().scaled(pre.rows) is pre.rows
         raw = parse_libsvm(io.StringIO("0 1:2.0 3:4.0\n1 2:1.0\n0 1:6.0\n"))
         assert raw.feature_space().scaled(raw.rows) is raw.rows  # no x1.0 copy
         norm = zscore_normalize(raw)

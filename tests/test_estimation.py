@@ -44,7 +44,8 @@ def belief_oracle(ds, sample_ids, k):
                 continue
             total = np.zeros(n)
             for j in chosen:
-                total += pair_diffs(ds.row(i), ds.row(j), space)
+                total += pair_diffs(space.scaled(ds.row(i)), space.scaled(ds.row(j)),
+                                    space)
             if c == y:
                 hit[y] += total
                 hc[y] += chosen.size
@@ -321,12 +322,11 @@ class TestAccumulation:
         # of 436 pairs (about 1 MiB each).  The peak must stay within the
         # stats and collision tables plus a few chunk-sized buffers and the
         # per-pair index arrays, not grow with the pair count.
-        from beliefsel.dataset import _zscore_on_read
         from beliefsel.neighbors import neighborhood
         rng = np.random.default_rng(37)
         X = rng.standard_normal((3000, 300))
         y = rng.integers(0, 2, 3000)
-        ds = _zscore_on_read(Dataset(X, y, [FeatureKind.NUMERIC] * 300))
+        ds = zscore_normalize(Dataset(X, y, [FeatureKind.NUMERIC] * 300))
         pdata = partition(ds, 1)
         batch = draw_sample(pdata, 0.5, 1, seed=0)[0]
         table = neighborhood(pdata, batch, 3)

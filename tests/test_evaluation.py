@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from beliefsel.dataset import Dataset, FeatureKind
+from beliefsel import neighbors
+from beliefsel.dataset import Dataset, FeatureKind, zscore_normalize
 from beliefsel.errors import DataError
 from beliefsel.evaluation import (cross_validate, evaluate, knn_classify,
                                   stratified_folds)
@@ -78,6 +79,47 @@ class TestKnnClassify:
             knn_classify(train, test, 1, [])
         with pytest.raises(DataError):
             knn_classify(train, test, 1, [99])
+        empty = Dataset(np.empty((0, 4)), [], [NUM] * 4, normalized=True)
+        with pytest.raises(DataError, match="empty training set"):
+            knn_classify(empty, test, 1, [0])
+
+    def test_non_finite_value_rejected(self):
+        train = two_blobs(4, m=10)
+        test = two_blobs(5, m=4)
+        test.rows[2, 1] = np.nan
+        with pytest.raises(DataError, match="test row 2: non-finite value in feature 1"):
+            knn_classify(train, test, 1, [0, 1])
+        pre = Dataset(np.array([[0.0], [np.inf]]), [0, 1], [NUM], normalized=True)
+        with pytest.raises(DataError, match="train row 1"):
+            knn_classify(pre, Dataset(np.zeros((1, 1)), [0], [NUM]), 1, [0])
+
+    @pytest.mark.parametrize("gram", [False, True])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_matches_brute_force_vote_over_row_tiles(self, monkeypatch, gram, k):
+        # Continuous mixed-kind data, so no distance ties; 8-row tiles make
+        # the 45 training rows fold in six steps.
+        monkeypatch.setattr(neighbors, "_DENSE_TILE_BYTES", 0)
+        monkeypatch.setattr(neighbors, "GRAM_MIN_FEATURES", 1 if gram else 10 ** 6)
+        rng = np.random.default_rng(k)
+        X = rng.standard_normal((60, 6)) * [1.0, 5.0, 1.0, 0.1, 1.0, 30.0]
+        X[:, 2] = rng.integers(0, 3, 60)
+        y = rng.integers(0, 3, 60)
+        kinds = [FeatureKind.NOMINAL if j == 2 else NUM for j in range(6)]
+        train, test = Dataset(X[:45], y[:45], kinds), Dataset(X[45:], y[45:], kinds)
+        features = [5, 2, 0, 3]
+        stats = zscore_normalize(train)
+        mean, std = stats.means[features], stats.stds[features]
+        Xtr = (X[:45, features] - mean) / std
+        Xte = (X[45:, features] - mean) / std
+        nominal = np.array([j == 2 for j in features])
+        want = []
+        for q in Xte:
+            d = np.sqrt((((Xtr - q) ** 2)[:, ~nominal]).sum(axis=1)
+                        + (Xtr[:, nominal] != q[nominal]).sum(axis=1))
+            near = y[:45][np.lexsort((np.arange(45), d))[:k]]
+            votes = np.bincount(near)
+            want.append(next(c for c in near if votes[c] == votes.max()))
+        assert knn_classify(train, test, k, features).tolist() == want
 
 
 class TestEvaluate:

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefsel.dataset import (Dataset, FeatureKind, _zscore_on_read, draw_sample,
-                               parse_libsvm, partition, zscore_normalize)
+from beliefsel.dataset import (Dataset, FeatureKind, draw_sample, parse_libsvm,
+                               partition, zscore_normalize)
 from beliefsel import neighbors
 from beliefsel.errors import DataError
-from beliefsel.neighbors import (GRAM_MIN_FEATURES, LOCATOR_BYTES,
-                                 _dense_distances_subtract, feature_diff,
-                                 instance_distance, neighborhood)
+from beliefsel.neighbors import (GRAM_MIN_FEATURES, LOCATOR_BYTES, _add_mismatches,
+                                 _subtract_sq, feature_diff, instance_distance,
+                                 neighborhood)
 
 
 def oracle_neighbors(pdata, batch, k):
@@ -145,7 +145,7 @@ def lattice_datasets(draw):
                                   min_size=n, max_size=n)))
     means[~numeric], stds[~numeric] = 0.0, 1.0
     return Dataset(X, y, kinds, n_classes=present + 1, means=means, stds=stds,
-                   normalized=True, scale_on_read=True)
+                   normalized=True)
 
 
 class TestFeatureDiff:
@@ -214,8 +214,10 @@ class TestVectorizedKernels:
         # bit on long rows, so the bound is one part in 1e13, not equality.
         ds = random_dataset(11, m=40, n=9, nominal=(2, 5))
         space = ds.feature_space()
-        Q = ds.rows[:7]
-        sq = _dense_distances_subtract(Q, ds.rows, space)
+        num, nom = space.numeric_idx, space.nominal_idx
+        sq = np.empty((7, 40))
+        _subtract_sq(ds.rows[:7, num], ds.rows[:, num], sq)
+        _add_mismatches(sq, ds.rows[:7, nom], ds.rows[:, nom])
         for i in range(7):
             for j in range(40):
                 scalar = instance_distance(ds.rows[i], ds.rows[j], space)
@@ -385,7 +387,7 @@ class TestNeighborhood:
         rng = np.random.default_rng(6)
         m = 100_000
         ds = Dataset(rng.standard_normal((m, 4)), np.arange(m) % 3, [FeatureKind.NUMERIC] * 4)
-        pdata = partition(_zscore_on_read(ds), 1)
+        pdata = partition(zscore_normalize(ds), 1)
         batch = draw_sample(pdata, 0.001, 1, seed=0)[0]
         tracemalloc.start()
         try:
@@ -408,8 +410,12 @@ class TestNeighborhood:
         # than k = 3 or 5.
         monkeypatch.setattr(neighbors, "_DENSE_TILE_BYTES", 0)
         ds = tiled_dataset(70 + p)
-        pdata = partition((zscore_normalize if stored == "zscored" else _zscore_on_read)(ds), p)
-        assert pdata.dataset.scale_on_read == (stored == "raw")
+        lazy = zscore_normalize(ds)
+        if stored == "zscored":  # on the z-scale already: read in place
+            lazy = Dataset(lazy.feature_space().scaled(lazy.rows), ds.labels, ds.kinds,
+                           n_classes=ds.n_classes, normalized=True)
+        pdata = partition(lazy, p)
+        assert (pdata.dataset.feature_space().means is None) == (stored == "zscored")
         batch = draw_sample(pdata, 1.0, 1, seed=p)[0]
         got = assert_matches_oracle(pdata, batch, k)
         c = int(ds.labels[7])
@@ -424,7 +430,7 @@ class TestNeighborhood:
         monkeypatch.setattr(neighbors, "_DENSE_TILE_BYTES", 0)
         monkeypatch.setattr(neighbors, "GRAM_MIN_FEATURES", 1)
         ds = tiled_dataset(80 + p, lattice=False, twins=False)
-        pdata = partition(_zscore_on_read(ds), p)
+        pdata = partition(zscore_normalize(ds), p)
         batch = draw_sample(pdata, 0.5, 1, seed=p)[0]
         assert_matches_oracle(pdata, batch, 3)
 

@@ -194,7 +194,8 @@ class TestBatchedFold:
         for g in range(2):
             mine = (table.rows >= pdata.starts[g]) & (table.rows < pdata.starts[g + 1])
             i, c, j = np.nonzero(mine)
-            diffs = pair_diffs(ds.rows[table.rows[i, c, j]], batch.rows[i], space)
+            diffs = pair_diffs(space.scaled(ds.rows[table.rows[i, c, j]]),
+                               space.scaled(batch.rows[i]), space)
             rates = collision_rates(diffs, space, kappa=0.8)
             assert rates.shape[0] > 6 and rates.any()
             want = CollisionTables.empty(9, tracked)

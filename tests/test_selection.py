@@ -171,7 +171,8 @@ class TestRunBelief:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_raw_dense_input_weighs_like_its_zscored_copy(self, n, p):
         # run_belief keeps raw rows and z-scores what it reads; the values
-        # read are the copy's, bit for bit.  n = 260 takes the Gram kernel.
+        # read are those of a z-scored copy passed as normalized (read in
+        # place), bit for bit.  n = 260 takes the Gram kernel.
         rng = np.random.default_rng(p)
         m = 150
         X = rng.standard_normal((m, n)) * rng.uniform(0.01, 100, n) + rng.uniform(-1e3, 1e3, n)
@@ -186,9 +187,29 @@ class TestRunBelief:
         cfg = SelectorConfig(n_select=4, partitions=p, sample_rate=0.4, batches=2,
                              theta=0.5, seed=p)
         raw = run_belief(ds, cfg)
-        copy = run_belief(zscore_normalize(ds), cfg)
+        lazy = zscore_normalize(ds)
+        copy = run_belief(Dataset(lazy.feature_space().scaled(ds.rows), y, kinds,
+                                  normalized=True), cfg)
         assert np.array_equal(raw.weights.values, copy.weights.values)
         assert raw.selected_features() == copy.selected_features()
+        assert np.array_equal(run_belief(lazy, cfg).weights.values, raw.weights.values)
+
+    def test_raw_input_is_normalized_once_by_zscore_normalize(self, monkeypatch):
+        # The benchmark's normalize span wraps this name in the selection
+        # module; normalized input, with or without statistics, skips it.
+        calls = []
+        real = selection.zscore_normalize
+        monkeypatch.setattr(selection, "zscore_normalize",
+                            lambda ds, workers=1: calls.append(ds) or real(ds, workers))
+        ds = gaussian_classes(2)
+        cfg = SelectorConfig(n_select=2, partitions=2, theta=0.0)
+        run_belief(ds, cfg)
+        assert len(calls) == 1 and calls[0] is ds
+        lazy = real(ds)
+        run_belief(lazy, cfg)
+        run_belief(Dataset(lazy.feature_space().scaled(ds.rows), ds.labels, ds.kinds,
+                           normalized=True), cfg)
+        assert len(calls) == 1
 
     def test_dense_run_holds_no_copy_of_the_input(self):
         # numpy reports its buffers to tracemalloc.  Search holds a few
