@@ -522,8 +522,8 @@ def read_metadata(stream: IO[str]) -> dict:
 
 # -- thread pool -----------------------------------------------------------
 
-# Widest pool of any phase: partition search and accumulation, and dense
-# z-scoring.
+# Widest pool of any phase: partition search and accumulation, and the
+# dense z-scoring statistics of inputs wider than one 1024-column block.
 _MAX_THREADS = 8
 
 
@@ -543,9 +543,12 @@ def _map_pool(fn, items, workers: int) -> list:
 
 # -- normalization ---------------------------------------------------------
 
-# Block budget of the dense statistics' column blocks and of the sparse
+# Block budget of the dense statistics' leaf buffer and of the sparse
 # search's query buffer and tiles.
 _STATS_BYTES = 1 << 20
+
+# Rows in one leaf of numpy's pairwise float64 sum (its PW_BLOCKSIZE).
+_LEAF_ROWS = 128
 
 
 def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
@@ -553,15 +556,19 @@ def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
     rows, dense or sparse, shared raw, to be z-scored as they are read.
 
     Constant features get a recorded standard deviation of 1, which sends
-    their values to exactly 0.  Dense statistics come from column blocks of
-    at most ``_STATS_BYTES`` (at least one column), run in a pool of
-    min(``workers``, 8) threads, so memory is one block per thread; results
-    do not depend on ``workers``.  Nominal features get mean 0 and std 1,
-    which reads them unchanged.  Absent sparse entries count as raw zeros.
-    Statistics come from the stored rows, so normalizing again records the
-    same ones.  A numeric feature holding a NaN or an infinity (or values
-    whose sum overflows) raises ``DataError`` naming the lowest such
-    feature.
+    their values to exactly 0.  Dense statistics are the bits of
+    ``X[:, numeric].mean(axis=0)`` and ``.std(axis=0)``: each column is
+    summed in numpy's pairwise order (leaves of at most 128 rows, each added
+    in 8 interleaved lanes, halves split at multiples of 8), rebuilt from
+    contiguous row slices instead of a strided column gather.  Inputs wider
+    than 1024 numeric columns map column blocks over a pool of
+    min(``workers``, 8) threads, each holding one leaf buffer of at most
+    ``_STATS_BYTES``; results do not depend on ``workers``.  Nominal
+    features get mean 0 and std 1, which reads them unchanged.  Absent
+    sparse entries count as raw zeros.  Statistics come from the stored
+    rows, so normalizing again records the same ones.  A numeric feature
+    holding a NaN or an infinity (or values whose sum or spread overflows)
+    raises ``DataError`` naming the lowest such feature.
     """
     m = dataset.n_instances
     if m == 0:
@@ -572,10 +579,14 @@ def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
         mean = dataset.checked_sums() / m
         # Two passes, so a large common offset does not cancel the spread:
         # the stored entries' squared deviations, plus the absent zeros'.
-        dev = vals - mean[idx]
-        var = np.bincount(idx, weights=dev * dev, minlength=n)
-        var += (m - np.bincount(idx, minlength=n)) * (mean * mean)
+        # An overflowing spread (inf, or NaN from 0 absent zeros times an
+        # inf mean square) is reported from the std below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev = vals - mean[idx]
+            var = np.bincount(idx, weights=dev * dev, minlength=n)
+            var += (m - np.bincount(idx, minlength=n)) * (mean * mean)
         std = np.sqrt(var / m)
+        _check_finite(std)
         std[std == 0.0] = 1.0
     else:
         mean, std = _dense_statistics(dataset, workers)
@@ -586,40 +597,91 @@ def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
 
 def _dense_statistics(dataset: Dataset, workers: int):
     """Per-feature means and population stds of a dense dataset (0 and 1 for
-    nominal features, std 1 for constant ones), from column blocks of at
-    most ``_STATS_BYTES`` mapped over the pool; raises ``DataError`` on the
-    lowest non-finite numeric feature."""
+    nominal features, std 1 for constant ones); raises ``DataError`` on the
+    lowest non-finite numeric feature.
+
+    Numeric columns go in blocks of at most 1024 (``_STATS_BYTES`` over
+    128-row leaves) mapped over the pool.  Each block reads its rows in row
+    order, one leaf of at most 128 rows at a time, and rebuilds numpy's
+    pairwise sum of every column from the leaves (8 lanes a leaf, halves
+    split at multiples of 8; see ``_pairwise_sum`` and ``_leaf_sum``): once
+    over x for the mean, once over (x - mean)^2 for the variance.
+    """
     rows = dataset.rows
     m = dataset.n_instances
     numeric = np.flatnonzero(dataset.numeric_mask())
-    width = max(1, _STATS_BYTES // (8 * m))
+    width = _STATS_BYTES // (8 * _LEAF_ROWS)
     blocks = [numeric[a:a + width] for a in range(0, numeric.size, width)]
 
     def column_stats(cols):
-        # The gather comes back column-major, so each column is summed
-        # pairwise on its own (rows.mean(axis=0) would sum row by row and
-        # round differently).  The variance takes the steps of
-        # block.std(axis=0) in place, so the block is the only temporary.
-        # A non-finite column is reported from its mean afterwards.
-        block = rows[:, cols]
+        # A run of adjacent columns is read as a view; otherwise each leaf
+        # is gathered into the buffer (mode="clip": the default "raise"
+        # gathers into a temporary first), which the variance pass reuses
+        # for its squared deviations.  A NaN or infinity, or a sum or spread
+        # that overflows, leaves the column's std non-finite; it is
+        # reported afterwards.
+        lo, hi = int(cols[0]), int(cols[-1]) + 1
+        adjacent = hi - lo == cols.size
+        buf = np.empty((min(m, _LEAF_ROWS), cols.size))
+
+        def leaf(a, b, mu=None):
+            v = (rows[a:b, lo:hi] if adjacent
+                 else np.take(rows[a:b], cols, axis=1, out=buf[:b - a], mode="clip"))
+            if mu is not None:
+                v = np.subtract(v, mu, out=buf[:b - a])
+                np.square(v, out=v)
+            return _leaf_sum(v)
+
         with np.errstate(invalid="ignore", over="ignore"):
-            mu = block.mean(axis=0)
-            np.subtract(block, mu, out=block)
-            np.square(block, out=block)
-            return mu, np.sqrt(block.sum(axis=0) / m)  # population
+            mu = _pairwise_sum(leaf, 0, m) / m
+            var = _pairwise_sum(lambda a, b: leaf(a, b, mu), 0, m) / m
+            return mu, np.sqrt(var)  # population
 
     mean = np.zeros(dataset.n_features)
     std = np.ones(dataset.n_features)
     for cols, (mu, sigma) in zip(blocks, _map_pool(column_stats, blocks, workers)):
-        _check_finite(mu, cols)
+        _check_finite(sigma, cols)
         sigma[sigma == 0.0] = 1.0
         mean[cols] = mu
         std[cols] = sigma
     return mean, std
 
 
+def _pairwise_sum(leaf_sum, a: int, b: int) -> np.ndarray:
+    """Column sums of rows ``a:b`` in the order numpy's pairwise float64 sum
+    adds one contiguous column: ranges of more than 128 rows split into
+    halves at ``n // 2`` rounded down to a multiple of 8, and ``leaf_sum``
+    sums each range of at most 128 rows."""
+    n = b - a
+    if n <= _LEAF_ROWS:
+        return leaf_sum(a, b)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(leaf_sum, a, a + half) + _pairwise_sum(leaf_sum, a + half, b)
+
+
+def _leaf_sum(v: np.ndarray) -> np.ndarray:
+    """Column sums of at most 128 rows as numpy's pairwise leaf adds them:
+    eight interleaved lanes of whole groups of 8 rows, each added in
+    sequence, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)); then the
+    rows left over, one at a time.  Lanes and a leaf of fewer than 8 rows
+    add from 0, as a numpy reduction does, so no sum is -0."""
+    k = v.shape[0]
+    start = k - k % 8
+    if start:
+        # The reduction runs over the outer axis, so each lane adds in order.
+        r = v[:start].reshape(start // 8, 8, v.shape[1]).sum(axis=0)
+        r = r[0::2] + r[1::2]
+        total = r[0::2] + r[1::2]
+        total = total[0] + total[1]
+    else:
+        total = np.zeros(v.shape[1])
+    for row in v[start:]:
+        total += row
+    return total
+
+
 def _check_finite(stat: np.ndarray, features: np.ndarray | None = None) -> None:
-    """Raise on the first non-finite per-feature sum or mean.
+    """Raise on the first non-finite per-feature sum, mean or std.
 
     Any NaN or infinity in a column propagates into its sum, so the
     statistics normalization computes anyway find bad input at no extra
@@ -629,7 +691,7 @@ def _check_finite(stat: np.ndarray, features: np.ndarray | None = None) -> None:
     if bad.size:
         j = int(bad[0] if features is None else features[bad[0]])
         raise DataError(f"feature {j} holds a non-finite value "
-                        f"(or values whose sum overflows)")
+                        f"(or values whose sum or spread overflows)")
 
 
 # -- partitioning and sampling ---------------------------------------------

@@ -3,6 +3,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,17 @@ def reference_zscore(ds):
         mean[mask] = mu
         std[mask] = sigma
     return X, mean, std
+
+
+def reference_statistics(ds, width=64):
+    """reference_zscore's means and stds, taken over slices of ``width``
+    columns so its copies stay small; a column's statistics depend on that
+    column alone."""
+    parts = [reference_zscore(Dataset(ds.rows[:, a:a + width], ds.labels,
+                                      ds.kinds[a:a + width]))
+             for a in range(0, ds.n_features, width)]
+    return (np.concatenate([mean for _, mean, _ in parts]),
+            np.concatenate([std for _, _, std in parts]))
 
 
 def mixed_dense(m, n, seed):
@@ -265,7 +277,7 @@ class TestZscore:
         # 9000 rows pass numpy's 8192-element pairwise block; width patches
         # the block budget so blocks split inside the feature range.
         if width is not None:
-            monkeypatch.setattr(dataset, "_STATS_BYTES", 8 * m * width)
+            monkeypatch.setattr(dataset, "_STATS_BYTES", 8 * dataset._LEAF_ROWS * width)
         ds = mixed_dense(m, 11, seed=m)
         before = ds.rows.copy()
         out = zscore_normalize(ds)
@@ -281,7 +293,7 @@ class TestZscore:
                                                                monkeypatch):
         # Two-column blocks: numeric features 1-2, 3-4, 5-6 and 7-8; with
         # two or more workers the later blocks go to another thread.
-        monkeypatch.setattr(dataset, "_STATS_BYTES", 8 * 10 * 2)
+        monkeypatch.setattr(dataset, "_STATS_BYTES", 8 * dataset._LEAF_ROWS * 2)
         ds = make_dense(m=10, n=9, nominal=(0,), seed=4)
         for j in bad:
             ds.rows[j - 3, j] = np.nan
@@ -297,7 +309,7 @@ class TestZscore:
         # (40, None): one block, which stays on the calling thread.
         # (9000, 3): three stats blocks of four columns or fewer.
         if width is not None:
-            monkeypatch.setattr(dataset, "_STATS_BYTES", 8 * m * width)
+            monkeypatch.setattr(dataset, "_STATS_BYTES", 8 * dataset._LEAF_ROWS * width)
         ds = mixed_dense(m, 11, seed=m)
         one = zscore_normalize(ds)
         out = zscore_normalize(ds, workers=workers)
@@ -324,9 +336,11 @@ class TestZscore:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pooled_normalize_holds_one_stats_block_per_worker(self, workers):
-        # Each thread holds one statistics block at a time (the variance
-        # reuses it); the rows are shared, not copied.
-        ds = make_dense(m=20000, n=60, nominal=(3, 40), seed=9)
+        # numpy reports its buffers to tracemalloc.  Five 1024-column blocks
+        # go to the pool; each thread holds one leaf buffer of at most
+        # _STATS_BYTES at a time (the variance reuses it), and the rows are
+        # shared, not copied.
+        ds = make_dense(m=300, n=5000, nominal=(3, 40), seed=9)
         tracemalloc.start()
         try:
             zscore_normalize(ds, workers=workers)
@@ -336,9 +350,9 @@ class TestZscore:
         assert peak <= (workers + 1) * dataset._STATS_BYTES
 
     def test_dense_normalize_makes_no_copy(self):
-        # numpy reports its buffers to tracemalloc.  A statistics block and
-        # std's temporary are each at most _STATS_BYTES; the output shares
-        # the input's rows.
+        # numpy reports its buffers to tracemalloc.  The statistics hold one
+        # leaf buffer of at most _STATS_BYTES; the output shares the
+        # input's rows.
         ds = make_dense(m=20000, n=60, nominal=(3, 40), seed=9)
         tracemalloc.start()
         try:
@@ -348,6 +362,55 @@ class TestZscore:
             tracemalloc.stop()
         assert out.rows is ds.rows
         assert peak <= 2 * dataset._STATS_BYTES
+
+    @pytest.mark.parametrize("n", [1, 3, 1025])
+    @pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 127, 128, 129, 255, 256, 257,
+                                   8191, 8192, 8193, 20001])
+    def test_row_order_statistics_match_column_gather(self, m, n):
+        # The statistics rebuild numpy's pairwise order from row slices:
+        # 128-row leaves, 8 lanes, halves at multiples of 8.  Column 0 has a
+        # 1e8 offset and a 1e-3 spread; n=3 puts a nominal column between
+        # two numeric ones (a gathered leaf); n=1025 is two column blocks.
+        rng = np.random.default_rng(m * 7 + n)
+        X = np.empty((m, n))
+        rng.standard_normal(out=X)
+        X *= rng.uniform(0.01, 1e3, n)
+        X += rng.uniform(-1e3, 1e3, n)
+        X[:, 0] = 1e8 + 1e-3 * rng.standard_normal(m)
+        kinds = [FeatureKind.NUMERIC] * n
+        if n == 3:
+            X[:, 1] = rng.integers(0, 4, m)
+            kinds[1] = FeatureKind.NOMINAL
+        ds = Dataset(X, rng.integers(0, 2, m), kinds)
+        out = zscore_normalize(ds, workers=2)
+        mean, std = reference_statistics(ds)
+        assert np.array_equal(out.means, mean)
+        assert np.array_equal(out.stds, std)
+
+    @pytest.mark.parametrize("n, blocks", [(1024, 1), (1025, 2)])
+    def test_statistics_blocks_are_1024_columns_wide(self, n, blocks, monkeypatch):
+        seen = []
+        pool = dataset._map_pool
+
+        def spy(fn, items, workers):
+            items = list(items)
+            seen.append(len(items))
+            return pool(fn, items, workers)
+
+        monkeypatch.setattr(dataset, "_map_pool", spy)
+        zscore_normalize(make_dense(m=20, n=n, seed=1), workers=2)
+        assert seen == [blocks]
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_overflowing_spread_names_its_feature(self, sparse):
+        # The mean of feature 1 is finite; its squared deviations are not.
+        X = np.array([[1.0, 1e200, 0.5], [2.0, -1e200, 0.0], [0.0, 1e200, 3.0]])
+        rows = [(np.flatnonzero(x), x[x != 0]) for x in X] if sparse else X
+        ds = Dataset(rows, [0, 1, 0], [FeatureKind.NUMERIC] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"feature 1 .*spread overflows"):
+                zscore_normalize(ds)
 
     def test_sparse_statistics_match_per_row_loop(self):
         rng = np.random.default_rng(8)
