@@ -199,14 +199,18 @@ class Dataset:
         self.rows = rows
         self.labels = labels
         self.kinds = kinds
-        if not self._sparse:
+        nominal = () if self._sparse else np.flatnonzero(~self.numeric_mask())
+        if len(nominal):
             # Numeric columns are checked by zscore_normalize, from the
             # statistics it computes anyway; nominal ones never reach it.
-            nominal = np.flatnonzero(~self.numeric_mask())
-            bad = np.argwhere(~np.isfinite(rows[:, nominal]))
-            if bad.size:
-                raise DataError(f"row {bad[0, 0]}: non-finite value in nominal "
-                                f"feature {nominal[bad[0, 1]]}")
+            # Contiguous row blocks of at most _STATS_BYTES, not a strided
+            # gather of every nominal column.
+            step = max(1, _STATS_BYTES // (8 * n))
+            for r0 in range(0, m, step):
+                bad = np.argwhere(~np.isfinite(rows[r0:r0 + step])[:, nominal])
+                if bad.size:
+                    raise DataError(f"row {r0 + bad[0, 0]}: non-finite value in "
+                                    f"nominal feature {nominal[bad[0, 1]]}")
         self.n_features = n
         self.n_classes = int(n_classes) if n_classes is not None else (
             int(labels.max()) + 1 if m else 0)

@@ -22,6 +22,7 @@ the distance-accumulation path on shared inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -104,7 +105,8 @@ class ClassDistanceStats:
 
 def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
                          table: NeighborTable, tracked=(), kappa: float = 0.8,
-                         collect_collisions: bool = False) -> ClassDistanceStats:
+                         collect_collisions: bool = False,
+                         weigh: bool = True) -> ClassDistanceStats:
     """Fold one partition's share of the batch's neighbor pairs into stats.
 
     Only neighbors whose rows lie in partition ``g`` are consumed; the same
@@ -112,7 +114,8 @@ def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
     collision tables, so redundancy tracking adds no distance work.  The
     pairs go through in (sample, class, slot) order, in chunks of
     ``_CHUNK_BYTES`` of rows; each chunk's collision rates fold into the
-    tables as one block.
+    tables as one block.  With ``weigh`` off the distance matrices and
+    counts stay 0 (a collision-only pass).
     """
     ds = pdata.dataset
     n = ds.n_features
@@ -157,6 +160,8 @@ def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
         del nbrs, own  # before the rates take their chunk-sized buffers
         if collect_collisions:
             stats.collisions.add_rate_rows(collision_rates(diffs, space, kappa))
+        if not weigh:
+            continue
         a = lo
         while a < hi:
             head, tail = bounds[run], bounds[run + 1]
@@ -189,19 +194,35 @@ def merge_stats(a: ClassDistanceStats, b: ClassDistanceStats) -> ClassDistanceSt
 
 def estimate_batch(pdata: PartitionedDataset, batch: SampleBatch,
                    table: NeighborTable, tracked=(), kappa: float = 0.8,
-                   collect_collisions: bool = False) -> ClassDistanceStats:
+                   collect_collisions: bool = False,
+                   window: Callable[[ClassDistanceStats], np.ndarray] | None = None
+                   ) -> ClassDistanceStats:
     """Accumulate the whole batch: map over partitions, merge the parts.
 
     The partial results fold in partition-index order, so repeat runs are
     bit-identical whatever order the threads finish in.
+
+    ``window``, used only when collisions are collected, replaces
+    ``tracked`` by a function of the batch's own merged stats.  The pairs
+    then go through twice: once for the distance matrices and counts, and,
+    with the window taken from their totals, once more to gather, diff and
+    fold collision rates for it, skipping the weighting walk.  The result
+    equals one pass with ``tracked=window(stats)``.
     """
-    parts = pdata.map_partitions(lambda g: accumulate_partition(
-        pdata, g, batch, table, tracked=tracked, kappa=kappa,
-        collect_collisions=collect_collisions))
-    total = parts[0]
-    for part in parts[1:]:
-        total = merge_stats(total, part)
-    return total
+    def run(tracked, collisions: bool, weigh: bool) -> ClassDistanceStats:
+        parts = pdata.map_partitions(lambda g: accumulate_partition(
+            pdata, g, batch, table, tracked=tracked, kappa=kappa,
+            collect_collisions=collisions, weigh=weigh))
+        total = parts[0]
+        for part in parts[1:]:
+            total = merge_stats(total, part)
+        return total
+
+    if window is None or not collect_collisions:
+        return run(tracked, collect_collisions, True)
+    stats = run((), False, True)
+    stats.collisions = run(window(stats), True, False).collisions
+    return stats
 
 
 def belief_weights(stats: ClassDistanceStats, priors: np.ndarray) -> WeightVector:

@@ -9,8 +9,12 @@ features collide exactly on equal codes (0/1, no kappa window).
 
 Marginal mass is accumulated for every feature on every processed pair.
 Joint mass is accumulated only for pairs involving at least one *tracked*
-feature (the relevance-windowed set), as min(rate_i, rate_j) when both
-features collide.  The final measure for a feature pair is
+feature (the relevance window: the top ceil(n_select * eta) features by
+weight, see ``eta_tracked``), as min(rate_i, rate_j) when both features
+collide.  The first batch has no earlier weights, so it takes its window
+from its own, at ``max(eta, FIRST_BATCH_ETA)``; a window of t features
+costs t x n float64 of joint mass per partition.  The final measure for a
+feature pair is
 
     min(PC_i, PC_j) * log2(PC_ij / (PC_i * PC_j))
 
@@ -31,20 +35,22 @@ from .dataset import FeatureKind, FeatureSpace
 
 __all__ = [
     "COLLISION_SPAN",
-    "BOOTSTRAP_TRACK_LIMIT",
+    "FIRST_BATCH_ETA",
     "collision_rate",
     "collision_rates",
     "CollisionTables",
     "RedundancyTable",
     "compute_mcr",
     "eta_tracked",
-    "bootstrap_tracked",
+    "window_size",
 ]
 
 COLLISION_SPAN = 6.0
-# Batch 1 tracks all pairs up to this many features; above it, the first
-# batch records marginals only and joint tracking starts at batch 2.
-BOOTSTRAP_TRACK_LIMIT = 5000
+# Smallest eta the first batch's window uses.  Its weights come from one
+# batch only, so it looks wider than later batches: of 2, 5, 10 and 20, 20
+# was the smallest that reproduced full tracking's selection on the first
+# 500 columns of sd3 for seeds 0-5.
+FIRST_BATCH_ETA = 20.0
 # Row-block budget of compute_mcr.
 _MCR_BLOCK_BYTES = 1 << 20
 
@@ -257,25 +263,23 @@ def compute_mcr(tables: CollisionTables) -> RedundancyTable:
                            values=values, lo=lo, hi=hi)
 
 
+def window_size(n_features: int, n_select: int, eta: float) -> int:
+    """Features in the relevance window: min(n, ceil(n_select * eta))."""
+    if n_select < 1:
+        raise DataError(f"selection size must be >= 1, got {n_select}")
+    if eta <= 0.0:
+        raise DataError(f"eta must be positive, got {eta}")
+    return min(n_features, math.ceil(n_select * eta))
+
+
 def eta_tracked(scores: np.ndarray, n_select: int, eta: float = 2.0) -> np.ndarray:
-    """Indices of the top ceil(n_select * eta) features by score.
+    """Indices of the top ``window_size`` features by score.
 
     Ties break toward the lower feature index; the result is sorted
     ascending.  ``eta`` large enough to cover every feature saturates
     tracking (all pairs observed).
     """
-    if n_select < 1:
-        raise DataError(f"selection size must be >= 1, got {n_select}")
-    if eta <= 0.0:
-        raise DataError(f"eta must be positive, got {eta}")
     n = scores.shape[0]
-    count = min(n, math.ceil(n_select * eta))
+    count = window_size(n, n_select, eta)
     order = np.lexsort((np.arange(n), -scores))[:count]
     return np.sort(order).astype(np.int64)
-
-
-def bootstrap_tracked(n_features: int) -> np.ndarray:
-    """Tracked set for the first batch, before any relevance ranking exists."""
-    if n_features <= BOOTSTRAP_TRACK_LIMIT:
-        return np.arange(n_features, dtype=np.int64)
-    return np.array([], dtype=np.int64)

@@ -3,10 +3,14 @@
 The pipeline: normalize, partition, sample, then per batch find neighbors
 and accumulate the per-class distance matrices and collision tables.  The
 accumulated matrices from all batches merge by addition; the weight formula
-and one final forward selection run on the totals.  The relevance window
-that limits joint collision tracking is refreshed between batches from the
-weights accumulated so far (the first batch tracks every pair on feature
-spaces up to the bootstrap limit, marginals only above it).
+and one final forward selection run on the totals.  Joint collisions are
+tracked only for the relevance window, the top ceil(n_select * eta)
+features by weight.  Later batches take it from the weights accumulated
+through the previous batch.  The first batch has none, so it weighs its
+pairs first and takes its window from its own weights at
+``max(eta, FIRST_BATCH_ETA)``, then folds the collisions for that window in
+a second pass over the same pairs (one pass when the window covers every
+feature).
 
 Selection scores a candidate as
 
@@ -29,8 +33,8 @@ from .errors import DataError
 from .estimation import (ClassDistanceStats, WeightVector, belief_weights,
                          estimate_batch, merge_stats)
 from .neighbors import neighborhood
-from .redundancy import (RedundancyTable, bootstrap_tracked, compute_mcr,
-                         eta_tracked)
+from .redundancy import (FIRST_BATCH_ETA, RedundancyTable, compute_mcr,
+                         eta_tracked, window_size)
 
 __all__ = [
     "SelectorConfig",
@@ -177,7 +181,13 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
     instance_bytes = 0
     search_s = 0.0
     estimate_s = 0.0
-    tracked = bootstrap_tracked(n)
+    first_eta = max(config.eta, FIRST_BATCH_ETA)
+    tracked = np.arange(n)  # the first window, when it covers every feature
+    window = None
+    if window_size(n, config.n_select, first_eta) < n:
+        def window(stats: ClassDistanceStats) -> np.ndarray:
+            return eta_tracked(belief_weights(stats, priors).values,
+                               config.n_select, first_eta)
     for batch in batches:
         if len(batch) == 0:
             continue
@@ -190,11 +200,12 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
         t0 = time.perf_counter()
         stats = estimate_batch(
             pdata, batch, table, tracked=tracked, kappa=config.kappa,
-            collect_collisions=collect)
+            collect_collisions=collect, window=window)
         total = stats if total is None else merge_stats(total, stats)
         estimate_s += time.perf_counter() - t0
         # Refresh the relevance window for the next batch from the weights
         # accumulated so far.
+        window = None
         tracked = eta_tracked(belief_weights(total, priors).values,
                               config.n_select, config.eta)
     timings["search_s"] = search_s

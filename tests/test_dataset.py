@@ -618,6 +618,32 @@ class TestDatasetBasics:
         with pytest.raises(DataError, match=r"row 17: .* nominal feature 2"):
             Dataset(X, y, [FeatureKind.NOMINAL] * 4)
 
+    def test_non_finite_nominal_value_found_in_a_later_row_block(self, monkeypatch):
+        # Blocks of 3 rows: the first bad value in row order is reported,
+        # the lowest nominal feature within its row, by its global row id.
+        monkeypatch.setattr(dataset, "_STATS_BYTES", 3 * 8 * 5)
+        rng = np.random.default_rng(9)
+        X = rng.integers(0, 2, (40, 5)).astype(float)
+        X[17, 4], X[17, 2], X[20, 1] = np.inf, np.nan, np.nan
+        X[16, 0] = np.nan  # numeric: left to zscore_normalize
+        kinds = [FeatureKind.NUMERIC] + [FeatureKind.NOMINAL] * 4
+        with pytest.raises(DataError, match=r"row 17: .* nominal feature 2"):
+            Dataset(X, np.arange(40) % 2, kinds)
+
+    def test_nominal_check_reads_row_blocks(self):
+        # numpy reports its buffers to tracemalloc.  The check holds one
+        # block of at most _STATS_BYTES rows at a time, never a gather of
+        # every nominal column (2000 x 250 x 8 B = 4 MB here).
+        ds = make_dense(m=2000, n=500, nominal=range(0, 500, 2), seed=4)
+        tracemalloc.start()
+        try:
+            out = Dataset(ds.rows, ds.labels, ds.kinds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.rows is ds.rows
+        assert peak <= dataset._STATS_BYTES
+
     @pytest.mark.parametrize("bad", [
         pytest.param([4, 2], id="unsorted"),
         pytest.param([1, 3, 3], id="duplicate"),

@@ -390,3 +390,134 @@ class TestWeightVector:
         rows = w.to_json_obj()
         assert rows[0] == {"feature": 1, "weight": 0.7}
         assert rows[1]["feature"] == 0
+
+
+def window_input(kind, seed=41, m=40, n=30):
+    """Mixed numeric/nominal dense or sparse z-scored data over three
+    classes, wide enough that the first batch's window (20 features a
+    pick) leaves features out."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 3, m)
+    y[:3] = [0, 1, 2]
+    y[3:6] = [0, 1, 2]
+    if kind == "sparse":
+        rows = [(np.sort(rng.choice(n, size, replace=False)), rng.standard_normal(size))
+                for size in rng.integers(2, 12, m)]
+        return zscore_normalize(Dataset(rows, y, [FeatureKind.NUMERIC] * n))
+    X = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-2, 3, n)
+    X[:, :4] += y[:, None]
+    nominal = np.arange(2, n, 5)
+    X[:, nominal] = rng.integers(0, 3, (m, nominal.size))
+    kinds = [FeatureKind.NOMINAL if j in nominal else FeatureKind.NUMERIC
+             for j in range(n)]
+    return zscore_normalize(Dataset(X, y, kinds))
+
+
+def assert_stats_equal(a, b):
+    for name in ("miss_dist", "hit_dist", "miss_count", "hit_count"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("tracked", "joint", "marginal"):
+        assert np.array_equal(getattr(a.collisions, name),
+                              getattr(b.collisions, name)), name
+    assert a.collisions.pair_count == b.collisions.pair_count
+
+
+class TestFirstBatchWindow:
+    """The first batch weighs its pairs, takes its window from its own
+    weights, then folds collisions for that window in a second pass; the
+    result must be the bits of one pass with that window known up front."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["mixed", "sparse"])
+    def test_two_passes_equal_one_pass_with_the_window(self, kind, p):
+        from beliefsel.neighbors import neighborhood
+        from beliefsel.redundancy import eta_tracked
+        ds = window_input(kind)
+        priors = ds.class_priors()
+        pdata = partition(ds, p)
+        batch = draw_sample(pdata, 0.7, 1, seed=2)[0]
+        table = neighborhood(pdata, batch, 3)
+        seen = []
+
+        def window(stats):
+            seen.append(stats)
+            return eta_tracked(belief_weights(stats, priors).values, 1, 20.0)
+
+        got = estimate_batch(pdata, batch, table, kappa=0.6,
+                             collect_collisions=True, window=window)
+        plain = estimate_batch(pdata, batch, table)
+        tracked = eta_tracked(belief_weights(plain, priors).values, 1, 20.0)
+        assert tracked.size == 20
+        want = estimate_batch(pdata, batch, table, tracked=tracked, kappa=0.6,
+                              collect_collisions=True)
+        assert len(seen) == 1
+        assert_stats_equal(got, want)
+        assert np.array_equal(seen[0].miss_dist, want.miss_dist)
+        assert np.array_equal(seen[0].hit_dist, want.hit_dist)
+
+    def test_window_is_ignored_without_collisions(self):
+        from beliefsel.neighbors import neighborhood
+        ds = window_input("mixed")
+        pdata = partition(ds, 2)
+        batch = draw_sample(pdata, 1.0, 1, seed=0)[0]
+        table = neighborhood(pdata, batch, 2)
+
+        def window(stats):
+            raise AssertionError("no window is taken at theta 0")
+
+        got = estimate_batch(pdata, batch, table, window=window)
+        assert_stats_equal(got, estimate_batch(pdata, batch, table))
+
+    @staticmethod
+    def one_pass_reference(pdata, batches, k, n_select, eta, kappa):
+        """The batch loop with every tracked set known before its batch's
+        single pass: the first from that batch's own weights at
+        max(eta, FIRST_BATCH_ETA), later ones from the weights so far."""
+        from beliefsel.neighbors import neighborhood
+        from beliefsel.redundancy import FIRST_BATCH_ETA, eta_tracked
+        priors = pdata.dataset.class_priors()
+        total, out = None, []
+        for batch in batches:
+            table = neighborhood(pdata, batch, k)
+            if total is None:
+                w = belief_weights(estimate_batch(pdata, batch, table), priors)
+                tracked = eta_tracked(w.values, n_select, max(eta, FIRST_BATCH_ETA))
+            out.append(estimate_batch(pdata, batch, table, tracked=tracked,
+                                      kappa=kappa, collect_collisions=True))
+            total = out[-1] if total is None else merge_stats(total, out[-1])
+            tracked = eta_tracked(belief_weights(total, priors).values, n_select, eta)
+        return out
+
+    # n_select 1 tracks 20 of 30 features in batch 1; n_select 2 saturates
+    # the window (40 >= 30), so batch 1 takes a single pass.
+    @pytest.mark.parametrize("n_select, passes", [(1, 2), (2, 1)])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_run_belief_batches_equal_the_one_pass_reference(
+            self, monkeypatch, p, n_select, passes):
+        from beliefsel import selection
+        ds = window_input("mixed", seed=43)
+        cfg = selection.SelectorConfig(n_select=n_select, k=2, sample_rate=0.8,
+                                       batches=2, partitions=p, theta=0.5,
+                                       kappa=0.6, seed=4)
+        got, calls = [], []
+        real_acc = estimation.accumulate_partition
+
+        def spy(*args, **kwargs):
+            got.append(estimation.estimate_batch(*args, **kwargs))
+            return got[-1]
+
+        def counting(*args, **kwargs):
+            calls.append(len(got))  # the batch it serves
+            return real_acc(*args, **kwargs)
+
+        monkeypatch.setattr(selection, "estimate_batch", spy)
+        monkeypatch.setattr(estimation, "accumulate_partition", counting)
+        selection.run_belief(ds, cfg)
+        assert calls == [0] * (passes * p) + [1] * p
+        pdata = partition(ds, p)
+        batches = draw_sample(pdata, cfg.sample_rate, cfg.batches, cfg.seed)
+        want = self.one_pass_reference(pdata, batches, cfg.k, n_select,
+                                       cfg.eta, cfg.kappa)
+        assert len(got) == len(want) == 2
+        for a, b in zip(got, want):
+            assert_stats_equal(a, b)

@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefsel import estimation, redundancy
+from beliefsel import estimation, redundancy, selection
 from beliefsel.dataset import (Dataset, FeatureKind, draw_sample, partition,
                                zscore_normalize)
 from beliefsel.errors import DataError, IntegrityError
 from beliefsel.estimation import accumulate_partition
 from beliefsel.neighbors import NeighborTable, neighborhood, pair_diffs
-from beliefsel.redundancy import (BOOTSTRAP_TRACK_LIMIT, COLLISION_SPAN,
-                                  CollisionTables, bootstrap_tracked,
-                                  collision_rate, collision_rates, compute_mcr,
-                                  eta_tracked)
+from beliefsel.redundancy import (COLLISION_SPAN, FIRST_BATCH_ETA,
+                                  CollisionTables, collision_rate,
+                                  collision_rates, compute_mcr, eta_tracked,
+                                  window_size)
 
 NUM = FeatureKind.NUMERIC
 NOM = FeatureKind.NOMINAL
@@ -432,7 +432,26 @@ class TestTrackingWindows:
         with pytest.raises(DataError):
             eta_tracked(np.arange(3.0), 1, eta=0.0)
 
-    def test_bootstrap_covers_small_spaces_only(self):
-        assert bootstrap_tracked(10).tolist() == list(range(10))
-        assert bootstrap_tracked(BOOTSTRAP_TRACK_LIMIT).size == BOOTSTRAP_TRACK_LIMIT
-        assert bootstrap_tracked(BOOTSTRAP_TRACK_LIMIT + 1).size == 0
+    @pytest.mark.parametrize("n_select,eta", [(1, 2.0), (2, 0.5), (3, 25.0),
+                                              (4, 37.5), (20, 2.0)])
+    def test_first_batch_window_size(self, monkeypatch, n_select, eta):
+        # The first batch tracks min(n, ceil(n_select * max(eta, 20)))
+        # features; the second goes back to ceil(n_select * eta).
+        rng = np.random.default_rng(5)
+        n = 160
+        X = rng.standard_normal((24, n))
+        y = np.arange(24) % 2
+        ds = Dataset(X, y, [NUM] * n)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(estimation.estimate_batch(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(selection, "estimate_batch", spy)
+        selection.run_belief(ds, selection.SelectorConfig(
+            n_select=n_select, eta=eta, batches=2, theta=0.5))
+        first = min(n, math.ceil(n_select * max(eta, FIRST_BATCH_ETA)))
+        assert window_size(n, n_select, max(eta, FIRST_BATCH_ETA)) == first
+        assert [s.collisions.tracked.size for s in seen] == [
+            first, min(n, math.ceil(n_select * eta))]

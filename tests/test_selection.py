@@ -250,6 +250,41 @@ class TestRunBelief:
         assert np.array_equal(six.weights.values, nine.weights.values)
         assert six.selected_features() == nine.selected_features()
 
+    def test_estimate_batch_runs_once_per_batch(self, monkeypatch):
+        # The first batch's two passes stay inside one estimate_batch call,
+        # so per-call counters (the benchmark's spans) keep one per batch.
+        ds = gaussian_classes(6, m=90, n=30)
+        calls = []
+        real = selection.estimate_batch
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("window"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(selection, "estimate_batch", spy)
+        run_belief(ds, SelectorConfig(n_select=1, batches=3, theta=0.5))
+        assert len(calls) == 3
+        assert callable(calls[0]) and calls[1:] == [None, None]
+
+    def test_redundancy_penalty_applies_above_5000_features(self):
+        # The first batch once tracked every pair up to 5000 features and
+        # none above, so a one-batch run on a wider input picked what
+        # theta 0 picks.  Feature 4000 is a near-copy of the top feature 7.
+        rng = np.random.default_rng(12)
+        m, n = 60, 5001
+        y = np.arange(m) % 2
+        X = rng.standard_normal((m, n))
+        X[:, 7] += 2.0 * y
+        X[:, 4000] = X[:, 7] + 0.01 * rng.standard_normal(m)
+        ds = Dataset(X, y, [FeatureKind.NUMERIC] * n)
+        plain = run_belief(ds, SelectorConfig(n_select=3, batches=1, theta=0.0))
+        assert plain.selected_features()[:2] == [7, 4000]
+        res = run_belief(ds, SelectorConfig(n_select=3, batches=1, theta=0.5))
+        assert any(s.penalty != 0.0 for s in res.selected)
+        strong = run_belief(ds, SelectorConfig(n_select=3, batches=1, theta=5.0))
+        assert strong.selected_features()[0] == 7
+        assert 4000 not in strong.selected_features()
+
     def test_window_excludes_untracked_pairs_not_weights(self):
         ds = gaussian_classes(4)
         wide = run_belief(ds, SelectorConfig(n_select=2, eta=4.0))
