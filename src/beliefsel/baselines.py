@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, FeatureKind
+from .dataset import Dataset
 from .errors import DataError
 from .selection import RankingResult, SelectedFeature
 from .estimation import WeightVector
@@ -85,10 +85,13 @@ def discretize_equal_width(values: np.ndarray, bins: int = 10) -> np.ndarray:
     return np.minimum(codes, bins - 1)
 
 
-def _feature_codes(col: np.ndarray, kind: FeatureKind, bins: int) -> np.ndarray:
-    if kind is FeatureKind.NOMINAL:
-        return col.astype(np.int64)
-    return discretize_equal_width(col, bins)
+def _feature_codes(col: np.ndarray, numeric: bool, bins: int) -> np.ndarray:
+    """Bin codes of a numeric column in the smallest unsigned type that
+    holds ``bins - 1`` (one byte at 10 bins); a nominal column's codes as
+    int64, so a negative one still reaches ``ContingencyTable``'s check."""
+    if numeric:
+        return discretize_equal_width(col, bins).astype(np.min_scalar_type(bins - 1))
+    return col.astype(np.int64)
 
 
 def mrmr_select(dataset: Dataset, n_select: int, bins: int = 10) -> RankingResult:
@@ -105,10 +108,10 @@ def mrmr_select(dataset: Dataset, n_select: int, bins: int = 10) -> RankingResul
     # Columns are read a block at a time, so the float values never sit
     # next to all the codes at once.
     width = max(1, _COLUMN_BLOCK_BYTES // (8 * max(dataset.n_instances, 1)))
-    codes = [_feature_codes(col, kind, bins)
+    codes = [_feature_codes(col, numeric, bins)
              for a in range(0, n, width)
-             for col, kind in zip(dataset.columns(range(a, min(a + width, n))),
-                                  dataset.kinds[a:a + width])]
+             for col, numeric in zip(dataset.columns(range(a, min(a + width, n))),
+                                     dataset.numeric[a:a + width])]
     labels = dataset.labels
     relevance = np.array([mutual_information(codes[j], labels) for j in range(n)])
 

@@ -17,7 +17,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, FeatureKind
+from .dataset import Dataset
 from .errors import DataError
 
 __all__ = ["GroundTruth", "generate", "success_score", "GENERATORS"]
@@ -102,8 +102,7 @@ def success_score(selected: Sequence[int], truth: GroundTruth,
 
 
 def _bit_dataset(bits: np.ndarray, labels: np.ndarray) -> Dataset:
-    return Dataset(bits.astype(np.float64), labels,
-                   [FeatureKind.NOMINAL] * bits.shape[1])
+    return Dataset(bits.astype(np.float64), labels, np.zeros(bits.shape[1], dtype=bool))
 
 
 def _parity33(seed: int):
@@ -184,7 +183,7 @@ def _sd3(seed: int):
     X[:, 60:] = rng.standard_normal((m, 4000))
     truth = GroundTruth(n_features=4060, relevant=tuple(range(60)),
                         groups=tuple(groups))
-    ds = Dataset(X, labels, [FeatureKind.NUMERIC] * 4060)
+    ds = Dataset(X, labels, np.ones(4060, dtype=bool))
     return ds, truth
 
 
@@ -207,7 +206,7 @@ def _madelon(seed: int):
     X[:, 20:] = rng.standard_normal((m, 480))
     truth = GroundTruth(n_features=500, relevant=tuple(range(5)),
                         redundant=tuple(range(5, 20)))
-    ds = Dataset(X, labels, [FeatureKind.NUMERIC] * 500)
+    ds = Dataset(X, labels, np.ones(500, dtype=bool))
     return ds, truth
 
 

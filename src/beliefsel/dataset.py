@@ -146,8 +146,11 @@ class Dataset:
         Feature values.  Nominal columns hold integer codes.
     labels : ndarray of shape (m,)
         Integer class ids in ``0..n_classes-1``.
-    kinds : sequence of FeatureKind
-        Per-feature kind; sparse datasets must be all numeric.
+    kinds : sequence of FeatureKind or their string values, or bool array
+        Per-feature kind; sparse datasets must be all numeric.  Stored as
+        ``numeric``, a read-only bool array, True for each numeric feature;
+        a bool array given here is copied.  An unknown kind raises
+        ``DataError`` naming its position.
     means, stds, normalized
         ``normalized`` means the values read out of the dataset (through
         ``feature_space().scaled``, ``column`` or ``columns``) are z-scored.
@@ -184,22 +187,23 @@ class Dataset:
             if not step_ok.all() or (flat.size and flat.min() < 0):
                 raise DataError("sparse indices must be ascending and unique")
             n = int(flat.max()) + 1 if flat.size else 0
-        kinds = tuple(FeatureKind(k) for k in kinds)
-        if not self._sparse and len(kinds) != n:
-            raise DataError(f"kinds has {len(kinds)} entries for {n} features")
+        numeric = _numeric_flags(kinds)
         if self._sparse:
-            if any(k is not FeatureKind.NUMERIC for k in kinds):
+            if not numeric.all():
                 raise DataError("sparse datasets must be all numeric")
-            n = max(n, len(kinds))
-            kinds = tuple(kinds) + (FeatureKind.NUMERIC,) * (n - len(kinds))
+            n = max(n, numeric.size)
+            numeric = np.ones(n, dtype=bool)
+        elif numeric.size != n:
+            raise DataError(f"kinds has {numeric.size} entries for {n} features")
+        numeric.setflags(write=False)
         if labels.shape != (m,):
             raise DataError("labels must be one id per instance")
         if m and labels.min() < 0:
             raise DataError("labels must be nonnegative class ids")
         self.rows = rows
         self.labels = labels
-        self.kinds = kinds
-        nominal = () if self._sparse else np.flatnonzero(~self.numeric_mask())
+        self.numeric = numeric
+        nominal = () if self._sparse else np.flatnonzero(~numeric)
         if len(nominal):
             # Numeric columns are checked by zscore_normalize, from the
             # statistics it computes anyway; nominal ones never reach it.
@@ -243,9 +247,6 @@ class Dataset:
     def is_sparse(self) -> bool:
         return self._sparse
 
-    def numeric_mask(self) -> np.ndarray:
-        return np.array([k is FeatureKind.NUMERIC for k in self.kinds], dtype=bool)
-
     def class_priors(self) -> np.ndarray:
         """Class frequencies over the full dataset."""
         if self.n_instances == 0:
@@ -254,12 +255,11 @@ class Dataset:
         return counts / self.n_instances
 
     def feature_space(self) -> FeatureSpace:
-        mask = self.numeric_mask()
         dense_stats = self.stds is not None and not self._sparse
         return FeatureSpace(
             n_features=self.n_features,
-            numeric_idx=np.flatnonzero(mask),
-            nominal_idx=np.flatnonzero(~mask),
+            numeric_idx=np.flatnonzero(self.numeric),
+            nominal_idx=np.flatnonzero(~self.numeric),
             inv_scale=1.0 / self.stds if self.stds is not None and self._sparse else None,
             means=self.means if dense_stats else None,
             stds=self.stds if dense_stats else None,
@@ -315,7 +315,7 @@ class Dataset:
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size and (indices.min() < 0 or indices.max() >= self.n_instances):
             raise DataError("subset index out of range")
-        return Dataset(self.rows[indices], self.labels[indices], self.kinds,
+        return Dataset(self.rows[indices], self.labels[indices], self.numeric,
                        n_classes=self.n_classes, normalized=self.normalized,
                        means=None if self.means is None else self.means.copy(),
                        stds=None if self.stds is None else self.stds.copy())
@@ -372,7 +372,7 @@ def parse_libsvm(stream: IO[str] | Iterable[str], n_features: int | None = None)
     rows = SparseRows(np.array(indptr, dtype=np.int64),
                       np.array(indices, dtype=np.int64), np.array(values))
     return Dataset(rows, _encode_labels(raw_labels, label_lines, "1 (label)"),
-                   [FeatureKind.NUMERIC] * width)
+                   np.ones(width, dtype=bool))
 
 
 def parse_csv(stream: IO[str] | Iterable[str], label_column: int | str = -1,
@@ -381,7 +381,8 @@ def parse_csv(stream: IO[str] | Iterable[str], label_column: int | str = -1,
 
     ``label_column`` selects the class column by header name or position
     (negative positions count from the right).  ``kinds`` fixes the kind of
-    each remaining column in file order; when omitted, a column is numeric
+    each remaining column in file order, in any form ``Dataset`` takes
+    (an unknown kind raises ``DataError``); when omitted, a column is numeric
     iff every cell parses as a float.  Nominal cells become integer codes
     the same way label tokens do: by value order when every token is
     numeric, by first appearance otherwise.
@@ -410,23 +411,14 @@ def parse_csv(stream: IO[str] | Iterable[str], label_column: int | str = -1,
     feat_pos = [j for j in range(ncol) if j != lab_pos]
     n = len(feat_pos)
     if kinds is None:
-        kinds_out = []
-        for j in feat_pos:
-            kind = FeatureKind.NUMERIC
-            for row in cells:
-                try:
-                    float(row[j])
-                except ValueError:
-                    kind = FeatureKind.NOMINAL
-                    break
-            kinds_out.append(kind)
-    else:
-        kinds_out = [FeatureKind(k) for k in kinds]
-        if len(kinds_out) != n:
-            raise DataError(f"kinds has {len(kinds_out)} entries for {n} features")
+        kinds = np.array([all(_float_or_none(row[j]) is not None for row in cells)
+                          for j in feat_pos], dtype=bool)
+    numeric = _numeric_flags(kinds)
+    if numeric.size != n:
+        raise DataError(f"kinds has {numeric.size} entries for {n} features")
     X = np.empty((len(cells), n))
-    for col, j in enumerate(feat_pos):
-        if kinds_out[col] is FeatureKind.NUMERIC:
+    for col, (j, num) in enumerate(zip(feat_pos, numeric)):
+        if num:
             try:
                 X[:, col] = [float(row[j]) for row in cells]
             except ValueError as exc:
@@ -444,7 +436,25 @@ def parse_csv(stream: IO[str] | Iterable[str], label_column: int | str = -1,
                                        f"{j + 1} ({header[j]!r})")
     labels = _encode_labels([row[lab_pos] for row in cells], lines,
                             f"{lab_pos + 1} ({header[lab_pos]!r})")
-    return Dataset(X, labels, kinds_out)
+    return Dataset(X, labels, numeric)
+
+
+_KIND_VALUES = {k.value for k in FeatureKind}  # members compare equal to them
+
+
+def _numeric_flags(kinds) -> np.ndarray:
+    """A new bool array, True for numeric features, from a bool array or a
+    sequence of ``FeatureKind`` members or their string values.  An unknown
+    kind raises ``DataError`` naming its position."""
+    if isinstance(kinds, np.ndarray) and kinds.dtype == bool:
+        return kinds.copy()
+    present = set(kinds)
+    if not present <= _KIND_VALUES:
+        pos = next(i for i, k in enumerate(kinds) if k not in _KIND_VALUES)
+        raise DataError(f"kind {pos} is {kinds[pos]!r}, not 'numeric' or 'nominal'")
+    if len(present) == 1:  # one kind for every feature: no per-feature compare
+        return np.full(len(kinds), FeatureKind(*present) is FeatureKind.NUMERIC)
+    return np.array(kinds, dtype=object) == FeatureKind.NUMERIC.value
 
 
 def _float_or_none(token: str) -> float | None:
@@ -493,11 +503,10 @@ def write_csv(dataset: Dataset, stream: IO[str], label_name: str = "class") -> N
         raise DataError("CSV serialization requires a dense dataset")
     header = [f"f{j}" for j in range(dataset.n_features)] + [label_name]
     stream.write(",".join(header) + "\n")
-    nominal = ~dataset.numeric_mask()
     for i in range(dataset.n_instances):
         row = dataset.rows[i]
-        cells = [str(int(v)) if nom else repr(float(v))
-                 for v, nom in zip(row, nominal)]
+        cells = [repr(float(v)) if num else str(int(v))
+                 for v, num in zip(row, dataset.numeric)]
         cells.append(str(int(dataset.labels[i])))
         stream.write(",".join(cells) + "\n")
 
@@ -507,7 +516,7 @@ def write_metadata(dataset: Dataset, stream: IO[str]) -> None:
     doc = {
         "n_features": dataset.n_features,
         "n_classes": dataset.n_classes,
-        "kinds": [k.value for k in dataset.kinds],
+        "kinds": np.where(dataset.numeric, "numeric", "nominal").tolist(),
         "normalized": dataset.normalized,
         "means": None if dataset.means is None else dataset.means.tolist(),
         "stds": None if dataset.stds is None else dataset.stds.tolist(),
@@ -594,7 +603,7 @@ def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
         std[std == 0.0] = 1.0
     else:
         mean, std = _dense_statistics(dataset, workers)
-    return Dataset(dataset.rows, dataset.labels.copy(), dataset.kinds,
+    return Dataset(dataset.rows, dataset.labels.copy(), dataset.numeric,
                    n_classes=dataset.n_classes, means=mean, stds=std,
                    normalized=True)
 
@@ -613,7 +622,7 @@ def _dense_statistics(dataset: Dataset, workers: int):
     """
     rows = dataset.rows
     m = dataset.n_instances
-    numeric = np.flatnonzero(dataset.numeric_mask())
+    numeric = np.flatnonzero(dataset.numeric)
     width = _STATS_BYTES // (8 * _LEAF_ROWS)
     blocks = [numeric[a:a + width] for a in range(0, numeric.size, width)]
 

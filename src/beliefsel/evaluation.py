@@ -39,7 +39,7 @@ def _aligned_matrices(train: Dataset, test: Dataset, features: Sequence[int]):
     if train.n_instances == 0:
         raise DataError("empty training set")
     tr = train if train.normalized else zscore_normalize(train)
-    nominal = ~train.numeric_mask()[features]
+    nominal = ~train.numeric[features]
     space = FeatureSpace(n_features=len(features), numeric_idx=np.flatnonzero(~nominal),
                          nominal_idx=np.flatnonzero(nominal), inv_scale=None)
     # Column-major, so the kernel sums each distance a feature column at a time.

@@ -159,6 +159,29 @@ class TestMrmrSelect:
             tracemalloc.stop()
         assert peak <= 8 * m * n + 3 * baselines._COLUMN_BLOCK_BYTES
 
+    def test_numeric_codes_take_one_byte(self):
+        # Codes of 2000 x 1500 numeric columns: 3 MB at one byte each, 24 MB
+        # as int64.  Nominal codes stay int64, so a negative one is rejected.
+        rng = np.random.default_rng(15)
+        m, n = 2000, 1500
+        rows = [(np.sort(rng.choice(n, 10, replace=False)), rng.standard_normal(10))
+                for _ in range(m)]
+        ds = Dataset(rows, rng.integers(0, 2, m), [FeatureKind.NUMERIC] * n)
+        tracemalloc.start()
+        try:
+            mrmr_select(ds, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= m * n + 3 * baselines._COLUMN_BLOCK_BYTES
+        col = np.array([0.0, 1.0, 2.0])
+        assert baselines._feature_codes(col, True, 10).dtype == np.uint8
+        assert baselines._feature_codes(col, True, 300).dtype == np.uint16
+        assert baselines._feature_codes(col, False, 10).dtype == np.int64
+        nominal = Dataset(np.array([[0.0], [-1.0]]), [0, 1], [FeatureKind.NOMINAL])
+        with pytest.raises(DataError, match="nonnegative"):
+            mrmr_select(nominal, 1)
+
     def test_selection_size_validated(self):
         ds = Dataset(np.zeros((4, 2)), [0, 1, 0, 1], [FeatureKind.NUMERIC] * 2)
         with pytest.raises(DataError):

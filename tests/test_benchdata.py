@@ -7,7 +7,6 @@ import pytest
 
 from beliefsel.baselines import mutual_information
 from beliefsel.benchdata import GENERATORS, GroundTruth, generate, success_score
-from beliefsel.dataset import FeatureKind
 from beliefsel.errors import DataError
 
 
@@ -64,7 +63,7 @@ class TestParityBits:
     def test_shape_and_annotations(self):
         ds, truth = generate("parity33", seed=0)
         assert (ds.n_instances, ds.n_features) == (64, 12)
-        assert all(k is FeatureKind.NOMINAL for k in ds.kinds)
+        assert not ds.numeric.any()
         assert truth.relevant == (0, 1, 2)
         assert truth.redundant == (3, 4, 5)
         assert len(truth.irrelevant()) == 6

@@ -32,7 +32,7 @@ def make_dense(m=12, n=5, n_classes=2, seed=0, nominal=()):
 def reference_zscore(ds):
     """The three-copy dense z-score: copy, gather numeric columns, scatter back."""
     X = ds.rows.copy()
-    mask = ds.numeric_mask()
+    mask = ds.numeric
     mean = np.zeros(ds.n_features)
     std = np.ones(ds.n_features)
     if mask.any():
@@ -51,7 +51,7 @@ def reference_statistics(ds, width=64):
     columns so its copies stay small; a column's statistics depend on that
     column alone."""
     parts = [reference_zscore(Dataset(ds.rows[:, a:a + width], ds.labels,
-                                      ds.kinds[a:a + width]))
+                                      ds.numeric[a:a + width]))
              for a in range(0, ds.n_features, width)]
     return (np.concatenate([mean for _, mean, _ in parts]),
             np.concatenate([std for _, _, std in parts]))
@@ -126,11 +126,15 @@ class TestParseCsv:
 
     def test_kinds_inferred_and_nominal_coded(self):
         ds = parse_csv(io.StringIO(self.TEXT), label_column="class")
-        assert ds.kinds == (FeatureKind.NUMERIC, FeatureKind.NUMERIC,
-                            FeatureKind.NOMINAL)
+        assert ds.numeric.tolist() == [True, True, False]
         # first-appearance coding: red -> 0, blue -> 1
         assert ds.rows[:, 2].tolist() == [0.0, 1.0, 0.0]
         assert ds.labels.tolist() == [0, 1, 0]
+
+    def test_unknown_kind_names_its_position(self):
+        with pytest.raises(DataError, match=r"kind 2 is 'bogus'"):
+            parse_csv(io.StringIO(self.TEXT), label_column="class",
+                      kinds=["numeric", FeatureKind.NUMERIC, "bogus"])
 
     def test_label_column_by_position(self):
         ds = parse_csv(io.StringIO(self.TEXT), label_column=3)
@@ -200,7 +204,7 @@ class TestRoundTrip:
         rows = ds.rows.copy()
         rows[rows < 0.3] = 0.0
         rows[3] = 0.0
-        ds = Dataset(rows, ds.labels, ds.kinds)
+        ds = Dataset(rows, ds.labels, ds.numeric)
         buf = io.StringIO()
         write_libsvm(ds, buf)
         assert buf.getvalue().splitlines()[3] == str(ds.labels[3])
@@ -213,10 +217,10 @@ class TestRoundTrip:
         buf = io.StringIO()
         write_csv(ds, buf)
         ds2 = parse_csv(io.StringIO(buf.getvalue()), label_column="class",
-                        kinds=ds.kinds)
+                        kinds=ds.numeric)
         assert np.array_equal(ds.rows, ds2.rows)
         assert np.array_equal(ds.labels, ds2.labels)
-        assert ds.kinds == ds2.kinds
+        assert np.array_equal(ds.numeric, ds2.numeric)
 
     def test_metadata_sidecar_round_trip(self):
         ds = zscore_normalize(make_dense(nominal=(1,)))
@@ -488,7 +492,7 @@ class TestZscore:
         # statistics that check the numeric columns.
         ds = make_dense(m=20, n=5, nominal=(0,), seed=5)
         ds.rows[7, 3] = np.nan
-        pre = Dataset(ds.rows, ds.labels, ds.kinds, normalized=True)
+        pre = Dataset(ds.rows, ds.labels, ds.numeric, normalized=True)
         with pytest.raises(DataError, match=r"feature 3 "):
             run_belief(pre, SelectorConfig(n_select=2))
 
@@ -637,7 +641,7 @@ class TestDatasetBasics:
         ds = make_dense(m=2000, n=500, nominal=range(0, 500, 2), seed=4)
         tracemalloc.start()
         try:
-            out = Dataset(ds.rows, ds.labels, ds.kinds)
+            out = Dataset(ds.rows, ds.labels, ds.numeric)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -700,7 +704,7 @@ class TestDatasetBasics:
         sub = lazy.subset([5, 1, 30])
         assert np.array_equal(sub.feature_space().scaled(sub.rows), X[[5, 1, 30]])
         # Rows passed as normalized without statistics are read as they are.
-        pre = Dataset(X, ds.labels, ds.kinds, normalized=True)
+        pre = Dataset(X, ds.labels, ds.numeric, normalized=True)
         assert pre.feature_space().scaled(pre.rows) is pre.rows
         assert np.array_equal(pre.column(4), X[:, 4])
         assert pre.subset([3]).feature_space().means is None
@@ -760,7 +764,7 @@ class TestDatasetBasics:
     def test_feature_space_scales_only_rows_with_statistics(self):
         dense = make_dense(m=12, seed=2)
         assert dense.feature_space().scaled(dense.rows) is dense.rows
-        pre = Dataset(dense.rows, dense.labels, dense.kinds, normalized=True)
+        pre = Dataset(dense.rows, dense.labels, dense.numeric, normalized=True)
         assert pre.feature_space().scaled(pre.rows) is pre.rows
         raw = parse_libsvm(io.StringIO("0 1:2.0 3:4.0\n1 2:1.0\n0 1:6.0\n"))
         assert raw.feature_space().scaled(raw.rows) is raw.rows  # no x1.0 copy
@@ -769,6 +773,26 @@ class TestDatasetBasics:
         assert np.array_equal(got.indptr, raw.rows.indptr)
         assert np.array_equal(got.indices, raw.rows.indices)
         assert np.array_equal(got.data, raw.rows.data * (1.0 / norm.stds)[raw.rows.indices])
+
+    def test_kinds_stored_as_one_read_only_array(self):
+        X = np.zeros((2, 3))
+        ds = Dataset(X, [0, 1], ["numeric", FeatureKind.NOMINAL, FeatureKind.NUMERIC])
+        assert ds.numeric.dtype == bool and ds.numeric.tolist() == [True, False, True]
+        assert not ds.numeric.flags.writeable
+        assert np.array_equal(zscore_normalize(ds).numeric, ds.numeric)
+        assert np.array_equal(ds.subset([1]).numeric, ds.numeric)
+        # A bool array is copied, so the caller's array cannot change the kinds.
+        flags = np.array([True, True, False])
+        kept = Dataset(X, [0, 1], flags)
+        flags[0] = False
+        assert kept.numeric.tolist() == [True, True, False]
+        assert Dataset(X, [0, 1], [FeatureKind.NOMINAL] * 3).numeric.tolist() == [False] * 3
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_unknown_kind_names_its_position(self, sparse):
+        rows = [(np.array([0]), np.array([1.0]))] * 2 if sparse else np.zeros((2, 3))
+        with pytest.raises(DataError, match=r"kind 1 is 'bogus'"):
+            Dataset(rows, [0, 1], ["numeric", "bogus", "numeric"])
 
     def test_sparse_must_be_numeric(self):
         rows = [(np.array([0]), np.array([1.0]))]

@@ -412,7 +412,7 @@ class TestNeighborhood:
         ds = tiled_dataset(70 + p)
         lazy = zscore_normalize(ds)
         if stored == "zscored":  # on the z-scale already: read in place
-            lazy = Dataset(lazy.feature_space().scaled(lazy.rows), ds.labels, ds.kinds,
+            lazy = Dataset(lazy.feature_space().scaled(lazy.rows), ds.labels, ds.numeric,
                            n_classes=ds.n_classes, normalized=True)
         pdata = partition(lazy, p)
         assert (pdata.dataset.feature_space().means is None) == (stored == "zscored")

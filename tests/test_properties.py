@@ -1,0 +1,85 @@
+"""Pipeline properties on random small inputs: bad input fails loudly.
+
+The datasets are dense with mixed numeric and nominal columns, or sparse
+and all numeric: m <= 60 rows, n <= 12 features, 2-4 classes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from beliefsel.dataset import Dataset, FeatureKind
+from beliefsel.errors import DataError
+from beliefsel.selection import SelectorConfig, run_belief
+
+
+@st.composite
+def small_inputs(draw):
+    """(X, labels, kinds, sparse): every class holds a row; nominal columns
+    hold codes 0..2; sparse inputs keep about 40% of their cells."""
+    m = draw(st.integers(4, 60))
+    n = draw(st.integers(1, 12))
+    classes = draw(st.integers(2, 4))
+    sparse = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.integers(0, classes, m)
+    y[:classes] = np.arange(classes)
+    X = rng.standard_normal((m, n)) * rng.uniform(0.1, 100, n)
+    if sparse:
+        X[rng.random((m, n)) >= 0.4] = 0.0
+        numeric = np.ones(n, dtype=bool)
+    else:
+        numeric = rng.random(n) < 0.6
+        X[:, ~numeric] = rng.integers(0, 3, (m, np.count_nonzero(~numeric)))
+    kinds = [FeatureKind.NUMERIC if f else FeatureKind.NOMINAL for f in numeric]
+    return X, y, kinds, sparse
+
+
+@st.composite
+def configs(draw, n):
+    return SelectorConfig(n_select=draw(st.integers(1, n)), k=draw(st.integers(1, 3)),
+                          sample_rate=draw(st.sampled_from([0.3, 1.0])),
+                          batches=draw(st.integers(1, 2)), partitions=draw(st.integers(1, 3)),
+                          theta=draw(st.sampled_from([0.0, 0.5])), seed=draw(st.integers(0, 9)))
+
+
+def build(X, y, kinds, sparse, **kw):
+    # Every nonzero cell is stored, NaN and infinities included.
+    rows = [(np.flatnonzero(r), r[r != 0]) for r in X] if sparse else X
+    return Dataset(rows, y, kinds, **kw)
+
+
+@settings(max_examples=60)
+@given(data=small_inputs(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       normalized=st.booleans(), pick=st.data())
+def test_non_finite_cell_raises(data, bad, normalized, pick):
+    # From the constructor (nominal), zscore_normalize (raw numeric) or
+    # run_belief's check of input passed as normalized.
+    X, y, kinds, sparse = data
+    i = pick.draw(st.integers(0, X.shape[0] - 1))
+    j = pick.draw(st.integers(0, X.shape[1] - 1))
+    X[i, j] = bad
+    with pytest.raises(DataError):
+        run_belief(build(X, y, kinds, sparse, normalized=normalized),
+                   SelectorConfig(n_select=1, k=1, partitions=1, theta=0.5))
+
+
+@settings(max_examples=20)
+@given(data=small_inputs(), pick=st.data())
+def test_single_present_class_raises(data, pick):
+    X, y, kinds, sparse = data
+    present = pick.draw(st.integers(0, int(y.max())))
+    ds = build(X, np.full_like(y, present), kinds, sparse, n_classes=int(y.max()) + 1)
+    with pytest.raises(DataError, match="two classes"):
+        run_belief(ds, pick.draw(configs(X.shape[1])))
+
+
+@settings(max_examples=60)
+@given(data=small_inputs(), normalized=st.booleans(), pick=st.data())
+def test_valid_input_gives_finite_weights(data, normalized, pick):
+    X, y, kinds, sparse = data
+    result = run_belief(build(X, y, kinds, sparse, normalized=normalized),
+                        pick.draw(configs(X.shape[1])))
+    assert np.isfinite(result.weights.values).all()
+    assert len(result.selected) == len(set(result.selected_features()))

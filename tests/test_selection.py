@@ -207,7 +207,7 @@ class TestRunBelief:
         assert len(calls) == 1 and calls[0] is ds
         lazy = real(ds)
         run_belief(lazy, cfg)
-        run_belief(Dataset(lazy.feature_space().scaled(ds.rows), ds.labels, ds.kinds,
+        run_belief(Dataset(lazy.feature_space().scaled(ds.rows), ds.labels, ds.numeric,
                            normalized=True), cfg)
         assert len(calls) == 1
 
@@ -321,7 +321,7 @@ class TestRunBelief:
 
     def test_single_class_rejected_before_search(self):
         ds = gaussian_classes(7, m=30)
-        one = Dataset(ds.rows, np.ones(30, dtype=int), ds.kinds, n_classes=2)
+        one = Dataset(ds.rows, np.ones(30, dtype=int), ds.numeric, n_classes=2)
         with pytest.raises(DataError, match="two classes"):
             run_belief(one, SelectorConfig(n_select=2))
 
