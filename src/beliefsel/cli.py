@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -104,8 +105,31 @@ def _selector_config(args, n_select: int, theta: float) -> SelectorConfig:
     )
 
 
+def _render(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte.  json's encoder runs in
+    pure Python when it indents (about 10 s for a million features), so a
+    top-level ``weights`` list of {"feature": int, "weight": finite float}
+    records is written here instead: a float's ``repr`` is json's text for
+    it.  Any other ``weights`` goes through json."""
+    weights = doc.get("weights") if isinstance(doc, dict) else None
+    items = []
+    for w in weights or ():
+        if not (type(w) is dict and tuple(w) == ("feature", "weight")
+                and type(w["feature"]) is int and type(w["weight"]) is float
+                and math.isfinite(w["weight"])):
+            return json.dumps(doc, indent=2)
+        items.append(f'    {{\n      "feature": {w["feature"]},\n'
+                     f'      "weight": {w["weight"]!r}\n    }}')
+    if items:
+        token = json.dumps("\0weights")
+        text = json.dumps({**doc, "weights": "\0weights"}, indent=2)
+        if text.count(token) == 1:
+            return text.replace(token, "[\n" + ",\n".join(items) + "\n  ]")
+    return json.dumps(doc, indent=2)
+
+
 def _emit(doc, args) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    text = _render(doc) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)

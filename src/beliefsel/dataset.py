@@ -15,11 +15,10 @@ through them: dense rows as ``(x - mean) / std`` by ``FeatureSpace.scaled``,
 one ``np.subtract`` and one ``np.divide`` per value, and sparse values
 multiplied by ``1 / std`` at distance time, so sparsity is never
 destroyed.  Selection therefore makes no (m x n) copy of the input.  The
-neighbor search streams each partition through z-scored row tiles (see
-``neighbors``); estimation reads its gathers through the same method.
-Tiles are consecutive rows, a multiple of 8 rows high with the partition
-spread evenly over them, which kept the Gram matmul's bits equal to a
-whole-partition product on OpenBLAS.
+neighbor search streams each partition through z-scored row tiles of
+consecutive rows (see ``neighbors``); estimation reads its gathers through
+the same method.  A row's z-scored values are the same whichever tile or
+gather reads them, so no distance depends on the tiling.
 """
 
 from __future__ import annotations
@@ -717,9 +716,7 @@ class PartitionedDataset:
     Blocks are contiguous ranges of the original row order, so the
     (partition, local) lexicographic order of any two instances equals
     their global row order; distance ties therefore resolve identically
-    for every partition count, as long as the distances themselves do.
-    Gram-path distances can move in their last bits with the partition
-    count (see ``neighbors._gram_sq``).
+    for every partition count.
     """
 
     dataset: Dataset

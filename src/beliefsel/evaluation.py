@@ -3,10 +3,11 @@
 A small k-nearest-neighbor classifier plus stratified cross-validation
 that reruns the selection inside every training fold, so test labels can
 never leak into the selection step.  The classifier runs on the selector's
-dense search: the same row-tile loop (``neighbors._search_dense``), the
-same distances (the Gram kernel from ``GRAM_MIN_FEATURES`` selected
-features on) and the same (distance, row id) merge, over one class that
-holds every training row; a majority vote then labels each test row.
+per-partition search (``neighbors._search_block``): the same row tiles,
+the same distances (from ``GRAM_MIN_FEATURES`` selected features on, a
+float32 filter and exact float64 distances for the survivors) and the same
+(distance, row id) merge, over one class that holds every training row; a
+majority vote then labels each test row.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset, FeatureSpace, zscore_normalize
 from .errors import DataError
-from .neighbors import _merge_step, _search_dense
+from .neighbors import _search_block
 
 __all__ = ["knn_classify", "evaluate", "cross_validate", "stratified_folds"]
 
@@ -42,7 +43,8 @@ def _aligned_matrices(train: Dataset, test: Dataset, features: Sequence[int]):
     nominal = ~train.numeric[features]
     space = FeatureSpace(n_features=len(features), numeric_idx=np.flatnonzero(~nominal),
                          nominal_idx=np.flatnonzero(nominal), inv_scale=None)
-    # Column-major, so the kernel sums each distance a feature column at a time.
+    # Column-major, so below GRAM_MIN_FEATURES the kernel sums each distance
+    # a feature column at a time; from there on, rows are gathered C-ordered.
     Xtr = tr.columns(features).T
     Xte = test.columns(features).T
     if not test.normalized and tr.stds is not None:
@@ -69,11 +71,7 @@ def knn_classify(train: Dataset, test: Dataset, k: int,
     Xtr, Xte, ytr, space = _aligned_matrices(train, test, features)
     m = Xtr.shape[0]
     k = min(k, m)
-    rows = np.full((Xte.shape[0], 1, k), -1, dtype=np.int64)
-    dist = np.full(rows.shape, np.inf)
-    every = {0: np.arange(m)}
-    for first, lo, hi, d in _search_dense(Xtr, 0, m, Xte, space):
-        _merge_step(rows[lo:hi], dist[lo:hi], d, first, every, k)
+    rows, _ = _search_block(Xtr, 0, m, Xte, space, {0: np.arange(m)}, 1, k)
     preds = np.empty(Xte.shape[0], dtype=np.int64)
     for i, near in enumerate(ytr[rows[:, 0]]):
         votes = np.bincount(near)

@@ -14,8 +14,7 @@ Slots (i, c, :) list the nearest class-c rows to sampled instance i in
 ascending (distance, row id) order; a class with fewer than k eligible rows
 pads the tail with row -1 at distance +inf, which sorts after every real
 neighbor.  Ties at equal distance resolve by ascending global row id, so
-the result does not depend on the partition count, except for the last
-bits of Gram-path distances (see ``_gram_sq``).
+the result does not depend on the partition count.
 
 Distances are Euclidean over per-feature diffs (``pair_diffs``): |a - b|
 for numeric values and a 0/1 indicator for nominal values, on rows read
@@ -26,20 +25,24 @@ stored entries, a tile of rows at a time.
 Dense rows are streamed through row tiles: consecutive row ranges, in row
 order, each z-scored once per batch into one reused buffer (raw rows with
 recorded statistics) or read in place (rows stored z-scored).  Each tile's
-distances to the queries are folded into running per-(query, class) best
-lists with the same (distance, row id) rule that merges partitions, so the
-search holds a few tile-sized buffers per thread whatever the partition
-height.  Bits: a distance depends only on its query and row, except that
-BLAS rounds the Gram matmul by the shapes it is handed.  Tiles of a
-multiple of 8 rows, with the partition spread evenly over them
-(``_tile_height``), gave the whole-partition bits on OpenBLAS 0.3.31; rows
-gathered by class, or tile heights off the multiple of 8, did not.
+distances to the queries are folded into running per-(query, class) lists
+with the same (distance, row id) rule that merges partitions, so the search
+holds a few tile-sized buffers per thread whatever the partition height.
+
+From ``GRAM_MIN_FEATURES`` features on, a tile's distances are bounded
+before any is measured (``_filter_step``): one float32 matmul of augmented
+rows gives every squared distance to within a proven margin, the bounds
+rule out each row that cannot enter a query's list, and the few rows left
+get their float64 subtract-and-square distance from the z-scored tile.  So
+every distance depends on its two rows alone, never on BLAS, the tiling or
+the partition count, and an exact duplicate sits at 0.0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -61,10 +64,10 @@ LOCATOR_BYTES = 16
 DENSE_VALUE_BYTES = 8
 SPARSE_NONZERO_BYTES = 12
 
-# At or above this feature count the dense kernel switches to the Gram
-# expansion (||a||^2 + ||b||^2 - 2ab), which runs as one matmul.  The switch
-# keys on the feature count alone so the partition layout can never change
-# which kernel (and hence which floats) a dataset gets.
+# At or above this feature count the dense search filters candidates with
+# a float32 matmul and measures the survivors exactly; below it, every
+# distance is subtracted and squared.  The switch keys on the feature count
+# alone, so the partition layout can never change which path a dataset takes.
 GRAM_MIN_FEATURES = 256
 
 _QUERY_CHUNK = 128
@@ -78,6 +81,21 @@ _QUERY_CHUNK = 128
 # with 8 MiB tiles about 57 MB; with a z-scored copy and whole-partition
 # distance blocks, 83 MB.
 _DENSE_TILE_BYTES = 1 << 22
+
+# float32 unit roundoff, and the largest squared row norm the float32
+# filter takes: its products and sums then stay far below float32's range.
+_U32 = 2.0 ** -24
+_NORM_CAP = 2.0 ** 100
+# Rows gathered per chunk of exact distances, twice (block and query rows):
+# at most this many bytes each.  On 675 pairs of 500 features (2-vCPU Xeon,
+# numpy 2.4) fresh 256 KiB chunks took a third of the time of fresh 1 MiB
+# ones, whose pages fault on every chunk; one reused pair of buffers took
+# four fifths of that again.
+_PAIR_BYTES = 1 << 18
+# Absolute error a float32 value, product or norm can gain by underflow
+# (2^-126 when BLAS flushes subnormals to zero), summed over a dot product
+# with generous room: the margin adds it per term.
+_UNDERFLOW = 2.0 ** -120
 
 
 @dataclass
@@ -163,49 +181,75 @@ def _add_mismatches(out: np.ndarray, Qc: np.ndarray, Bc: np.ndarray) -> None:
 def _subtract_sq(Qn: np.ndarray, Bn: np.ndarray, out: np.ndarray) -> None:
     """Row-wise subtract-and-square over numeric columns, into ``out``.
 
-    The per-row reduction happens inside a 2-D block, where numpy may group
-    the additions differently than a lone 1-D sum; the result can sit one
-    ulp from the scalar value, so only order, not bits, is contractual.
-    Each row's sum depends on that row alone, so tiling the block keeps the
-    bits.
+    ``Bn``'s layout sets the order of each row's sum: C-ordered rows sum
+    as a lone 1-D array does (as ``_pair_distances`` sums them), while
+    column-major ones add a feature column at a time, which can sit one ulp
+    from the scalar value.  Each row's sum depends on that row alone, so
+    tiling the block keeps the bits.
     """
-    d = np.empty_like(Bn)  # Bn's layout sets the order of each row's sum
+    d = np.empty_like(Bn)
     for i in range(Qn.shape[0]):
         np.subtract(Bn, Qn[i], out=d)
         np.multiply(d, d, out=d)
         d.sum(axis=1, out=out[i])
 
 
-def _gram_sq(q_sq, b_sq, out: np.ndarray, scratch: np.ndarray) -> None:
-    """(||q||^2 + ||b||^2) - 2 q.b over numeric columns, clipped at 0, in
-    place on ``out``, which holds the matmul q.b on entry; ``scratch`` is
-    shaped like ``out``.  BLAS rounds the matmul by the shapes it is
-    handed, so a distance can move in its last bits with the partition
-    count (the neighbor ids have not been seen to move), and an exact
-    duplicate can sit at a small positive distance (up to ≈1e-6 seen on
-    z-scored rows) instead of 0.0.
-    """
-    np.add(q_sq[:, None], b_sq, out=scratch)
-    np.multiply(out, 2.0, out=out)
-    np.subtract(scratch, out, out=out)
-    np.maximum(out, 0.0, out=out)
-
-
 def _tile_height(rows: int, n_features: int) -> int:
-    """Height of the dense search's row tiles over a partition of ``rows``.
-
-    A tile of at most ``_DENSE_TILE_BYTES`` whose distances to
-    ``_QUERY_CHUNK`` queries fit the same budget (a multiple of 8 rows, at
-    least 8) sets the tile count; the rows are then spread evenly over that
-    many tiles, each a multiple of 8 rows but the last.  On OpenBLAS 0.3.31 a matmul
-    against a tile so cut gave the same bits as against the whole partition
-    on the benchmark shapes, while a narrow last tile (under ≈200 rows) or a
-    height off the multiple of 8 moved some entries in their last bits.
-    """
+    """Height of the dense search's row tiles over a partition of ``rows``:
+    at most ``_DENSE_TILE_BYTES`` of rows whose distances to ``_QUERY_CHUNK``
+    queries fit the same budget, and at least 8 rows (or the partition)."""
     widest = max(n_features, _QUERY_CHUNK)
-    cap = max(8, _DENSE_TILE_BYTES // (8 * widest) // 8 * 8)
-    tiles = max(1, -(-rows // cap))
-    return -(-rows // (8 * tiles)) * 8
+    return max(1, min(rows, max(8, _DENSE_TILE_BYTES // (8 * widest))))
+
+
+def _margin_rate(n_numeric: int) -> float:
+    """c in the float32 filter's margin M = c (max ||q||^2 + max ||b||^2 +
+    nominal count) + K 2^-120, or +inf when the rows are too long for it.
+
+    S = [-2q, ||q||^2, 1] . [b, 1, ||b||^2], K = n + 2 terms in float32,
+    differs from the squared distance D by the dot product's error, at most
+    gamma_K sum |a_i b_i| <= 2 gamma_K (1 + u)^2 N in any summation order,
+    FMA included (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., section 3.1; gamma_K = Ku / (1 - Ku), u = 2^-24), plus the
+    rounding of q, b and the two norms to float32, at most (4u + u^2) N,
+    with N = ||q||^2 + ||b||^2.  Adding the nominal mismatch count in
+    float32 costs at most u (2N + count) more.  3 gamma_K + 12u covers all
+    of it, and its slack covers the float64 roundings of the bounds and of
+    the exact distances; ``_UNDERFLOW`` covers float32 underflow.
+    """
+    ku = (n_numeric + 2) * _U32
+    return 3 * ku / (1 - ku) + 12 * _U32 if ku < 0.5 else math.inf
+
+
+def _at_least(x: np.ndarray, dtype) -> np.ndarray:
+    """Per entry a ``dtype`` value at or above the float64 ``x`` (rounded to
+    nearest, then one step up), capped at the dtype's largest finite value,
+    so an entry excluded as +inf never passes a ``<=`` test against it."""
+    top = np.finfo(dtype).max
+    return np.nextafter(np.minimum(x, top).astype(dtype), top)
+
+
+def _pair_distances(Qn: np.ndarray, Qc, Bn: np.ndarray, Bc, buf: np.ndarray,
+                    qi: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Distances between the query rows ``qi`` and the block rows ``j``: the
+    square root of the numeric (b - q)^2, summed in feature order as a lone
+    1-D sum would be, plus the nominal mismatch count (``Qc``/``Bc`` hold
+    the nominal columns, or are None).  The rows are gathered a chunk at a
+    time into ``buf``, a (2, chunk rows, numeric features) scratch array."""
+    out = np.empty(qi.size)
+    step = buf.shape[1]
+    for a in range(0, qi.size, step):
+        qa, ja = qi[a:a + step], j[a:a + step]
+        # C order, so each row sums as a 1-D array; indices are in range.
+        d, e = buf[0, :ja.size], buf[1, :ja.size]
+        np.take(Bn, ja, axis=0, out=d, mode="clip")
+        np.subtract(d, np.take(Qn, qa, axis=0, out=e, mode="clip"), out=d)
+        np.multiply(d, d, out=d)
+        sq = d.sum(axis=1)
+        if Qc is not None:
+            sq += (Bc[ja] != Qc[qa]).sum(axis=1)
+        np.sqrt(sq, out=out[a:a + step])
+    return out
 
 
 # -- sparse distance kernel -------------------------------------------------
@@ -283,6 +327,25 @@ def _keep_k(rows: np.ndarray, dist: np.ndarray, k: int):
             np.take_along_axis(dist, keep, axis=-1))
 
 
+def _in_block(cand: np.ndarray, first: int, width: int) -> np.ndarray:
+    """The ascending positions ``cand`` that fall in first:first + width."""
+    return cand[np.searchsorted(cand, first):np.searchsorted(cand, first + width)]
+
+
+def _append(rows: np.ndarray, dist: np.ndarray, qi: np.ndarray,
+            new_rows: np.ndarray, new_dist: np.ndarray):
+    """Each query's (rows, dist) list followed by its new entries (``qi``
+    ascending), as (query, width) arrays padded with (-1, +inf)."""
+    q, w = rows.shape
+    count = np.bincount(qi, minlength=q)
+    slot = w + np.arange(qi.size) - np.repeat(np.cumsum(count) - count, count)
+    all_rows = np.full((q, w + int(count.max())), -1, dtype=np.int64)
+    all_dist = np.full(all_rows.shape, np.inf)
+    all_rows[:, :w], all_dist[:, :w] = rows, dist
+    all_rows[qi, slot], all_dist[qi, slot] = new_rows, new_dist
+    return all_rows, all_dist
+
+
 def _merge_step(rows, dist, d: np.ndarray, first: int, members: dict, k: int):
     """Merge the distances ``d`` from a group of queries to the consecutive
     block rows first, first + 1, ... into the group's running (query,
@@ -297,7 +360,7 @@ def _merge_step(rows, dist, d: np.ndarray, first: int, members: dict, k: int):
     """
     q = d.shape[0]
     for c, cand in members.items():
-        cand = cand[np.searchsorted(cand, first):np.searchsorted(cand, first + d.shape[1])]
+        cand = _in_block(cand, first, d.shape[1])
         if cand.size == 0:
             continue
         # take() copies in C order, where d[:, cand] would come back
@@ -309,14 +372,75 @@ def _merge_step(rows, dist, d: np.ndarray, first: int, members: dict, k: int):
             qi, j = np.repeat(np.arange(q), top.shape[1]), top.ravel()
         else:
             qi, j = np.divmod(np.flatnonzero(beats), cand.size)
-        # Each query's candidates go after its k slots, padded with (-1, +inf).
-        count = np.bincount(qi, minlength=q)
-        slot = k + np.arange(qi.size) - np.repeat(np.cumsum(count) - count, count)
-        all_rows = np.full((q, k + int(count.max())), -1, dtype=np.int64)
-        all_dist = np.full(all_rows.shape, np.inf)
-        all_rows[:, :k], all_dist[:, :k] = rows[:, c], dist[:, c]
-        all_rows[qi, slot], all_dist[qi, slot] = cand[j], dc[qi, j]
-        rows[:, c], dist[:, c] = _keep_k(all_rows, all_dist, k)
+        rows[:, c], dist[:, c] = _keep_k(
+            *_append(rows[:, c], dist[:, c], qi, cand[j], dc[qi, j]), k)
+
+
+def _filter_step(rows, dist, s: np.ndarray, first: int, members: dict, k: int,
+                 margin: float, measure):
+    """Merge the rows that a block of squared-distance bounds ``s`` does not
+    rule out into the running lists, as ``_merge_step`` merges distances.
+
+    Each entry of ``s`` lies within ``margin`` of its squared distance.  A
+    row can enter a list only if its bound minus the margin reaches both
+    the list's k-th squared distance (+inf while the list has room) and the
+    block's own k-th bound plus the margin, which is taken for every query
+    on the first step that holds a class (more than k rows through per
+    query, on average) and later only for the queries with more than k
+    rows through.  ``measure(qi, j)`` gives the exact distances of the rows
+    left, and one ``_keep_k`` merges them.
+    """
+    q = s.shape[0]
+    for c, cand in members.items():
+        cand = _in_block(cand, first, s.shape[1])
+        if cand.size == 0:
+            continue
+        sc = np.take(s, cand - first, axis=1)
+        limit = dist[:, c, -1] ** 2 + margin
+        beats = sc <= _at_least(limit, sc.dtype)[:, None]
+        if np.count_nonzero(beats) > k * q:
+            limit = np.minimum(limit, _kth_reach(sc, k, margin))
+            beats = sc <= _at_least(limit, sc.dtype)[:, None]
+        qi, j = np.divmod(np.flatnonzero(beats), cand.size)
+        heavy = np.flatnonzero(np.bincount(qi, minlength=q) > k)
+        if heavy.size:
+            reach = np.full(q, np.inf)
+            reach[heavy] = _kth_reach(sc[heavy], k, margin)
+            keep = sc[qi, j] <= _at_least(reach, sc.dtype)[qi]
+            qi, j = qi[keep], j[keep]
+        if qi.size:
+            near = measure(qi, cand[j] - first)
+            rows[:, c], dist[:, c] = _keep_k(
+                *_append(rows[:, c], dist[:, c], qi, cand[j], near), k)
+
+
+def _kth_reach(sc: np.ndarray, k: int, margin: float) -> np.ndarray:
+    """Per row of bounds, the k-th smallest plus twice the margin, in
+    float64: a row whose bound exceeds it is farther than k rows are."""
+    return np.add(np.partition(sc, k - 1, axis=1)[:, k - 1], 2 * margin, dtype=np.float64)
+
+
+def _search_block(stored, start: int, end: int, Q, space: FeatureSpace,
+                  members: dict, n_classes: int, k: int, own=None):
+    """Top-k per class of every query among the stored rows start:end, as
+    (query, class, k) arrays (rows, dist) with row ids counted from
+    ``start``.  ``Q`` holds the queries on the z-scale, ``members`` each
+    class's rows (counted from ``start``, ascending) and ``own``, if given,
+    each query's own row, which never enters its lists.  The selector's
+    partitions and the k-NN classifier both search through here."""
+    rows = np.full((len(Q), n_classes, k), -1, dtype=np.int64)
+    dist = np.full(rows.shape, np.inf)
+    steps = _sparse_steps if isinstance(stored, SparseRows) else _dense_steps
+    for first, lo, hi, d, bounds in steps(stored, start, end, Q, space):
+        if own is not None:
+            mine = np.flatnonzero((own[lo:hi] >= first) & (own[lo:hi] < first + d.shape[1]))
+            d[mine, own[lo + mine] - first] = np.inf
+        if bounds is None:
+            _merge_step(rows[lo:hi], dist[lo:hi], d, first, members, k)
+        else:
+            _filter_step(rows[lo:hi], dist[lo:hi], d, first, members, k, *bounds)
+    rows[np.isinf(dist)] = -1
+    return rows, dist
 
 
 def _search_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
@@ -329,61 +453,66 @@ def _search_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
     end = int(pdata.starts[g + 1])
     labels = ds.labels[start:end]
     members = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
-    n_samples = len(batch)
-    rows = np.full((n_samples, ds.n_classes, k), -1, dtype=np.int64)
-    dist = np.full((n_samples, ds.n_classes, k), np.inf)
-    own_local = batch.indices - start  # never its own neighbor
-    search = _search_sparse if ds.is_sparse else _search_dense
-    for first, lo, hi, d in search(ds.rows, start, end, Q, space):
-        own = np.flatnonzero((own_local[lo:hi] >= first)
-                             & (own_local[lo:hi] < first + d.shape[1]))
-        d[own, own_local[lo + own] - first] = np.inf
-        _merge_step(rows[lo:hi], dist[lo:hi], d, first, members, k)
-    rows[np.isinf(dist)] = -1
+    rows, dist = _search_block(ds.rows, start, end, Q, space, members,
+                               ds.n_classes, k, own=batch.indices - start)
     rows[rows >= 0] += start
     return rows, dist
 
 
-def _search_sparse(stored: SparseRows, start: int, end: int, Q: SparseRows,
-                   space: FeatureSpace):
-    """Distances from query chunks to the whole partition, as
-    (first block row, query lo, query hi, distances) steps."""
+def _sparse_steps(stored: SparseRows, start: int, end: int, Q: SparseRows,
+                  space: FeatureSpace):
+    """Distances from query chunks to the whole partition, as (first block
+    row, query lo, query hi, distances, None) steps."""
     block = space.scaled(stored[start:end])
     block_sq = _row_sums(block.data * block.data, block.indptr)
     chunk = max(1, min(_QUERY_CHUNK, _TILE_BYTES // (8 * max(space.n_features, 1))))
     for lo in range(0, len(Q), chunk):
         hi = min(lo + chunk, len(Q))
         sq = _sparse_distances(Q[lo:hi], block, block_sq, space.n_features)
-        yield 0, lo, hi, np.sqrt(sq, out=sq)
+        yield 0, lo, hi, np.sqrt(sq, out=sq), None
 
 
-def _search_dense(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
-                  space: FeatureSpace):
-    """Distances from the queries to the partition, a row tile at a time, as
-    (first block row, query lo, query hi, distances) steps.
+def _dense_steps(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
+                 space: FeatureSpace):
+    """Distances, or bounds on their squares, from the queries to the
+    partition, a row tile at a time, as (first block row, query lo, query
+    hi, block, bounds) steps.
 
     Tiles are consecutive row ranges (``_tile_height``) in the outer loop,
     so each is z-scored once per batch; the queries run in groups of
     ``_QUERY_CHUNK`` multiples that fill at most ``_DENSE_TILE_BYTES`` of
-    distances.  The Gram matmul of a tile of a multiple of 8 rows takes the
-    whole group at once, which gave the same bits as ``_QUERY_CHUNK``
-    queries at a time; the last tile of an uneven partition is multiplied
-    ``_QUERY_CHUNK`` queries at a time, as the whole-partition search was,
-    since there the query count moved some bits.  The tile, distance and
-    epilogue buffers are allocated once and reused; a step's distances are
-    only valid until the next step.
+    distances.  Below ``GRAM_MIN_FEATURES`` features a block holds the
+    distances and ``bounds`` is None.  From there on a block holds float32
+    bounds S, one matmul of the augmented rows [-2q, ||q||^2, 1] and [b, 1,
+    ||b||^2], and ``bounds`` is (margin, measure): each S lies within the
+    margin (``_margin_rate``) of its squared distance, and ``measure(qi,
+    j)`` gives the exact distances of block entries (``_pair_distances``).
+    Queries or a tile with a squared norm above ``_NORM_CAP`` are
+    subtracted and squared instead, over C-ordered rows, which gives the
+    same distances.  The buffers are allocated once and reused; a step's
+    block is only valid until the next step.
     """
     n_samples = Q.shape[0]
     height = _tile_height(end - start, space.n_features)
     group = max(1, _DENSE_TILE_BYTES // (8 * height * _QUERY_CHUNK)) * _QUERY_CHUNK
-    gram = space.n_features >= GRAM_MIN_FEATURES
     Qn = _numeric_cols(Q, space)
     Qc = None if space.all_numeric else Q[:, space.nominal_idx]
-    q_sq = (Qn * Qn).sum(axis=1) if gram else None
     tile_buf = (None if space.means is None
                 else np.empty(height * space.n_features))
-    dist_buf = np.empty(min(group, n_samples) * height)
-    scratch = np.empty(_QUERY_CHUNK * height) if gram else None
+    filtered = space.n_features >= GRAM_MIN_FEATURES
+    dist_buf = Qa = None
+    if filtered:
+        width = Qn.shape[1] + 2
+        rate = _margin_rate(Qn.shape[1])
+        q_sq = np.einsum("ij,ij->i", Qn, Qn)
+        q_max = float(q_sq.max(initial=0.0))
+        if q_max <= _NORM_CAP and rate < math.inf:
+            Qa = np.empty((n_samples, width), dtype=np.float32)
+            np.multiply(Qn, -2.0, out=Qa[:, :-2], casting="same_kind")
+            Qa[:, -2], Qa[:, -1] = q_sq, 1.0
+            aug_buf = np.empty(height * width, dtype=np.float32)
+            s_buf = np.empty(min(group, n_samples) * height, dtype=np.float32)
+            pair_buf = np.empty((2, max(1, _PAIR_BYTES // (8 * width)), width - 2))
     for first in range(0, end - start, height):
         h = min(height, end - start - first)
         raw = stored[start + first:start + first + h]
@@ -391,24 +520,35 @@ def _search_dense(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
                             else tile_buf[:raw.size].reshape(raw.shape))
         Bn = _numeric_cols(tile, space)
         Bc = None if Qc is None else tile[:, space.nominal_idx]
-        b_sq = (Bn * Bn).sum(axis=1) if gram else None
+        Ba = None
+        if Qa is not None:
+            b_sq = np.einsum("ij,ij->i", Bn, Bn)
+            b_max = float(b_sq.max())
+            if b_max <= _NORM_CAP:
+                margin = (rate * (q_max + b_max + space.nominal_idx.size)
+                          + width * _UNDERFLOW)
+                Ba = aug_buf[:h * width].reshape(h, width)
+                Ba[:, :-2], Ba[:, -2], Ba[:, -1] = Bn, 1.0, b_sq
+        if filtered and Ba is None:
+            Bn = np.ascontiguousarray(Bn)
         for g0 in range(0, n_samples, group):
             g1 = min(g0 + group, n_samples)
-            d = dist_buf[:(g1 - g0) * h].reshape(g1 - g0, h)
-            if gram and h % 8 == 0:
-                np.matmul(Qn[g0:g1], Bn.T, out=d)
-            for lo in range(g0, g1, _QUERY_CHUNK):
-                hi = min(lo + _QUERY_CHUNK, g1)
-                out = d[lo - g0:hi - g0]
-                if gram:
-                    if h % 8:
-                        np.matmul(Qn[lo:hi], Bn.T, out=out)
-                    _gram_sq(q_sq[lo:hi], b_sq, out, scratch[:out.size].reshape(out.shape))
-                else:
-                    _subtract_sq(Qn[lo:hi], Bn, out)
-                if Qc is not None:
-                    _add_mismatches(out, Qc[lo:hi], Bc)
-            yield first, g0, g1, np.sqrt(d, out=d)
+            Qcg = None if Qc is None else Qc[g0:g1]
+            if Ba is not None:
+                d = s_buf[:(g1 - g0) * h].reshape(g1 - g0, h)
+                np.matmul(Qa[g0:g1], Ba.T, out=d)
+            else:
+                if dist_buf is None:
+                    dist_buf = np.empty(min(group, n_samples) * height)
+                d = dist_buf[:(g1 - g0) * h].reshape(g1 - g0, h)
+                _subtract_sq(Qn[g0:g1], Bn, d)
+            if Qcg is not None:
+                _add_mismatches(d, Qcg, Bc)
+            if Ba is None:
+                yield first, g0, g1, np.sqrt(d, out=d), None
+            else:
+                yield first, g0, g1, d, (margin, partial(
+                    _pair_distances, Qn[g0:g1], Qcg, Bn, Bc, pair_buf))
 
 
 def neighborhood(pdata: PartitionedDataset, batch: SampleBatch, k: int) -> NeighborTable:

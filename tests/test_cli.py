@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from beliefsel import cli
 from beliefsel.cli import main
 
 
@@ -121,6 +122,23 @@ class TestMrmr:
         assert doc["method"] == "mrmr"
         assert len(doc["selected"]) == 3
         assert doc["metadata"]["bins"] == 10
+
+
+class TestRender:
+    @pytest.mark.parametrize("command", ["select", "mrmr"])
+    def test_weights_are_written_as_json_dumps_writes_them(self, tmp_path, command):
+        data, _ = run_gen(tmp_path, "corral100")
+        out = tmp_path / "out.json"
+        assert main([command, "--input", str(data), "--nfeat", "3", "--out", str(out)]) == 0
+        text = out.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        for w, v in zip(doc["weights"], (-0.0, 5e-324, 1e300, -2.5e-308, 0.1, 1 / 3)):
+            w["weight"] = v
+        assert cli._render(doc) == json.dumps(doc, indent=2)
+        doc["weights"][-1]["weight"] = float("nan")  # json's own path
+        assert cli._render(doc) == json.dumps(doc, indent=2)
+        assert cli._render({"weights": []}) == json.dumps({"weights": []}, indent=2)
 
 
 class TestEval:

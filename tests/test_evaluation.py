@@ -122,6 +122,31 @@ class TestKnnClassify:
         assert knn_classify(train, test, k, features).tolist() == want
 
 
+    @pytest.mark.parametrize("huge", ["test", "train"])
+    def test_rows_too_large_for_float32_are_measured_exactly(self, monkeypatch, huge):
+        # Test rows near 1e25 are scaled to z-scores whose squared norms
+        # overflow float32; a training row stored on the z-scale can be as
+        # large.  Their blocks must skip the float32 filter (8-row tiles, so
+        # the other tiles still take it) and vote as the subtract path does.
+        monkeypatch.setattr(neighbors, "_DENSE_TILE_BYTES", 0)
+        rng = np.random.default_rng(9)
+        n = neighbors.GRAM_MIN_FEATURES + 4
+        X = rng.standard_normal((60, n))
+        y = rng.integers(0, 3, 60)
+        X[:, 0] += 3.0 * y
+        train, test = X[:45], X[45:]
+        if huge == "test":
+            test[::2] = 1e25 * (1.0 + rng.random((8, n)))
+            train = Dataset(train, y[:45], [NUM] * n)
+        else:
+            train[20] = 1e25
+            train = Dataset(train, y[:45], [NUM] * n, normalized=True)
+        test = Dataset(test, y[45:], [NUM] * n, normalized=huge == "train")
+        features = list(range(n))
+        got = knn_classify(train, test, 3, features)
+        monkeypatch.setattr(neighbors, "GRAM_MIN_FEATURES", 10 ** 6)
+        assert got.tolist() == knn_classify(train, test, 3, features).tolist()
+
 class TestEvaluate:
     def test_perfect_predictions(self):
         out = evaluate(np.array([0, 1, 1, 0]), np.array([0, 1, 1, 0]))

@@ -453,6 +453,102 @@ class TestNeighborhood:
             neighborhood(pdata, batch, k=0)
 
 
+TWINS = ((5, 6), (20, 21), (40, 41), (60, 61), (80, 81))
+
+
+def wide_dataset(seed, m=90, n=GRAM_MIN_FEATURES + 20, n_classes=3):
+    """N(0,1) rows wide enough for the filtered search, where each pair in
+    ``TWINS`` (below 90 rows) is a row and its exact copy, in one class."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((m, n))
+    y = rng.integers(0, n_classes, m)
+    for a, b in TWINS:
+        if b < m:
+            X[b], y[b] = X[a], y[a]
+    return Dataset(X, y, [FeatureKind.NUMERIC] * n)
+
+
+@st.composite
+def near_tie_datasets(draw):
+    """Rows stored on the z-scale, at least ``GRAM_MIN_FEATURES`` wide, most
+    of them a shared base row, exact copies of it or copies moved by about
+    1e-9 in one feature, so many distances sit within float32 resolution of
+    each other and of the k-th neighbor; the rest are N(0,1).  Optionally
+    two nominal features, on which the copies may differ."""
+    m = draw(st.integers(12, 40))
+    n = draw(st.integers(GRAM_MIN_FEATURES, GRAM_MIN_FEATURES + 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = rng.standard_normal(n)
+    X = rng.standard_normal((m, n))
+    kind = rng.integers(0, 3, m)  # 0: N(0,1), 1: exact copy, 2: moved copy
+    X[kind > 0] = base
+    moved = np.flatnonzero(kind == 2)
+    X[moved, rng.integers(0, n, moved.size)] += 1e-9 * rng.integers(1, 4, moved.size)
+    numeric = np.ones(n, dtype=bool)
+    if draw(st.booleans()):
+        numeric[[1, n - 2]] = False
+        X[:, ~numeric] = rng.integers(0, 2, (m, 2))
+    y = rng.integers(0, draw(st.integers(2, 3)), m)
+    y[:2] = (0, 1)
+    return Dataset(X, y, numeric, normalized=True)
+
+
+class TestFilteredSearch:
+    """From GRAM_MIN_FEATURES features on: a float32 filter, then exact
+    float64 distances for the rows it lets through."""
+
+    def test_distances_do_not_depend_on_partitions(self):
+        ds = zscore_normalize(wide_dataset(90))
+        tables = []
+        for p in (1, 2, 3, 7):
+            pdata = partition(ds, p)
+            tables.append(neighborhood(pdata, draw_sample(pdata, 1.0, 1, seed=0)[0], k=3))
+        for t in tables[1:]:
+            assert np.array_equal(t.rows, tables[0].rows)
+            assert np.array_equal(t.dist, tables[0].dist)
+
+    def test_exact_twins_sit_at_zero(self):
+        pdata = partition(zscore_normalize(wide_dataset(91)), 2)
+        batch = draw_sample(pdata, 1.0, 1, seed=0)[0]
+        table = neighborhood(pdata, batch, k=3)
+        for pair in TWINS:
+            c = int(pdata.dataset.labels[pair[0]])
+            for a, b in (pair, pair[::-1]):
+                i = int(np.flatnonzero(batch.indices == a)[0])
+                assert (int(table.rows[i, c, 0]), float(table.dist[i, c, 0])) == (b, 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(ds=near_tie_datasets(), p=st.integers(1, 4), k=st.integers(1, 5),
+           small_tiles=st.booleans())
+    def test_near_ties_match_oracle_exactly(self, ds, p, k, small_tiles):
+        # Ids and distances both exact: the oracle sums the same squares in
+        # the same order, and ties resolve by row id.
+        with mock.patch.object(neighbors, "_DENSE_TILE_BYTES",
+                               0 if small_tiles else neighbors._DENSE_TILE_BYTES):
+            pdata = partition(ds, p)
+            batch = draw_sample(pdata, 0.4, 1, seed=k)[0]
+            assert_matches_oracle(pdata, batch, k, rtol=0)
+
+    def test_filter_lets_few_rows_through(self, monkeypatch):
+        # N(0,1) rows: per tile, class and query, at most 2k rows are
+        # measured exactly, so the margin cannot quietly turn the filter
+        # into a full float64 recompute.  40-row tiles, 5-6 a partition.
+        k = 3
+        monkeypatch.setattr(neighbors, "_DENSE_TILE_BYTES", 40 * 8 * (GRAM_MIN_FEATURES + 44))
+        measured = []
+        real = neighbors._pair_distances
+
+        def spy(*args):
+            measured.append(np.bincount(args[-2]).max())
+            return real(*args)
+
+        monkeypatch.setattr(neighbors, "_pair_distances", spy)
+        pdata = partition(zscore_normalize(wide_dataset(92, m=420, n=GRAM_MIN_FEATURES + 44,
+                                                        n_classes=2)), 2)
+        neighborhood(pdata, draw_sample(pdata, 0.25, 1, seed=0)[0], k)
+        assert len(measured) > 4 and max(measured) <= 2 * k
+
+
 class TestAccounting:
     def test_record_and_byte_bookkeeping(self):
         ds = zscore_normalize(random_dataset(55, m=90, n=8, n_classes=3))
