@@ -765,16 +765,12 @@ class SampleBatch:
     dense matrix or a ``SparseRows`` aligned with them.
     """
 
-    batch_id: int
     indices: np.ndarray
     labels: np.ndarray
     rows: np.ndarray | SparseRows
 
     def __len__(self) -> int:
         return int(self.indices.shape[0])
-
-    def row(self, pos: int):
-        return self.rows[pos]
 
 
 def draw_sample(pdata: PartitionedDataset, rate: float, batches: int = 1,
@@ -796,7 +792,7 @@ def draw_sample(pdata: PartitionedDataset, rate: float, batches: int = 1,
     rng = np.random.default_rng(seed)
     chosen = rng.choice(m, size=size, replace=False).astype(np.int64)
     out = []
-    for b, part in enumerate(np.array_split(chosen, batches)):
-        out.append(SampleBatch(batch_id=b, indices=part, labels=ds.labels[part],
+    for part in np.array_split(chosen, batches):
+        out.append(SampleBatch(indices=part, labels=ds.labels[part],
                                rows=ds.rows[part]))  # fancy indexing copies
     return out

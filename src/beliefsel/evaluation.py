@@ -4,10 +4,9 @@ A small k-nearest-neighbor classifier plus stratified cross-validation
 that reruns the selection inside every training fold, so test labels can
 never leak into the selection step.  The classifier runs on the selector's
 per-partition search (``neighbors._search_block``): the same row tiles,
-the same distances (from ``GRAM_MIN_FEATURES`` selected features on, a
-float32 filter and exact float64 distances for the survivors) and the same
-(distance, row id) merge, over one class that holds every training row; a
-majority vote then labels each test row.
+the same float32 filter with exact float64 distances for the rows it lets
+through and the same (distance, row id) merge, over one class that holds
+every training row; a majority vote then labels each test row.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ def _aligned_matrices(train: Dataset, test: Dataset, features: Sequence[int]):
     nominal = ~train.numeric[features]
     space = FeatureSpace(n_features=len(features), numeric_idx=np.flatnonzero(~nominal),
                          nominal_idx=np.flatnonzero(nominal), inv_scale=None)
-    # Column-major, so below GRAM_MIN_FEATURES the kernel sums each distance
-    # a feature column at a time; from there on, rows are gathered C-ordered.
     Xtr = tr.columns(features).T
     Xte = test.columns(features).T
     if not test.normalized and tr.stds is not None:

@@ -19,23 +19,25 @@ the result does not depend on the partition count.
 Distances are Euclidean over per-feature diffs (``pair_diffs``): |a - b|
 for numeric values and a 0/1 indicator for nominal values, on rows read
 through ``FeatureSpace.scaled``.  The batch is put on the z-scale once.
-Sparse rows are searched as ||q||^2 + ||b||^2 - 2 q.b over a partition's
-stored entries, a tile of rows at a time.
+
+Every search step is folded into running per-(query, class) lists by one
+rule (``_filter_step``): a block of bounds on squared distances, each
+within a stated margin of its exact value, rules out each row that cannot
+enter a list, and only the rows left are measured exactly and merged with
+the same (distance, row id) rule that merges partitions.
 
 Dense rows are streamed through row tiles: consecutive row ranges, in row
 order, each z-scored once per batch into one reused buffer (raw rows with
-recorded statistics) or read in place (rows stored z-scored).  Each tile's
-distances to the queries are folded into running per-(query, class) lists
-with the same (distance, row id) rule that merges partitions, so the search
+recorded statistics) or read in place (rows stored z-scored), so the search
 holds a few tile-sized buffers per thread whatever the partition height.
-
-From ``GRAM_MIN_FEATURES`` features on, a tile's distances are bounded
-before any is measured (``_filter_step``): one float32 matmul of augmented
-rows gives every squared distance to within a proven margin, the bounds
-rule out each row that cannot enter a query's list, and the few rows left
+A tile's bounds are one float32 matmul of augmented rows, and the rows left
 get their float64 subtract-and-square distance from the z-scored tile.  So
 every distance depends on its two rows alone, never on BLAS, the tiling or
 the partition count, and an exact duplicate sits at 0.0.
+
+Sparse rows are searched as ||q||^2 + ||b||^2 - 2 q.b over a partition's
+stored entries, a tile of rows at a time.  Those float64 squares are the
+bounds, and a row's distance is the square root of its own square.
 """
 
 from __future__ import annotations
@@ -64,12 +66,6 @@ LOCATOR_BYTES = 16
 DENSE_VALUE_BYTES = 8
 SPARSE_NONZERO_BYTES = 12
 
-# At or above this feature count the dense search filters candidates with
-# a float32 matmul and measures the survivors exactly; below it, every
-# distance is subtracted and squared.  The switch keys on the feature count
-# alone, so the partition layout can never change which path a dataset takes.
-GRAM_MIN_FEATURES = 256
-
 _QUERY_CHUNK = 128
 
 # Byte budget of a dense search tile: a partition's rows are z-scored into a
@@ -96,6 +92,14 @@ _PAIR_BYTES = 1 << 18
 # (2^-126 when BLAS flushes subnormals to zero), summed over a dot product
 # with generous room: the margin adds it per term.
 _UNDERFLOW = 2.0 ** -120
+# Margin of the sparse search's float64 squares, per unit of a block's
+# largest square S.  They are exact as bounds, but two different squares
+# can round to one square root, and the (distance, row id) rule then keeps
+# the lower row id even when its square is the larger.  Squares that share
+# the root r lie within (r +- ulp(r)/2)^2, at most 4u r^2 ~ 4u S apart
+# (u = 2^-53), so a row whose square exceeds the k-th by more than that is
+# farther; 2^-50 = 8u leaves room for the float64 rounding of the limits.
+_SQRT_TIES = 2.0 ** -50
 
 
 @dataclass
@@ -176,22 +180,6 @@ def _add_mismatches(out: np.ndarray, Qc: np.ndarray, Bc: np.ndarray) -> None:
     block row differ."""
     for i in range(Qc.shape[0]):
         out[i] += (Bc != Qc[i]).sum(axis=1)
-
-
-def _subtract_sq(Qn: np.ndarray, Bn: np.ndarray, out: np.ndarray) -> None:
-    """Row-wise subtract-and-square over numeric columns, into ``out``.
-
-    ``Bn``'s layout sets the order of each row's sum: C-ordered rows sum
-    as a lone 1-D array does (as ``_pair_distances`` sums them), while
-    column-major ones add a feature column at a time, which can sit one ulp
-    from the scalar value.  Each row's sum depends on that row alone, so
-    tiling the block keeps the bits.
-    """
-    d = np.empty_like(Bn)
-    for i in range(Qn.shape[0]):
-        np.subtract(Bn, Qn[i], out=d)
-        np.multiply(d, d, out=d)
-        d.sum(axis=1, out=out[i])
 
 
 def _tile_height(rows: int, n_features: int) -> int:
@@ -296,27 +284,6 @@ def _sparse_distances(Q: SparseRows, block: SparseRows, block_sq: np.ndarray,
 # -- partition map ----------------------------------------------------------
 
 
-def _top_k(dc: np.ndarray, k: int) -> np.ndarray:
-    """Columns of the k smallest entries of each row of ``dc``, ordered by
-    (distance, column); all columns when there are at most k.
-
-    ``argpartition`` finds each row's k-th smallest distance in linear
-    time.  A row with more than k entries at or below it has a tie at the
-    k-th place, and is redone on that short list so the lowest columns win.
-    """
-    q, m = dc.shape
-    if m <= k:
-        idx = np.broadcast_to(np.arange(m), (q, m))
-    else:
-        idx = np.argpartition(dc, k - 1, axis=1)[:, :k]
-        kth = np.take_along_axis(dc, idx[:, k - 1:], axis=1)
-        for r in np.flatnonzero(np.count_nonzero(dc <= kth, axis=1) > k):
-            near = np.flatnonzero(dc[r] <= kth[r])
-            idx[r] = near[np.argsort(dc[r, near], kind="stable")[:k]]
-    order = np.lexsort((idx, np.take_along_axis(dc, idx, axis=1)), axis=1)
-    return np.take_along_axis(idx, order, axis=1)
-
-
 def _keep_k(rows: np.ndarray, dist: np.ndarray, k: int):
     """The first k entries of each (..., candidates) list by (distance, row
     id), as (rows, dist).  Padding (-1, +inf) sorts after every finite
@@ -346,49 +313,23 @@ def _append(rows: np.ndarray, dist: np.ndarray, qi: np.ndarray,
     return all_rows, all_dist
 
 
-def _merge_step(rows, dist, d: np.ndarray, first: int, members: dict, k: int):
-    """Merge the distances ``d`` from a group of queries to the consecutive
-    block rows first, first + 1, ... into the group's running (query,
-    class, k) lists ``rows``/``dist``, in place, class by class.
-    ``members`` holds each class's block positions, ascending.
-
-    Steps come in ascending row order, so an entry can enter a list only
-    by beating its k-th distance (+inf while the list has room).  When no
-    more than k entries per query do so, on average, those are merged;
-    otherwise (the first step that holds a class) each query's ``_top_k``
-    is.  Either way one ``_keep_k`` sorts the lists with their candidates.
-    """
-    q = d.shape[0]
-    for c, cand in members.items():
-        cand = _in_block(cand, first, d.shape[1])
-        if cand.size == 0:
-            continue
-        # take() copies in C order, where d[:, cand] would come back
-        # column-major and argpartition would walk each row with a stride.
-        dc = np.take(d, cand - first, axis=1)
-        beats = dc < dist[:, c, -1:]
-        if np.count_nonzero(beats) > k * q:
-            top = _top_k(dc, k)
-            qi, j = np.repeat(np.arange(q), top.shape[1]), top.ravel()
-        else:
-            qi, j = np.divmod(np.flatnonzero(beats), cand.size)
-        rows[:, c], dist[:, c] = _keep_k(
-            *_append(rows[:, c], dist[:, c], qi, cand[j], dc[qi, j]), k)
-
-
 def _filter_step(rows, dist, s: np.ndarray, first: int, members: dict, k: int,
                  margin: float, measure):
-    """Merge the rows that a block of squared-distance bounds ``s`` does not
-    rule out into the running lists, as ``_merge_step`` merges distances.
+    """Merge the rows that a block of squared-distance bounds ``s``, from a
+    group of queries to the consecutive block rows first, first + 1, ...,
+    does not rule out into the group's running (query, class, k) lists
+    ``rows``/``dist``, in place, class by class.  ``members`` holds each
+    class's block positions, ascending.
 
-    Each entry of ``s`` lies within ``margin`` of its squared distance.  A
-    row can enter a list only if its bound minus the margin reaches both
-    the list's k-th squared distance (+inf while the list has room) and the
-    block's own k-th bound plus the margin, which is taken for every query
-    on the first step that holds a class (more than k rows through per
-    query, on average) and later only for the queries with more than k
-    rows through.  ``measure(qi, j)`` gives the exact distances of the rows
-    left, and one ``_keep_k`` merges them.
+    Each entry of ``s`` lies within ``margin`` of its squared distance (an
+    entry set to +inf never enters a list).  Steps come in ascending row
+    order, so a row can enter a list only if its bound minus the margin
+    reaches both the list's k-th squared distance (+inf while the list has
+    room) and the block's own k-th bound plus the margin, which is taken for
+    every query on the first step that holds a class (more than k rows
+    through per query, on average) and later only for the queries with
+    more than k rows through.  ``measure(qi, j)`` gives the exact distances
+    of the rows left, and one ``_keep_k`` merges them.
     """
     q = s.shape[0]
     for c, cand in members.items():
@@ -431,14 +372,11 @@ def _search_block(stored, start: int, end: int, Q, space: FeatureSpace,
     rows = np.full((len(Q), n_classes, k), -1, dtype=np.int64)
     dist = np.full(rows.shape, np.inf)
     steps = _sparse_steps if isinstance(stored, SparseRows) else _dense_steps
-    for first, lo, hi, d, bounds in steps(stored, start, end, Q, space):
+    for first, lo, hi, s, margin, measure in steps(stored, start, end, Q, space):
         if own is not None:
-            mine = np.flatnonzero((own[lo:hi] >= first) & (own[lo:hi] < first + d.shape[1]))
-            d[mine, own[lo + mine] - first] = np.inf
-        if bounds is None:
-            _merge_step(rows[lo:hi], dist[lo:hi], d, first, members, k)
-        else:
-            _filter_step(rows[lo:hi], dist[lo:hi], d, first, members, k, *bounds)
+            mine = np.flatnonzero((own[lo:hi] >= first) & (own[lo:hi] < first + s.shape[1]))
+            s[mine, own[lo + mine] - first] = np.inf
+        _filter_step(rows[lo:hi], dist[lo:hi], s, first, members, k, margin, measure)
     rows[np.isinf(dist)] = -1
     return rows, dist
 
@@ -461,36 +399,38 @@ def _search_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
 
 def _sparse_steps(stored: SparseRows, start: int, end: int, Q: SparseRows,
                   space: FeatureSpace):
-    """Distances from query chunks to the whole partition, as (first block
-    row, query lo, query hi, distances, None) steps."""
+    """Squared distances from query chunks to the whole partition, as (first
+    block row, query lo, query hi, squares, margin, measure) steps: the
+    squares are their own bounds, with the ``_SQRT_TIES`` margin, and
+    ``measure`` takes their square roots."""
     block = space.scaled(stored[start:end])
     block_sq = _row_sums(block.data * block.data, block.indptr)
     chunk = max(1, min(_QUERY_CHUNK, _TILE_BYTES // (8 * max(space.n_features, 1))))
     for lo in range(0, len(Q), chunk):
         hi = min(lo + chunk, len(Q))
         sq = _sparse_distances(Q[lo:hi], block, block_sq, space.n_features)
-        yield 0, lo, hi, np.sqrt(sq, out=sq), None
+        yield (0, lo, hi, sq, _SQRT_TIES * float(sq.max(initial=0.0)),
+               lambda qi, j, sq=sq: np.sqrt(sq[qi, j]))
 
 
 def _dense_steps(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
                  space: FeatureSpace):
-    """Distances, or bounds on their squares, from the queries to the
-    partition, a row tile at a time, as (first block row, query lo, query
-    hi, block, bounds) steps.
+    """Bounds on the squared distances from the queries to the partition, a
+    row tile at a time, as (first block row, query lo, query hi, bounds,
+    margin, measure) steps.
 
     Tiles are consecutive row ranges (``_tile_height``) in the outer loop,
     so each is z-scored once per batch; the queries run in groups of
     ``_QUERY_CHUNK`` multiples that fill at most ``_DENSE_TILE_BYTES`` of
-    distances.  Below ``GRAM_MIN_FEATURES`` features a block holds the
-    distances and ``bounds`` is None.  From there on a block holds float32
-    bounds S, one matmul of the augmented rows [-2q, ||q||^2, 1] and [b, 1,
-    ||b||^2], and ``bounds`` is (margin, measure): each S lies within the
-    margin (``_margin_rate``) of its squared distance, and ``measure(qi,
-    j)`` gives the exact distances of block entries (``_pair_distances``).
-    Queries or a tile with a squared norm above ``_NORM_CAP`` are
-    subtracted and squared instead, over C-ordered rows, which gives the
-    same distances.  The buffers are allocated once and reused; a step's
-    block is only valid until the next step.
+    bounds.  The bounds S are one float32 matmul of the augmented rows
+    [-2q, ||q||^2, 1] and [b, 1, ||b||^2] (two columns wide when every
+    feature is nominal) plus the nominal mismatch count.  Each S lies
+    within the margin (``_margin_rate``) of its squared distance, and
+    ``measure(qi, j)`` gives the exact distances of block entries
+    (``_pair_distances``).  Queries or a tile with a squared norm above
+    ``_NORM_CAP`` get no bound: S is 0 and the margin +inf, so every row is
+    measured.  The buffers are allocated once and reused; a step's bounds
+    are only valid until the next step.
     """
     n_samples = Q.shape[0]
     height = _tile_height(end - start, space.n_features)
@@ -499,20 +439,18 @@ def _dense_steps(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
     Qc = None if space.all_numeric else Q[:, space.nominal_idx]
     tile_buf = (None if space.means is None
                 else np.empty(height * space.n_features))
-    filtered = space.n_features >= GRAM_MIN_FEATURES
-    dist_buf = Qa = None
-    if filtered:
-        width = Qn.shape[1] + 2
-        rate = _margin_rate(Qn.shape[1])
-        q_sq = np.einsum("ij,ij->i", Qn, Qn)
-        q_max = float(q_sq.max(initial=0.0))
-        if q_max <= _NORM_CAP and rate < math.inf:
-            Qa = np.empty((n_samples, width), dtype=np.float32)
-            np.multiply(Qn, -2.0, out=Qa[:, :-2], casting="same_kind")
-            Qa[:, -2], Qa[:, -1] = q_sq, 1.0
-            aug_buf = np.empty(height * width, dtype=np.float32)
-            s_buf = np.empty(min(group, n_samples) * height, dtype=np.float32)
-            pair_buf = np.empty((2, max(1, _PAIR_BYTES // (8 * width)), width - 2))
+    width = Qn.shape[1] + 2
+    rate = _margin_rate(Qn.shape[1])
+    q_sq = np.einsum("ij,ij->i", Qn, Qn)
+    q_max = float(q_sq.max(initial=0.0))
+    bounded = q_max <= _NORM_CAP and rate < math.inf
+    if bounded:
+        Qa = np.empty((n_samples, width), dtype=np.float32)
+        np.multiply(Qn, -2.0, out=Qa[:, :-2], casting="same_kind")
+        Qa[:, -2], Qa[:, -1] = q_sq, 1.0
+        aug_buf = np.empty(height * width, dtype=np.float32)
+    s_buf = np.empty(min(group, n_samples) * height, dtype=np.float32)
+    pair_buf = np.empty((2, max(1, _PAIR_BYTES // (8 * width)), width - 2))
     for first in range(0, end - start, height):
         h = min(height, end - start - first)
         raw = stored[start + first:start + first + h]
@@ -520,8 +458,8 @@ def _dense_steps(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
                             else tile_buf[:raw.size].reshape(raw.shape))
         Bn = _numeric_cols(tile, space)
         Bc = None if Qc is None else tile[:, space.nominal_idx]
-        Ba = None
-        if Qa is not None:
+        margin = math.inf
+        if bounded:
             b_sq = np.einsum("ij,ij->i", Bn, Bn)
             b_max = float(b_sq.max())
             if b_max <= _NORM_CAP:
@@ -529,26 +467,18 @@ def _dense_steps(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
                           + width * _UNDERFLOW)
                 Ba = aug_buf[:h * width].reshape(h, width)
                 Ba[:, :-2], Ba[:, -2], Ba[:, -1] = Bn, 1.0, b_sq
-        if filtered and Ba is None:
-            Bn = np.ascontiguousarray(Bn)
         for g0 in range(0, n_samples, group):
             g1 = min(g0 + group, n_samples)
             Qcg = None if Qc is None else Qc[g0:g1]
-            if Ba is not None:
-                d = s_buf[:(g1 - g0) * h].reshape(g1 - g0, h)
-                np.matmul(Qa[g0:g1], Ba.T, out=d)
+            s = s_buf[:(g1 - g0) * h].reshape(g1 - g0, h)
+            if margin < math.inf:
+                np.matmul(Qa[g0:g1], Ba.T, out=s)
+                if Qcg is not None:
+                    _add_mismatches(s, Qcg, Bc)
             else:
-                if dist_buf is None:
-                    dist_buf = np.empty(min(group, n_samples) * height)
-                d = dist_buf[:(g1 - g0) * h].reshape(g1 - g0, h)
-                _subtract_sq(Qn[g0:g1], Bn, d)
-            if Qcg is not None:
-                _add_mismatches(d, Qcg, Bc)
-            if Ba is None:
-                yield first, g0, g1, np.sqrt(d, out=d), None
-            else:
-                yield first, g0, g1, d, (margin, partial(
-                    _pair_distances, Qn[g0:g1], Qcg, Bn, Bc, pair_buf))
+                s.fill(0.0)
+            yield first, g0, g1, s, margin, partial(
+                _pair_distances, Qn[g0:g1], Qcg, Bn, Bc, pair_buf)
 
 
 def neighborhood(pdata: PartitionedDataset, batch: SampleBatch, k: int) -> NeighborTable:

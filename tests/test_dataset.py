@@ -578,7 +578,7 @@ class TestDrawSample:
         pd = partition(ds, 2)
         batch = draw_sample(pd, 1.0, 1, seed=0)[0]
         i = int(batch.indices[0])
-        assert np.array_equal(batch.row(0), ds.rows[i])
+        assert np.array_equal(batch.rows[0], ds.rows[i])
         batch.rows[0, 0] += 100.0
         assert batch.rows[0, 0] != ds.rows[i, 0]
         batch.labels[0] += 1

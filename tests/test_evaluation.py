@@ -12,6 +12,19 @@ from beliefsel.evaluation import (cross_validate, evaluate, knn_classify,
 NUM = FeatureKind.NUMERIC
 
 
+def brute_force_vote(Xtr, ytr, Xte, nominal, k):
+    """Majority votes over a full float64 scan of the z-scaled rows, with
+    distance ties broken by training row and vote ties by neighbor order."""
+    want = []
+    for q in Xte:
+        d = np.sqrt((((Xtr - q) ** 2)[:, ~nominal]).sum(axis=1)
+                    + (Xtr[:, nominal] != q[nominal]).sum(axis=1))
+        near = ytr[np.lexsort((np.arange(len(Xtr)), d))[:k]]
+        votes = np.bincount(near)
+        want.append(next(c for c in near if votes[c] == votes.max()))
+    return want
+
+
 def two_blobs(seed=0, m=60, n=4, gap=8.0):
     rng = np.random.default_rng(seed)
     y = rng.integers(0, 2, m)
@@ -93,13 +106,13 @@ class TestKnnClassify:
         with pytest.raises(DataError, match="train row 1"):
             knn_classify(pre, Dataset(np.zeros((1, 1)), [0], [NUM]), 1, [0])
 
-    @pytest.mark.parametrize("gram", [False, True])
+    @pytest.mark.parametrize("small_tiles", [False, True])
     @pytest.mark.parametrize("k", [1, 3, 7])
-    def test_matches_brute_force_vote_over_row_tiles(self, monkeypatch, gram, k):
-        # Continuous mixed-kind data, so no distance ties; 8-row tiles make
-        # the 45 training rows fold in six steps.
-        monkeypatch.setattr(neighbors, "_DENSE_TILE_BYTES", 0)
-        monkeypatch.setattr(neighbors, "GRAM_MIN_FEATURES", 1 if gram else 10 ** 6)
+    def test_matches_brute_force_vote_over_row_tiles(self, monkeypatch, small_tiles, k):
+        # Continuous mixed-kind data, so no distance ties; the 45 training
+        # rows fold in one step, or in six with 8-row tiles.
+        if small_tiles:
+            monkeypatch.setattr(neighbors, "_DENSE_TILE_BYTES", 0)
         rng = np.random.default_rng(k)
         X = rng.standard_normal((60, 6)) * [1.0, 5.0, 1.0, 0.1, 1.0, 30.0]
         X[:, 2] = rng.integers(0, 3, 60)
@@ -112,13 +125,7 @@ class TestKnnClassify:
         Xtr = (X[:45, features] - mean) / std
         Xte = (X[45:, features] - mean) / std
         nominal = np.array([j == 2 for j in features])
-        want = []
-        for q in Xte:
-            d = np.sqrt((((Xtr - q) ** 2)[:, ~nominal]).sum(axis=1)
-                        + (Xtr[:, nominal] != q[nominal]).sum(axis=1))
-            near = y[:45][np.lexsort((np.arange(45), d))[:k]]
-            votes = np.bincount(near)
-            want.append(next(c for c in near if votes[c] == votes.max()))
+        want = brute_force_vote(Xtr, y[:45], Xte, nominal, k)
         assert knn_classify(train, test, k, features).tolist() == want
 
 
@@ -126,11 +133,11 @@ class TestKnnClassify:
     def test_rows_too_large_for_float32_are_measured_exactly(self, monkeypatch, huge):
         # Test rows near 1e25 are scaled to z-scores whose squared norms
         # overflow float32; a training row stored on the z-scale can be as
-        # large.  Their blocks must skip the float32 filter (8-row tiles, so
-        # the other tiles still take it) and vote as the subtract path does.
+        # large.  Their blocks must get no float32 bound (8-row tiles, so
+        # the other tiles still take one) and vote as a float64 scan does.
         monkeypatch.setattr(neighbors, "_DENSE_TILE_BYTES", 0)
         rng = np.random.default_rng(9)
-        n = neighbors.GRAM_MIN_FEATURES + 4
+        n = 260
         X = rng.standard_normal((60, n))
         y = rng.integers(0, 3, 60)
         X[:, 0] += 3.0 * y
@@ -142,10 +149,12 @@ class TestKnnClassify:
             train[20] = 1e25
             train = Dataset(train, y[:45], [NUM] * n, normalized=True)
         test = Dataset(test, y[45:], [NUM] * n, normalized=huge == "train")
-        features = list(range(n))
-        got = knn_classify(train, test, 3, features)
-        monkeypatch.setattr(neighbors, "GRAM_MIN_FEATURES", 10 ** 6)
-        assert got.tolist() == knn_classify(train, test, 3, features).tolist()
+        Xtr, Xte = train.rows, test.rows
+        if huge == "test":
+            stats = zscore_normalize(train)
+            Xtr, Xte = ((X - stats.means) / stats.stds for X in (Xtr, Xte))
+        want = brute_force_vote(Xtr, y[:45], Xte, np.zeros(n, dtype=bool), 3)
+        assert knn_classify(train, test, 3, list(range(n))).tolist() == want
 
 class TestEvaluate:
     def test_perfect_predictions(self):

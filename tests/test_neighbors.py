@@ -14,8 +14,8 @@ from beliefsel.dataset import (Dataset, FeatureKind, draw_sample, parse_libsvm,
                                partition, zscore_normalize)
 from beliefsel import neighbors
 from beliefsel.errors import DataError
-from beliefsel.neighbors import (GRAM_MIN_FEATURES, LOCATOR_BYTES, _add_mismatches,
-                                 _subtract_sq, feature_diff, instance_distance,
+from beliefsel.neighbors import (LOCATOR_BYTES, _filter_step, _pair_distances,
+                                 _SQRT_TIES, feature_diff, instance_distance,
                                  neighborhood)
 
 
@@ -210,21 +210,20 @@ class TestInstanceDistance:
 
 class TestVectorizedKernels:
     def test_subtract_kernel_matches_scalar(self):
-        # Same terms per pair; the block-level reduction may move the last
-        # bit on long rows, so the bound is one part in 1e13, not equality.
+        # Same terms per pair, each row gathered C-ordered and summed as a
+        # lone 1-D array is, so the distances are the scalar ones exactly;
+        # 3-pair chunks make the 280 pairs take many gathers.
         ds = random_dataset(11, m=40, n=9, nominal=(2, 5))
         space = ds.feature_space()
         num, nom = space.numeric_idx, space.nominal_idx
-        sq = np.empty((7, 40))
-        _subtract_sq(ds.rows[:7, num], ds.rows[:, num], sq)
-        _add_mismatches(sq, ds.rows[:7, nom], ds.rows[:, nom])
-        for i in range(7):
-            for j in range(40):
-                scalar = instance_distance(ds.rows[i], ds.rows[j], space)
-                assert math.sqrt(sq[i, j]) == pytest.approx(scalar, rel=1e-13, abs=0.0)
+        qi, j = np.divmod(np.arange(7 * 40), 40)
+        got = _pair_distances(ds.rows[:7, num], ds.rows[:7, nom], ds.rows[:, num],
+                              ds.rows[:, nom], np.empty((2, 3, num.size)), qi, j)
+        for i, b, d in zip(qi, j, got):
+            assert d == instance_distance(ds.rows[i], ds.rows[b], space)
 
     def test_gram_kernel_close_to_scalar(self):
-        ds = random_dataset(12, m=50, n=GRAM_MIN_FEATURES + 10)
+        ds = random_dataset(12, m=50, n=266)
         pdata = partition(zscore_normalize(ds), 1)
         batch = draw_sample(pdata, 0.2, 1, seed=0)[0]
         table = neighborhood(pdata, batch, k=3)
@@ -428,20 +427,17 @@ class TestNeighborhood:
     @pytest.mark.parametrize("p", [1, 3])
     def test_tiled_gram_search_matches_oracle(self, monkeypatch, p):
         monkeypatch.setattr(neighbors, "_DENSE_TILE_BYTES", 0)
-        monkeypatch.setattr(neighbors, "GRAM_MIN_FEATURES", 1)
         ds = tiled_dataset(80 + p, lattice=False, twins=False)
         pdata = partition(zscore_normalize(ds), p)
         batch = draw_sample(pdata, 0.5, 1, seed=p)[0]
         assert_matches_oracle(pdata, batch, 3)
 
     @settings(max_examples=40)
-    @given(ds=lattice_datasets(), p=st.integers(1, 5), k=st.integers(1, 7),
-           gram=st.booleans())
-    def test_tiled_search_matches_oracle_on_lattice_data(self, ds, p, k, gram):
+    @given(ds=lattice_datasets(), p=st.integers(1, 5), k=st.integers(1, 7))
+    def test_tiled_search_matches_oracle_on_lattice_data(self, ds, p, k):
         # Exact arithmetic on both sides, so distances must agree exactly
         # and ties must resolve by row id as in the oracle.
-        with mock.patch.object(neighbors, "_DENSE_TILE_BYTES", 0), \
-                mock.patch.object(neighbors, "GRAM_MIN_FEATURES", 1 if gram else 10 ** 6):
+        with mock.patch.object(neighbors, "_DENSE_TILE_BYTES", 0):
             pdata = partition(ds, min(p, ds.n_instances))
             batch = draw_sample(pdata, 0.3, 1, seed=k)[0]
             assert_matches_oracle(pdata, batch, k, rtol=0)
@@ -456,9 +452,9 @@ class TestNeighborhood:
 TWINS = ((5, 6), (20, 21), (40, 41), (60, 61), (80, 81))
 
 
-def wide_dataset(seed, m=90, n=GRAM_MIN_FEATURES + 20, n_classes=3):
-    """N(0,1) rows wide enough for the filtered search, where each pair in
-    ``TWINS`` (below 90 rows) is a row and its exact copy, in one class."""
+def wide_dataset(seed, m=90, n=276, n_classes=3):
+    """N(0,1) rows, where each pair in ``TWINS`` (below 90 rows) is a row
+    and its exact copy, in one class."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((m, n))
     y = rng.integers(0, n_classes, m)
@@ -470,13 +466,13 @@ def wide_dataset(seed, m=90, n=GRAM_MIN_FEATURES + 20, n_classes=3):
 
 @st.composite
 def near_tie_datasets(draw):
-    """Rows stored on the z-scale, at least ``GRAM_MIN_FEATURES`` wide, most
-    of them a shared base row, exact copies of it or copies moved by about
+    """Rows stored on the z-scale, 4 to 296 features wide, most of them a
+    shared base row, exact copies of it or copies moved by about
     1e-9 in one feature, so many distances sit within float32 resolution of
     each other and of the k-th neighbor; the rest are N(0,1).  Optionally
     two nominal features, on which the copies may differ."""
     m = draw(st.integers(12, 40))
-    n = draw(st.integers(GRAM_MIN_FEATURES, GRAM_MIN_FEATURES + 40))
+    n = draw(st.integers(4, 296))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     base = rng.standard_normal(n)
     X = rng.standard_normal((m, n))
@@ -494,8 +490,8 @@ def near_tie_datasets(draw):
 
 
 class TestFilteredSearch:
-    """From GRAM_MIN_FEATURES features on: a float32 filter, then exact
-    float64 distances for the rows it lets through."""
+    """A float32 filter, then exact float64 distances for the rows it lets
+    through; for sparse rows, exact float64 squares, then their roots."""
 
     def test_distances_do_not_depend_on_partitions(self):
         ds = zscore_normalize(wide_dataset(90))
@@ -530,23 +526,42 @@ class TestFilteredSearch:
             assert_matches_oracle(pdata, batch, k, rtol=0)
 
     def test_filter_lets_few_rows_through(self, monkeypatch):
-        # N(0,1) rows: per tile, class and query, at most 2k rows are
-        # measured exactly, so the margin cannot quietly turn the filter
-        # into a full float64 recompute.  40-row tiles, 5-6 a partition.
+        # N(0,1) rows, 4, 20 and 300 features wide: per tile, class and
+        # query, at most 2k rows are measured exactly, so the margin cannot
+        # quietly turn the filter into a full float64 recompute.  40-row
+        # tiles, 5-6 a partition.
         k = 3
-        monkeypatch.setattr(neighbors, "_DENSE_TILE_BYTES", 40 * 8 * (GRAM_MIN_FEATURES + 44))
-        measured = []
         real = neighbors._pair_distances
+        for n in (4, 20, 300):
+            measured = []
 
-        def spy(*args):
-            measured.append(np.bincount(args[-2]).max())
-            return real(*args)
+            def spy(*args):
+                measured.append(np.bincount(args[-2]).max())
+                return real(*args)
 
-        monkeypatch.setattr(neighbors, "_pair_distances", spy)
-        pdata = partition(zscore_normalize(wide_dataset(92, m=420, n=GRAM_MIN_FEATURES + 44,
-                                                        n_classes=2)), 2)
-        neighborhood(pdata, draw_sample(pdata, 0.25, 1, seed=0)[0], k)
-        assert len(measured) > 4 and max(measured) <= 2 * k
+            monkeypatch.setattr(neighbors, "_pair_distances", spy)
+            monkeypatch.setattr(neighbors, "_DENSE_TILE_BYTES", 40 * 8 * max(n, 128))
+            pdata = partition(zscore_normalize(wide_dataset(92, m=420, n=n, n_classes=2)), 2)
+            neighborhood(pdata, draw_sample(pdata, 0.25, 1, seed=0)[0], k)
+            assert len(measured) > 4 and max(measured) <= 2 * k, n
+
+    def test_rows_sharing_a_square_root_keep_the_lower_id(self):
+        # Three consecutive float64 squares round to one root here.  Row 1
+        # holds the smallest and row 0, the lower id, the largest: both sit
+        # at the same distance, so row 0 must come first, as a margin of 0
+        # would not let it (its square is two ulps past the k-th).
+        r = np.float64(1.4)
+        tied = [r * r]
+        while np.sqrt(np.nextafter(tied[0], 0.0)) == r:
+            tied.insert(0, np.nextafter(tied[0], 0.0))
+        while np.sqrt(np.nextafter(tied[-1], 4.0)) == r:
+            tied.append(np.nextafter(tied[-1], 4.0))
+        assert len(tied) >= 3 and np.all(np.sqrt(tied) == r)
+        s = np.array([[tied[-1], tied[0], 5.0]])
+        rows, dist = np.full((1, 1, 1), -1), np.full((1, 1, 1), np.inf)
+        _filter_step(rows, dist, s, 0, {0: np.arange(3)}, 1, _SQRT_TIES * s.max(),
+                     lambda qi, j: np.sqrt(s[qi, j]))
+        assert (rows[0, 0, 0], dist[0, 0, 0]) == (0, r)
 
 
 class TestAccounting:
