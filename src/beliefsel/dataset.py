@@ -732,10 +732,11 @@ class PartitionedDataset:
     def block_size(self, g: int) -> int:
         return int(self.starts[g + 1] - self.starts[g])
 
-    def map_partitions(self, fn) -> list:
-        """``[fn(g) for g in range(p)]``, run in a pool of min(p, 8) threads,
-        with the results in partition order."""
-        return _map_pool(fn, range(self.n_partitions), self.n_partitions)
+    def map_partitions(self, fn, workers: int | None = None) -> list:
+        """``[fn(g) for g in range(p)]``, run in a pool of min(``workers``,
+        8) threads (p by default), with the results in partition order."""
+        return _map_pool(fn, range(self.n_partitions),
+                         self.n_partitions if workers is None else workers)
 
 
 

@@ -69,13 +69,13 @@ SPARSE_NONZERO_BYTES = 12
 _QUERY_CHUNK = 128
 
 # Byte budget of a dense search tile: a partition's rows are z-scored into a
-# buffer of at most this many bytes, and a block of at least _QUERY_CHUNK
-# query distances to them takes at most as much again, which caps a tile at
-# 4096 rows however few the features.  On a 10,000 x 500 input searched by
-# two threads (500 queries; 2-vCPU Xeon, numpy 2.4, OpenBLAS on one
-# thread), a run with 4 MiB tiles added about 37 MB to the peak RSS and
-# with 8 MiB tiles about 57 MB; with a z-scored copy and whole-partition
-# distance blocks, 83 MB.
+# float64 buffer of at most this many bytes, and a step's float32 bounds from
+# a group of queries to the tile take at most as much again.  A tile holds
+# at most 4096 rows however few the features, so a group may hold at least
+# 2 _QUERY_CHUNK queries.  On the tall-search workload (10,000 x 500, 500
+# queries, two partition threads; 2-vCPU Xeon, numpy 2.4) the selection's
+# traced allocations peaked at 29 MB with 4 MiB tiles, and its RSS stayed
+# under the 115 MB set-up peak; with 8 MiB tiles, 51 MB and 133 MB RSS.
 _DENSE_TILE_BYTES = 1 << 22
 
 # float32 unit roundoff, and the largest squared row norm the float32
@@ -100,6 +100,15 @@ _UNDERFLOW = 2.0 ** -120
 # (u = 2^-53), so a row whose square exceeds the k-th by more than that is
 # farther; 2^-50 = 8u leaves room for the float64 rounding of the limits.
 _SQRT_TIES = 2.0 ** -50
+# A batch's search of at most this many (query, row, feature) triples runs
+# its partitions one after another on the calling thread: on small
+# partitions, pool threads trading the GIL over many small numpy calls cost
+# more than they save.  On a 2-vCPU Xeon (numpy 2.4) the wide-collide search
+# (75 queries, two 37-row partitions of 500 features: 2.8 M) took 3.2 ms
+# inline against 5.5 ms on two threads with OpenBLAS on one thread (4.4
+# against 8.6 ms with OpenBLAS on two); full sd3 (75 x 4060: 22.8 M) took
+# 23.6 ms inline against 22.7 ms on two threads with OpenBLAS on one.
+_INLINE_SEARCH = 1 << 22
 
 
 @dataclass
@@ -184,8 +193,10 @@ def _add_mismatches(out: np.ndarray, Qc: np.ndarray, Bc: np.ndarray) -> None:
 
 def _tile_height(rows: int, n_features: int) -> int:
     """Height of the dense search's row tiles over a partition of ``rows``:
-    at most ``_DENSE_TILE_BYTES`` of rows whose distances to ``_QUERY_CHUNK``
-    queries fit the same budget, and at least 8 rows (or the partition)."""
+    at most ``_DENSE_TILE_BYTES`` of float64 rows counted at least
+    ``_QUERY_CHUNK`` features wide (so at most 4096 rows), and at least 8
+    rows (or the partition).  The float32 bounds of 2 ``_QUERY_CHUNK``
+    queries to a tile then fit the same budget."""
     widest = max(n_features, _QUERY_CHUNK)
     return max(1, min(rows, max(8, _DENSE_TILE_BYTES // (8 * widest))))
 
@@ -420,9 +431,12 @@ def _dense_steps(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
     margin, measure) steps.
 
     Tiles are consecutive row ranges (``_tile_height``) in the outer loop,
-    so each is z-scored once per batch; the queries run in groups of
-    ``_QUERY_CHUNK`` multiples that fill at most ``_DENSE_TILE_BYTES`` of
-    bounds.  The bounds S are one float32 matmul of the augmented rows
+    so each is z-scored once per batch.  The queries are spread evenly over
+    the fewest groups whose float32 bounds to a tile fit
+    ``_DENSE_TILE_BYTES``, with ``_QUERY_CHUNK`` queries a group allowed
+    whatever the budget, so each tile is filtered in as few steps as the
+    budget allows (one for 500 queries against a 1048-row tile of 500
+    features).  The bounds S are one float32 matmul of the augmented rows
     [-2q, ||q||^2, 1] and [b, 1, ||b||^2] (two columns wide when every
     feature is nominal) plus the nominal mismatch count.  Each S lies
     within the margin (``_margin_rate``) of its squared distance, and
@@ -434,7 +448,9 @@ def _dense_steps(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
     """
     n_samples = Q.shape[0]
     height = _tile_height(end - start, space.n_features)
-    group = max(1, _DENSE_TILE_BYTES // (8 * height * _QUERY_CHUNK)) * _QUERY_CHUNK
+    cap = max(_QUERY_CHUNK, _DENSE_TILE_BYTES // (4 * height))
+    groups = max(1, -(-n_samples // cap))
+    edges = [n_samples * i // groups for i in range(groups + 1)]
     Qn = _numeric_cols(Q, space)
     Qc = None if space.all_numeric else Q[:, space.nominal_idx]
     tile_buf = (None if space.means is None
@@ -449,7 +465,7 @@ def _dense_steps(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
         np.multiply(Qn, -2.0, out=Qa[:, :-2], casting="same_kind")
         Qa[:, -2], Qa[:, -1] = q_sq, 1.0
         aug_buf = np.empty(height * width, dtype=np.float32)
-    s_buf = np.empty(min(group, n_samples) * height, dtype=np.float32)
+    s_buf = np.empty(-(-n_samples // groups) * height, dtype=np.float32)
     pair_buf = np.empty((2, max(1, _PAIR_BYTES // (8 * width)), width - 2))
     for first in range(0, end - start, height):
         h = min(height, end - start - first)
@@ -467,8 +483,7 @@ def _dense_steps(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
                           + width * _UNDERFLOW)
                 Ba = aug_buf[:h * width].reshape(h, width)
                 Ba[:, :-2], Ba[:, -2], Ba[:, -1] = Bn, 1.0, b_sq
-        for g0 in range(0, n_samples, group):
-            g1 = min(g0 + group, n_samples)
+        for g0, g1 in zip(edges, edges[1:]):
             Qcg = None if Qc is None else Qc[g0:g1]
             s = s_buf[:(g1 - g0) * h].reshape(g1 - g0, h)
             if margin < math.inf:
@@ -489,15 +504,19 @@ def neighborhood(pdata: PartitionedDataset, batch: SampleBatch, k: int) -> Neigh
     id) then keeps the first k, so the merge does not depend on completion
     order.  A sampled instance is never its own neighbor (excluded by
     global row id, so exact duplicates stay eligible); a class with fewer
-    than ``k`` candidates leaves padded slots.
+    than ``k`` candidates leaves padded slots.  A batch whose queries x rows
+    x features stay within ``_INLINE_SEARCH`` searches its partitions one
+    after another on the calling thread, the rest on the partition pool.
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
     ds = pdata.dataset
     space = ds.feature_space()
     Q = space.scaled(batch.rows)  # once per batch, shared by the partitions
+    tiny = len(batch) * ds.n_instances * ds.n_features <= _INLINE_SEARCH
     parts = pdata.map_partitions(
-        lambda g: _search_partition(pdata, g, batch, Q, k, space))
+        lambda g: _search_partition(pdata, g, batch, Q, k, space),
+        workers=1 if tiny else pdata.n_partitions)
     rows, dist = (np.concatenate(a, axis=-1) for a in zip(*parts))
     emitted = rows[rows >= 0]
     if ds.is_sparse:

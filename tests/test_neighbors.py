@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from beliefsel.dataset import (Dataset, FeatureKind, draw_sample, parse_libsvm,
                                partition, zscore_normalize)
-from beliefsel import neighbors
+from beliefsel import dataset, neighbors
 from beliefsel.errors import DataError
 from beliefsel.neighbors import (LOCATOR_BYTES, _filter_step, _pair_distances,
                                  _SQRT_TIES, feature_diff, instance_distance,
@@ -104,6 +104,21 @@ def tiled_dataset(seed, m=61, n=7, lattice=True, twins=True):
         X[8], y[8] = X[7], y[7]
     kinds = [FeatureKind.NOMINAL if j == 1 else FeatureKind.NUMERIC for j in range(n)]
     return Dataset(X, y, kinds)
+
+
+def first_tile_groups(monkeypatch):
+    """The query count of every search step on a partition's first tile,
+    appended to the returned list as the dense search runs."""
+    groups = []
+    real = neighbors._filter_step
+
+    def spy(rows, dist, s, first, *rest):
+        if first == 0:
+            groups.append(rows.shape[0])
+        return real(rows, dist, s, first, *rest)
+
+    monkeypatch.setattr(neighbors, "_filter_step", spy)
+    return groups
 
 
 def assert_matches_oracle(pdata, batch, k, rtol=1e-12):
@@ -261,6 +276,32 @@ class TestNeighborhood:
         assert batches[1] == batches[3] == batches[8]
         assert tables[1] == tables[3] == tables[8]  # ids and float distances
 
+    def test_tiny_search_runs_on_the_calling_thread(self, monkeypatch):
+        # 30 queries x 60 rows x 6 features: with the cut at that product
+        # the partitions run one after another, with the cut one below it
+        # on p threads, and the table is the same either way.
+        pdata = partition(zscore_normalize(random_dataset(9, n_classes=3)), 3)
+        batch = draw_sample(pdata, 0.5, 1, seed=1)[0]
+        seen = []
+        pool = dataset._map_pool
+
+        def spy(fn, items, workers):
+            seen.append(workers)
+            return pool(fn, items, workers)
+
+        monkeypatch.setattr(dataset, "_map_pool", spy)
+        tables = []
+        for cut in (30 * 60 * 6, 30 * 60 * 6 - 1):
+            monkeypatch.setattr(neighbors, "_INLINE_SEARCH", cut)
+            tables.append(neighborhood(pdata, batch, k=3))
+        assert len(batch) == 30 and seen == [1, 3]
+        inline, pooled = tables
+        assert np.array_equal(inline.rows, pooled.rows)
+        assert np.array_equal(inline.dist, pooled.dist)
+        assert inline.emitted_records == pooled.emitted_records > 0
+        assert inline.emitted_bytes == pooled.emitted_bytes
+        assert inline.full_instance_bytes == pooled.full_instance_bytes
+
     def test_self_excluded_but_duplicate_rows_eligible(self):
         X = np.array([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0], [9.0, 9.0]])
         ds = Dataset(X, [0, 0, 0, 1], [FeatureKind.NUMERIC] * 2)
@@ -379,25 +420,30 @@ class TestNeighborhood:
         # products and a few distance arrays, each about the tile budget.
         assert peak <= 2 * ds.rows.data.nbytes + 8 * neighbors._TILE_BYTES
 
-    def test_narrow_dense_search_buffers_stay_in_budget(self):
+    def test_narrow_dense_search_buffers_stay_in_budget(self, monkeypatch):
         # 100,000 x 4 raw rows in one partition.  Tiles sized by their own
         # bytes alone would be one 100,000-row tile, and a 128-query block
-        # of distances to it 102 MB.
+        # of bounds to it 51 MB.  A 4096-row tile takes the float32 bounds
+        # of 256 queries, so 100 queries run in one group and 500 in two.
         rng = np.random.default_rng(6)
         m = 100_000
         ds = Dataset(rng.standard_normal((m, 4)), np.arange(m) % 3, [FeatureKind.NUMERIC] * 4)
         pdata = partition(zscore_normalize(ds), 1)
-        batch = draw_sample(pdata, 0.001, 1, seed=0)[0]
-        tracemalloc.start()
-        try:
-            neighborhood(pdata, batch, k=3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # The class member lists (2.4 MB), then per tile the z-scored rows,
-        # the distance block, a class's copy of it and its argpartition
-        # indices, each within the tile budget.
-        assert peak <= 4 * neighbors._DENSE_TILE_BYTES
+        groups = first_tile_groups(monkeypatch)
+        for rate, sizes in ((0.001, [100]), (0.005, [250, 250])):
+            batch = draw_sample(pdata, rate, 1, seed=0)[0]
+            groups.clear()
+            tracemalloc.start()
+            try:
+                neighborhood(pdata, batch, k=3)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert groups == sizes
+            # The class member lists (0.8 MB), then per tile the z-scored
+            # rows, the bound block, a class's copy of it and its
+            # partitioned copy, each within the tile budget.
+            assert peak <= 4 * neighbors._DENSE_TILE_BYTES, rate
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -406,8 +452,10 @@ class TestNeighborhood:
         # 8-row tiles over partitions of 61, 31/30 and 21/20/20 rows: every
         # row is sampled, so tile edges are queries too.  Row 7 ends a tile
         # and row 8, its twin, starts the next; class 2 has two rows, fewer
-        # than k = 3 or 5.
+        # than k = 3 or 5.  The 61 queries meet each tile in one group, and
+        # with 7-query chunks in 9 groups of 6 or 7.
         monkeypatch.setattr(neighbors, "_DENSE_TILE_BYTES", 0)
+        groups = first_tile_groups(monkeypatch)
         ds = tiled_dataset(70 + p)
         lazy = zscore_normalize(ds)
         if stored == "zscored":  # on the z-scale already: read in place
@@ -416,13 +464,17 @@ class TestNeighborhood:
         pdata = partition(lazy, p)
         assert (pdata.dataset.feature_space().means is None) == (stored == "zscored")
         batch = draw_sample(pdata, 1.0, 1, seed=p)[0]
-        got = assert_matches_oracle(pdata, batch, k)
-        c = int(ds.labels[7])
-        assert got[7][c][0] == (0.0, 8) and got[8][c][0] == (0.0, 7)
-        for gid in set(got) - {7}:  # the twins tie; the lower row id wins
-            ids = [r for _, r in got[gid].get(c, [])]
-            assert 8 not in ids or ids[ids.index(8) - 1:ids.index(8)] == [7]
-        assert len(got[3][2]) == 1 and len(got[10][2]) == min(k, 2)
+        for chunk, sizes in ((128, [61]), (7, [6, 6, 7, 7, 7, 7, 7, 7, 7])):
+            monkeypatch.setattr(neighbors, "_QUERY_CHUNK", chunk)
+            groups.clear()
+            got = assert_matches_oracle(pdata, batch, k)
+            assert sorted(groups) == sorted(sizes * p)
+            c = int(ds.labels[7])
+            assert got[7][c][0] == (0.0, 8) and got[8][c][0] == (0.0, 7)
+            for gid in set(got) - {7}:  # the twins tie; the lower row id wins
+                ids = [r for _, r in got[gid].get(c, [])]
+                assert 8 not in ids or ids[ids.index(8) - 1:ids.index(8)] == [7]
+            assert len(got[3][2]) == 1 and len(got[10][2]) == min(k, 2)
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_tiled_gram_search_matches_oracle(self, monkeypatch, p):

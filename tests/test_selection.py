@@ -30,6 +30,48 @@ def red_table(n, pairs):
                            lo=lo, hi=hi)
 
 
+def rescoring_oracle(weights, red, n_select, theta):
+    """(feature, score) picks of a forward selection that re-scores every
+    remaining candidate from scratch at each step; ties go to the lower
+    index."""
+    wn = minmax_normalize(weights.values)
+    picks = []
+    for _ in range(n_select):
+        chosen = [f for f, _ in picks]
+        best = None
+        for i in range(wn.size):
+            if i in chosen:
+                continue
+            pen = 0.0 if red is None else sum(red.normalized(j, i) for j in chosen)
+            score = wn[i] - theta * pen
+            if best is None or score > best[1]:
+                best = (i, score)
+        picks.append(best)
+    return picks
+
+
+@st.composite
+def tied_selections(draw):
+    """(weights, redundancy table or None) over 1-10 features.  Weights and
+    raw redundancy values come from a few levels, so scores tie often; the
+    table tracks a random subset of the features, and both orientations of
+    a both-tracked pair hold one value."""
+    n = draw(st.integers(1, 10))
+    w = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), min_size=n, max_size=n))
+    weights = WeightVector(np.array(w), "test")
+    if draw(st.booleans()):
+        return weights, None
+    tracked = np.flatnonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    cells = draw(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 1.0]),
+                          min_size=tracked.size * n, max_size=tracked.size * n))
+    values = np.array(cells).reshape(tracked.size, n)
+    both = values[:, tracked]
+    values[:, tracked] = np.triu(both) + np.triu(both, 1).T
+    return weights, RedundancyTable(n_features=n, tracked=tracked, values=values,
+                                    lo=min(0.0, values.min(initial=0.0)),
+                                    hi=max(0.0, values.max(initial=0.0)))
+
+
 def gaussian_classes(seed, m=120, n=8, shifts=(2.0, 1.5, 1.2)):
     """Binary data with a few mean-shifted columns, the rest pure noise."""
     rng = np.random.default_rng(seed)
@@ -94,19 +136,17 @@ class TestSfs:
             red = red_table(n, pairs)
             theta = float(rng.uniform(0.1, 1.0))
             got = sfs(weights, red, 6, theta=theta)
-
-            wn = minmax_normalize(weights.values)
-            chosen = []
-            remaining = set(range(n))
-            for _ in range(6):
-                scored = []
-                for i in sorted(remaining):
-                    pen = sum(red.normalized(j, i) for j in chosen)
-                    scored.append((-(wn[i] - theta * pen), i))
-                best = min(scored)[1]
-                chosen.append(best)
-                remaining.discard(best)
+            chosen = [f for f, _ in rescoring_oracle(weights, red, 6, theta)]
             assert got.selected_features() == chosen
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=tied_selections(), theta=st.sampled_from([0.0, 0.5, 3.0]), data=st.data())
+    def test_matches_rescoring_oracle_on_tied_tables(self, case, theta, data):
+        weights, red = case
+        n_select = data.draw(st.integers(1, weights.values.size))
+        got = sfs(weights, red, n_select, theta=theta)
+        assert [(s.feature, s.score) for s in got.selected] == \
+            rescoring_oracle(weights, red, n_select, theta)
 
     def test_reported_score_decomposition(self):
         weights = wvec(1.0, 0.8, 0.2)
