@@ -45,10 +45,13 @@ __all__ = [
 
 
 # The accumulation pass gathers, diffs and (with collisions on) folds a
-# partition's neighbor pairs in consecutive chunks of this many bytes of
-# (pairs, features) rows, at least one pair, so memory stays flat whatever
-# the batch size.  On a Xeon with 2 MiB of L2 per core, 1 MiB collision
-# folds ran fastest among 256 KiB..4 MiB on 500- and 4060-feature data.
+# partition's neighbor pairs in consecutive chunks of at most this many
+# bytes of (pairs, features) rows, at least one pair, so memory stays flat
+# whatever the batch size.  With the window-ordered collision fold, CPU per
+# selection over budgets of 256 KiB, 512 KiB, 1, 2 and 4 MiB (2-vCPU Xeon,
+# 2 MiB of L2 per core, BLAS on one thread) was 106/89/73/79/76 ms on the
+# 500-feature wide-collide benchmark, 683/473/482/548/679 ms on full sd3
+# (4060 features) and 1320/872/740/768/766 ms on madelon at a 25% sample.
 # Chunks this large also keep the number of numpy calls per partition low:
 # on a 2-vCPU Xeon, 128 KiB chunks of 5 samples (~15 pairs) made the two
 # partition threads of a 10,000 x 500 run hand the GIL back and forth, so
@@ -112,10 +115,12 @@ def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
     Only neighbors whose rows lie in partition ``g`` are consumed; the same
     diff vector feeds both the distance matrices and (when enabled) the
     collision tables, so redundancy tracking adds no distance work.  The
-    pairs go through in (sample, class, slot) order, in chunks of
-    ``_CHUNK_BYTES`` of rows; each chunk's collision rates fold into the
-    tables as one block.  With ``weigh`` off the distance matrices and
-    counts stay 0 (a collision-only pass).
+    pairs go through in (sample, class, slot) order, in the fewest chunks
+    of at most ``_CHUNK_BYTES`` of rows, with sizes that differ by at most
+    one pair; each chunk's collision rates fold into the tables as one
+    block, and the tables leave window order once, when the partition is
+    done.  With ``weigh`` off the distance matrices and counts stay 0 (a
+    collision-only pass).
     """
     ds = pdata.dataset
     n = ds.n_features
@@ -145,37 +150,40 @@ def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
     ys = batch.labels[i[heads]]
     hits, ys = (c[heads] == ys).tolist(), ys.tolist()
     run = 0
-    cap = max(1, _CHUNK_BYTES // (8 * n))
-    for lo in range(0, i.size, cap):
-        hi = min(lo + cap, i.size)
-        ci = i[lo:hi]
-        nbrs = ds.rows[rows[ci, c[lo:hi], j[lo:hi]]]
-        nbrs = space.scaled(nbrs, out=nbrs)  # in place when dense
-        first = np.diff(ci, prepend=-1) != 0  # each sample is scaled once
-        own = batch.rows[ci[first]]
-        own = space.scaled(own, out=own)[np.cumsum(first) - 1]
-        if ds.is_sparse:  # within the chunk budget
-            nbrs, own = nbrs.to_dense(n), own.to_dense(n)
-        diffs = pair_diffs(nbrs, own, space)
-        del nbrs, own  # before the rates take their chunk-sized buffers
-        if collect_collisions:
-            stats.collisions.add_rate_rows(collision_rates(diffs, space, kappa))
-        if not weigh:
-            continue
-        a = lo
-        while a < hi:
-            head, tail = bounds[run], bounds[run + 1]
-            if a == head:
-                group = diffs[a - lo].copy()
-                a += 1
-            for r in range(a, min(tail, hi)):
-                group += diffs[r - lo]
-            a = min(tail, hi)
-            if a == tail:
-                hit, y = hits[run], ys[run]
-                (stats.hit_dist if hit else stats.miss_dist)[y] += group
-                (stats.hit_count if hit else stats.miss_count)[y] += tail - head
-                run += 1
+    # The fewest chunks within budget, with the pairs spread evenly over
+    # them, so no chunk is a short tail.
+    chunks = -(-i.size // max(1, _CHUNK_BYTES // (8 * n)))
+    edges = [i.size * q // max(chunks, 1) for q in range(chunks + 1)]
+    with stats.collisions.window_fold() as fold:
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            ci = i[lo:hi]
+            nbrs = ds.rows[rows[ci, c[lo:hi], j[lo:hi]]]
+            nbrs = space.scaled(nbrs, out=nbrs)  # in place when dense
+            first = np.diff(ci, prepend=-1) != 0  # each sample is scaled once
+            own = batch.rows[ci[first]]
+            own = space.scaled(own, out=own)[np.cumsum(first) - 1]
+            if ds.is_sparse:  # within the chunk budget
+                nbrs, own = nbrs.to_dense(n), own.to_dense(n)
+            diffs = pair_diffs(nbrs, own, space)
+            del nbrs, own  # before the rates take their chunk-sized buffers
+            a = lo if weigh else hi  # a collision-only pass skips the walk
+            while a < hi:
+                head, tail = bounds[run], bounds[run + 1]
+                if a == head:
+                    group = diffs[a - lo].copy()
+                    a += 1
+                for r in range(a, min(tail, hi)):
+                    group += diffs[r - lo]
+                a = min(tail, hi)
+                if a == tail:
+                    hit, y = hits[run], ys[run]
+                    (stats.hit_dist if hit else stats.miss_dist)[y] += group
+                    (stats.hit_count if hit else stats.miss_count)[y] += tail - head
+                    run += 1
+            if collect_collisions:
+                rates = collision_rates(diffs, space, kappa)
+                del diffs  # the fold lays the rates out again in its place
+                fold(rates)
     return stats
 
 

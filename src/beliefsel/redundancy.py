@@ -13,8 +13,16 @@ feature (the relevance window: the top ceil(n_select * eta) features by
 weight, see ``eta_tracked``), as min(rate_i, rate_j) when both features
 collide.  The first batch has no earlier weights, so it takes its window
 from its own, at ``max(eta, FIRST_BATCH_ETA)``; a window of t features
-costs t x n float64 of joint mass per partition.  The final measure for a
-feature pair is
+costs t x n float64 of joint mass per partition.
+
+Rates arrive in blocks of instance pairs and each block adds its own sum
+of mins to every owned cell.  A block of at least ``_TRANSPOSE_MIN_PAIRS``
+pairs is laid out features x pairs, so that sum is ``np.add.reduce`` over
+the contiguous row of the block's per-pair mins (numpy's pairwise sum); a
+smaller block is laid out pairs x features and adds its mins one pair at
+a time, in pair order.  Either way the cells equal a pair-by-pair sum to
+within rounding (about 1e-15 relative), and the marginals are one
+``sum(axis=0)`` per block.  The final measure for a feature pair is
 
     min(PC_i, PC_j) * log2(PC_ij / (PC_i * PC_j))
 
@@ -26,6 +34,7 @@ keeps the measure exactly symmetric.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +62,13 @@ COLLISION_SPAN = 6.0
 FIRST_BATCH_ETA = 20.0
 # Row-block budget of compute_mcr.
 _MCR_BLOCK_BYTES = 1 << 20
+# Pairs from which a rate block folds features x pairs rather than pairs x
+# features.  Each tracked row then sums rows one block long, so short
+# blocks lose.  Swept at 500-2000 features (BLAS on one thread), the
+# features x pairs fold took 0.8-1.0x the time of the other layout from 80
+# pairs on, and 1.1-1.4x at 48-56 pairs; full sd3's 32-pair blocks (4060
+# features under the 1 MiB chunk budget) took 1.9x.
+_TRANSPOSE_MIN_PAIRS = 80
 
 
 def collision_rate(a: float, b: float, kind: FeatureKind, kappa: float = 0.8) -> float:
@@ -75,7 +91,7 @@ def collision_rates(diffs: np.ndarray, space: FeatureSpace,
     """
     rates = 1.0 - diffs / COLLISION_SPAN
     np.maximum(rates, 0.0, out=rates)
-    rates[(rates > 0.0) & (rates < kappa)] = 0.0
+    rates *= rates >= kappa  # zeroes the rates in (0, kappa)
     if space.nominal_idx.size:
         # Nominal diffs are 0/1 indicators: equal -> 1, different -> 0.
         rates[..., space.nominal_idx] = 1.0 - diffs[..., space.nominal_idx]
@@ -117,28 +133,57 @@ class CollisionTables:
         self.add_rate_rows(np.asarray(rates)[None, :])
 
     def add_rate_rows(self, rates: np.ndarray) -> None:
-        """Fold a block of collision-rate rows, one per instance pair.
+        """Fold one block of collision-rate rows, one row per instance pair."""
+        with self.window_fold() as fold:
+            fold(rates)
 
-        Tracked row r (feature f) owns the columns j > f plus the untracked
-        j < f, and only those are computed: each pair is written once, and
-        the lower triangle of the tracked square, which an update never
-        writes, costs nothing.  Temporaries are the size of the block.
+    @contextmanager
+    def window_fold(self):
+        """Yield a function that folds one block of rate rows per call.
+
+        While the fold is open, ``joint``'s columns are in window order:
+        the tracked features, then the untracked ones, each ascending.
+        Tracked row r (feature f) owns every column after position r,
+        which are the j > f plus the untracked j < f: each pair is written
+        once, and the lower triangle of the tracked square, which an update
+        never writes, costs nothing.  So a row's whole update is one
+        ``np.minimum(cols[r], cols[r + 1:])`` summed over the block's
+        pairs, with ``cols`` the block in window order and laid out as the
+        module docstring says.  The columns go back to feature order once,
+        when the fold closes.  Temporaries are the size of a block and of
+        one joint row.
         """
-        if rates.ndim != 2 or rates.shape[1] != self.n_features:
-            raise IntegrityError("rate rows do not match the feature count")
-        self.marginal += rates.sum(axis=0)
-        self.pair_count += rates.shape[0]
-        if not self.tracked.size or not rates.shape[0]:
-            return
         untracked = np.setdiff1d(np.arange(self.n_features), self.tracked)
-        below = np.searchsorted(untracked, self.tracked)
-        low = rates[:, untracked]
-        for r, f in enumerate(self.tracked.tolist()):
-            col = rates[:, f:f + 1]
-            self.joint[r, f + 1:] += np.minimum(col, rates[:, f + 1:]).sum(axis=0)
-            u = below[r]
-            if u:
-                self.joint[r, untracked[:u]] += np.minimum(col, low[:, :u]).sum(axis=0)
+        order = np.concatenate([self.tracked, untracked])
+        t = self.tracked.size
+
+        def fold(rates: np.ndarray) -> None:
+            if rates.ndim != 2 or rates.shape[1] != self.n_features:
+                raise IntegrityError("rate rows do not match the feature count")
+            self.marginal += rates.sum(axis=0)
+            self.pair_count += rates.shape[0]
+            if not t or not rates.shape[0]:
+                return
+            if rates.shape[0] >= _TRANSPOSE_MIN_PAIRS:
+                cols = np.take(rates.T, order, axis=0)  # C-ordered
+            else:
+                cols = np.take(rates, order, axis=1).T  # F-ordered view
+            for r in range(t):
+                self.joint[r, r + 1:] += np.minimum(cols[r], cols[r + 1:]).sum(axis=1)
+
+        # Window order is feature order unless an untracked feature comes
+        # before a tracked one.
+        moved = t and untracked.size and untracked[0] < self.tracked[-1]
+        if moved:
+            for row in self.joint:
+                row[:] = row[order]
+        try:
+            yield fold
+        finally:
+            if moved:
+                back = np.argsort(order)
+                for row in self.joint:
+                    row[:] = row[back]
 
     def merge(self, other: "CollisionTables") -> "CollisionTables":
         """Entrywise sum; tracked sets are unioned with rows realigned.

@@ -283,9 +283,11 @@ class TestAccumulation:
 
     @pytest.mark.parametrize("n, budget", [(4, 5 * 4 * 8), (2000, None)])
     def test_pairs_go_through_in_budget_sized_chunks(self, n, budget, monkeypatch):
-        # Chunks hold exactly cap = budget // (8 n) pairs, whatever the
-        # number of samples they span: 5 pairs at n = 4 with a patched
-        # budget, 65 at n = 2000 with the real one.  Chunks sized by
+        # A partition's pairs go through in the fewest chunks of at most
+        # cap = budget // (8 n) pairs, whatever the number of samples they
+        # span: 5 pairs at n = 4 with a patched budget, 65 at n = 2000 with
+        # the real one.  The pairs are spread evenly, so chunk sizes differ
+        # by at most one and there is no short tail.  Chunks sized by
         # samples would make one pair_diffs call per sample here.
         if budget is not None:
             monkeypatch.setattr(estimation, "_CHUNK_BYTES", budget)
@@ -313,15 +315,20 @@ class TestAccumulation:
                          & (table.rows < pdata.starts[g + 1])).sum())
             accumulate_partition(pdata, g, batch, table)
             assert len(sizes) == -(-pairs // cap) < len(batch)
-            assert sum(sizes) == pairs and max(sizes) == cap
+            assert sum(sizes) == pairs and max(sizes) <= cap
+            assert max(sizes) - min(sizes) <= 1
 
-    @pytest.mark.parametrize("collect", [False, True])
-    def test_memory_is_tables_plus_a_few_chunks(self, collect):
+    @pytest.mark.parametrize("collect, window", [
+        pytest.param(False, 300, id="False"), pytest.param(True, 300, id="True"),
+        pytest.param(True, 40, id="True-window")])
+    def test_memory_is_tables_plus_a_few_chunks(self, collect, window):
         # numpy reports its buffers to tracemalloc.  3000 x 300 rows read
-        # through the z-scale, half of them sampled: 9000 pairs, 33 chunks
-        # of 436 pairs (about 1 MiB each).  The peak must stay within the
-        # stats and collision tables plus a few chunk-sized buffers and the
-        # per-pair index arrays, not grow with the pair count.
+        # through the z-scale, half of them sampled: 9000 pairs, 21 chunks
+        # of 428-429 pairs (about 1 MiB each).  The peak must stay within
+        # the stats and collision tables plus a few chunk-sized buffers and
+        # the per-pair index arrays, not grow with the pair count; also
+        # with a window of 40 features spread over the 300, whose fold
+        # moves the joint columns into window order and back.
         from beliefsel.neighbors import neighborhood
         rng = np.random.default_rng(37)
         X = rng.standard_normal((3000, 300))
@@ -330,7 +337,8 @@ class TestAccumulation:
         pdata = partition(ds, 1)
         batch = draw_sample(pdata, 0.5, 1, seed=0)[0]
         table = neighborhood(pdata, batch, 3)
-        tracked = np.arange(300)
+        tracked = np.arange(300) if window == 300 else np.arange(3, 300, 7)[:40]
+        assert tracked.size == window
         tracemalloc.start()
         try:
             stats = accumulate_partition(pdata, 0, batch, table, tracked=tracked,

@@ -1,16 +1,23 @@
-"""Pipeline properties on random small inputs: bad input fails loudly.
+"""Pipeline properties on random small inputs: bad input fails loudly, and
+the result does not depend on how the work is cut into partitions and
+batches.
 
 The datasets are dense with mixed numeric and nominal columns, or sparse
 and all numeric: m <= 60 rows, n <= 12 features, 2-4 classes.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefsel.dataset import Dataset, FeatureKind
+from beliefsel.dataset import (Dataset, FeatureKind, draw_sample, partition,
+                               zscore_normalize)
 from beliefsel.errors import DataError
+from beliefsel.estimation import estimate_batch, merge_stats
+from beliefsel.neighbors import neighborhood
 from beliefsel.selection import SelectorConfig, run_belief
 
 
@@ -83,3 +90,47 @@ def test_valid_input_gives_finite_weights(data, normalized, pick):
                         pick.draw(configs(X.shape[1])))
     assert np.isfinite(result.weights.values).all()
     assert len(result.selected) == len(set(result.selected_features()))
+
+
+def full_window_stats(ds, config):
+    """run_belief's batch loop with a window that covers every feature."""
+    pdata = partition(ds, config.partitions)
+    total = None
+    for batch in draw_sample(pdata, config.sample_rate, config.batches, config.seed):
+        if len(batch):
+            table = neighborhood(pdata, batch, config.k)
+            stats = estimate_batch(pdata, batch, table,
+                                   tracked=np.arange(ds.n_features),
+                                   kappa=config.kappa, collect_collisions=True)
+            total = stats if total is None else merge_stats(total, stats)
+    return total
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=small_inputs(), pick=st.data())
+def test_partitions_and_batches_do_not_change_the_result(data, pick):
+    # Partitions and batches only regroup the same neighbor pairs, so the
+    # counts are exact and the sums agree up to the order of additions:
+    # weights to 1e-9 of the largest, collision masses to 1e-12 relative.
+    X, y, kinds, sparse = data
+    ds = build(X, y, kinds, sparse)
+    config = pick.draw(configs(X.shape[1]))
+    normalized = zscore_normalize(ds)
+    first = None
+    for p in (1, 2, 3):
+        for batches in (1, 2, 3):
+            cut = replace(config, partitions=p, batches=batches)
+            weights = run_belief(ds, cut).weights.values
+            stats = full_window_stats(normalized, cut)
+            if first is None:
+                first = weights, stats
+                continue
+            w0, s0 = first
+            np.testing.assert_allclose(weights, w0, rtol=0,
+                                       atol=1e-9 * max(np.abs(w0).max(), 1e-300))
+            for name in ("miss_count", "hit_count"):
+                assert np.array_equal(getattr(stats, name), getattr(s0, name))
+            a, b = stats.collisions, s0.collisions
+            assert a.pair_count == b.pair_count
+            np.testing.assert_allclose(a.joint, b.joint, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(a.marginal, b.marginal, rtol=1e-12, atol=0)

@@ -157,6 +157,38 @@ def joint_oracle(rows, tracked, n):
     return want
 
 
+def exact_joint(blocks, tracked, n):
+    """The fold's own additions: each owned cell adds each block's sum of
+    per-pair mins, block by block.  A block of at least
+    ``_TRANSPOSE_MIN_PAIRS`` pairs sums with ``np.add.reduce`` over the
+    contiguous 1-D array of its mins; a smaller one adds them one pair at a
+    time, in pair order."""
+    ts = sorted(set(tracked))
+    want = np.zeros((len(ts), n))
+    for rates in blocks:
+        transposed = rates.shape[0] >= redundancy._TRANSPOSE_MIN_PAIRS
+        for r, f in enumerate(ts):
+            for j in range(n):
+                if j == f or (j < f and j in ts):
+                    continue
+                mins = np.ascontiguousarray(np.minimum(rates[:, f], rates[:, j]))
+                if transposed:
+                    total = np.add.reduce(mins)
+                else:
+                    total = mins[0]
+                    for x in mins[1:]:
+                        total += x
+                want[r, j] += total
+    return want
+
+
+def chunk_edges(pairs, cap):
+    """The fewest chunks of at most ``cap`` pairs, sizes differing by at
+    most one."""
+    chunks = -(-pairs // cap)
+    return [pairs * q // chunks for q in range(chunks + 1)]
+
+
 TRACKED_SETS = [range(9), range(3, 8), (0, 2, 5, 6, 8), (4,), ()]
 
 
@@ -173,13 +205,66 @@ class TestBatchedFold:
         np.testing.assert_allclose(t.marginal, rows.sum(axis=0), rtol=0, atol=1e-12)
         assert t.pair_count == 17
 
+    @pytest.mark.parametrize("cut", [None, 1, 10])
     @pytest.mark.parametrize("tracked", TRACKED_SETS)
-    def test_partition_folds_rate_rows_in_budget_blocks(self, tracked, monkeypatch):
-        # A budget of three rows cuts each partition's pairs into 3-pair
-        # chunks; each chunk's rate rows must fold as one add_rate_rows
-        # block, in (sample, class, slot) order, so the tables have the
-        # bits of that fold and match the pair-by-pair oracle.
+    def test_rate_blocks_follow_the_exact_rule(self, tracked, cut, monkeypatch):
+        # Blocks of 40, 3, 17 and 70 pairs: the real cut folds them all
+        # pairs x features, a cut of 10 folds the 40 and 70 features x
+        # pairs, a cut of 1 every one.  Sums of 17 and more values tell
+        # numpy's pairwise sum from a sequential one.
+        if cut is not None:
+            monkeypatch.setattr(redundancy, "_TRANSPOSE_MIN_PAIRS", cut)
+        rng = np.random.default_rng(14)
+        rows = random_rates(rng, 130, 9)
+        blocks = np.split(rows, [40, 43, 60])
+        t = CollisionTables.empty(9, tracked)
+        with t.window_fold() as fold:
+            for block in blocks:
+                fold(block)
+        want = exact_joint(blocks, tracked, 9)
+        assert np.array_equal(t.joint, want)
+        assert np.array_equal(t.marginal, sum(b.sum(axis=0) for b in blocks))
+        np.testing.assert_allclose(t.joint, joint_oracle(rows, tracked, 9),
+                                   rtol=1.5e-15, atol=0)
+        if cut is not None and len(tracked) > 1:
+            monkeypatch.setattr(redundancy, "_TRANSPOSE_MIN_PAIRS", 10**9)
+            assert not np.array_equal(want, exact_joint(blocks, tracked, 9))
+
+    def test_window_fold_restores_feature_order(self):
+        # A window that interleaves tracked and untracked features: inside
+        # the fold the columns are [tracked, untracked]; on exit (also after
+        # an error) they are back in feature order, with the mass folded.
+        rng = np.random.default_rng(15)
+        rows = random_rates(rng, 6, 9)
+        tracked = (0, 2, 5, 6, 8)
+        t = CollisionTables.empty(9, tracked)
+        t.add_rate_rows(rows[:2])
+        before = t.joint.copy()
+        with pytest.raises(IntegrityError):
+            with t.window_fold() as fold:
+                fold(rows[2:])
+                order = [0, 2, 5, 6, 8, 1, 3, 4, 7]
+                assert np.array_equal(
+                    t.joint, exact_joint([rows[:2], rows[2:]], tracked, 9)[:, order])
+                fold(np.ones((2, 8)))
+        assert np.array_equal(t.joint, exact_joint([rows[:2], rows[2:]], tracked, 9))
+        assert not np.array_equal(before, t.joint)
+
+    @pytest.mark.parametrize("tracked, cut", [
+        pytest.param(t, cut, id=f"tracked{i}{suffix}")
+        for cut, suffix in ((None, ""), (1, "-transposed"))
+        for i, t in enumerate(TRACKED_SETS)])
+    def test_partition_folds_rate_rows_in_budget_blocks(self, tracked, cut,
+                                                        monkeypatch):
+        # A budget of three rows cuts each partition's pairs into the
+        # fewest chunks of at most 3 pairs, spread evenly; each chunk's
+        # rate rows must fold as one add_rate_rows block, in (sample,
+        # class, slot) order, so the tables have the bits of that fold and
+        # match the pair-by-pair oracle.  A cut of 1 folds the chunks
+        # features x pairs, the real one pairs x features.
         monkeypatch.setattr(estimation, "_CHUNK_BYTES", 3 * 8 * 9)
+        if cut is not None:
+            monkeypatch.setattr(redundancy, "_TRANSPOSE_MIN_PAIRS", cut)
         rng = np.random.default_rng(12)
         X = rng.standard_normal((40, 9))
         X[:, [2, 7]] = rng.integers(0, 2, (40, 2))
@@ -199,8 +284,11 @@ class TestBatchedFold:
             rates = collision_rates(diffs, space, kappa=0.8)
             assert rates.shape[0] > 6 and rates.any()
             want = CollisionTables.empty(9, tracked)
-            for lo in range(0, rates.shape[0], 3):
-                want.add_rate_rows(rates[lo:lo + 3])
+            edges = chunk_edges(rates.shape[0], 3)
+            assert len(edges) > 3 and len(edges) - 1 == -(-rates.shape[0] // 3)
+            blocks = [rates[a:b] for a, b in zip(edges[:-1], edges[1:])]
+            for block in blocks:
+                want.add_rate_rows(block)
             got = accumulate_partition(pdata, g, batch, table, tracked=tracked,
                                        kappa=0.8, collect_collisions=True).collisions
             assert np.array_equal(got.joint, want.joint)
@@ -210,6 +298,7 @@ class TestBatchedFold:
             assert got.pair_count == want.pair_count == rates.shape[0]
             np.testing.assert_allclose(got.joint, joint_oracle(rates, tracked, 9),
                                        rtol=0, atol=1e-12)
+            assert np.array_equal(got.joint, exact_joint(blocks, tracked, 9))
 
     def test_partition_without_pairs_changes_nothing(self):
         ds = Dataset(np.arange(8.0).reshape(4, 2), [0, 0, 1, 1], [NUM] * 2)
