@@ -37,6 +37,7 @@ class RunReport:
     sample_size: int
     batches: int
     locator_records: int
+    measured_pairs: int
     locator_bytes: int
     full_instance_bytes: int
     byte_ratio: float
@@ -52,7 +53,8 @@ def bench_run(dataset: Dataset, k: int = 3, sample_rate: float = 1.0,
     The counts come from the metadata of the same ``run_belief`` pipeline
     ``rank`` uses.  The record bound is sample_size * k * n_classes *
     partitions: each partition may emit at most k locators per class per
-    sampled instance.
+    sampled instance.  ``measured_pairs`` counts the exact distances the
+    partitions computed, at least one per locator.
     """
     md = run_belief(dataset, SelectorConfig(
         n_select=1, k=k, sample_rate=sample_rate, batches=batches, theta=0.0,
@@ -61,7 +63,8 @@ def bench_run(dataset: Dataset, k: int = 3, sample_rate: float = 1.0,
     return RunReport(
         **{key: md[key] for key in (
             "n_instances", "n_features", "n_classes", "sample_size",
-            "locator_records", "locator_bytes", "full_instance_bytes", "timings")},
+            "locator_records", "measured_pairs", "locator_bytes", "full_instance_bytes",
+            "timings")},
         partitions=partitions,
         k=k,
         batches=batches,

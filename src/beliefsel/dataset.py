@@ -592,10 +592,11 @@ def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
         # Two passes, so a large common offset does not cancel the spread:
         # the stored entries' squared deviations, plus the absent zeros'.
         # An overflowing spread (inf, or NaN from 0 absent zeros times an
-        # inf mean square) is reported from the std below.
+        # inf mean square) is reported from the std below.  With no stored
+        # entries at all, bincount returns integers.
         with np.errstate(over="ignore", invalid="ignore"):
             dev = vals - mean[idx]
-            var = np.bincount(idx, weights=dev * dev, minlength=n)
+            var = np.bincount(idx, weights=dev * dev, minlength=n).astype(np.float64)
             var += (m - np.bincount(idx, minlength=n)) * (mean * mean)
         std = np.sqrt(var / m)
         _check_finite(std)

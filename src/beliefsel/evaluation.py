@@ -4,9 +4,10 @@ A small k-nearest-neighbor classifier plus stratified cross-validation
 that reruns the selection inside every training fold, so test labels can
 never leak into the selection step.  The classifier runs on the selector's
 per-partition search (``neighbors._search_block``): the same row tiles,
-the same float32 filter with exact float64 distances for the rows it lets
-through and the same (distance, row id) merge, over one class that holds
-every training row; a majority vote then labels each test row.
+the same float32 bounds, exact float64 distances measured once for the
+rows the bounds leave in, and the same (distance, row id) merge, over one
+class that holds every training row; a majority vote then labels each test
+row.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def knn_classify(train: Dataset, test: Dataset, k: int,
     Xtr, Xte, ytr, space = _aligned_matrices(train, test, features)
     m = Xtr.shape[0]
     k = min(k, m)
-    rows, _ = _search_block(Xtr, 0, m, Xte, space, {0: np.arange(m)}, 1, k)
+    rows, _, _ = _search_block(Xtr, 0, m, Xte, space, {0: np.arange(m)}, 1, k)
     preds = np.empty(Xte.shape[0], dtype=np.int64)
     for i, near in enumerate(ytr[rows[:, 0]]):
         votes = np.bincount(near)

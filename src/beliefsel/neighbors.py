@@ -20,18 +20,22 @@ Distances are Euclidean over per-feature diffs (``pair_diffs``): |a - b|
 for numeric values and a 0/1 indicator for nominal values, on rows read
 through ``FeatureSpace.scaled``.  The batch is put on the z-scale once.
 
-Every search step is folded into running per-(query, class) lists by one
-rule (``_filter_step``): a block of bounds on squared distances, each
-within a stated margin of its exact value, rules out each row that cannot
-enter a list, and only the rows left are measured exactly and merged with
-the same (distance, row id) rule that merges partitions.
+Every search step is merged into a partition's running per-(query, class)
+lists by one rule, on bounds only (``_Lists``): a block of bounds on squared
+distances, each within a stated margin of its exact value, rules out each
+row that cannot enter a list, and the rows left are logged.  When the
+partition ends, or the log passes its byte budget, the logged rows that
+the k smallest upper bounds seen by then still leave in are measured
+exactly, once each, and merged with the same (distance, row id) rule that
+merges partitions.
 
 Dense rows are streamed through row tiles: consecutive row ranges, in row
-order, each z-scored once per batch into one reused buffer (raw rows with
-recorded statistics) or read in place (rows stored z-scored), so the search
-holds a few tile-sized buffers per thread whatever the partition height.
-A tile's bounds are one float32 matmul of augmented rows, and the rows left
-get their float64 subtract-and-square distance from the z-scored tile.  So
+order, each z-scored once per batch in small row blocks straight into
+float32 augmented rows (raw rows with recorded statistics) or read in place
+(rows stored z-scored), so the search holds a few tile-sized buffers per
+thread whatever the partition height.  A tile's bounds are one float32
+matmul of augmented rows.  The rows to measure are gathered again, each
+z-scored once, and get their float64 subtract-and-square distance.  So
 every distance depends on its two rows alone, never on BLAS, the tiling or
 the partition count, and an exact duplicate sits at 0.0.
 
@@ -68,14 +72,17 @@ SPARSE_NONZERO_BYTES = 12
 
 _QUERY_CHUNK = 128
 
-# Byte budget of a dense search tile: a partition's rows are z-scored into a
-# float64 buffer of at most this many bytes, and a step's float32 bounds from
-# a group of queries to the tile take at most as much again.  A tile holds
-# at most 4096 rows however few the features, so a group may hold at least
-# 2 _QUERY_CHUNK queries.  On the tall-search workload (10,000 x 500, 500
-# queries, two partition threads; 2-vCPU Xeon, numpy 2.4) the selection's
-# traced allocations peaked at 29 MB with 4 MiB tiles, and its RSS stayed
-# under the 115 MB set-up peak; with 8 MiB tiles, 51 MB and 133 MB RSS.
+# Byte budget of a dense search tile: a tile holds at most this many bytes
+# of float64 rows (its float32 augmented rows take about half), a step's
+# float32 bounds from a group of queries to the tile take at most as much
+# again, and the rows measured at a partition's end are gathered and
+# z-scored this many bytes at a time.  A tile holds at most 4096 rows
+# however few the features, so a group may hold at least 2 _QUERY_CHUNK
+# queries.  On the tall-search workload (10,000 x 500, 500 queries, two
+# partition threads; 2-vCPU Xeon, numpy 2.4) the selection's traced
+# allocations peaked at 22 MB with 4 MiB tiles (29 MB while each tile was
+# z-scored into a float64 buffer), and its RSS stayed under the 115 MB
+# set-up peak; with 8 MiB tiles and that buffer, 51 MB and 133 MB RSS.
 _DENSE_TILE_BYTES = 1 << 22
 
 # float32 unit roundoff, and the largest squared row norm the float32
@@ -86,7 +93,10 @@ _NORM_CAP = 2.0 ** 100
 # at most this many bytes each.  On 675 pairs of 500 features (2-vCPU Xeon,
 # numpy 2.4) fresh 256 KiB chunks took a third of the time of fresh 1 MiB
 # ones, whose pages fault on every chunk; one reused pair of buffers took
-# four fifths of that again.
+# four fifths of that again.  The same budget caps the raw rows a tile is
+# z-scored in at a time, and the log of rows left to measure: past it, the
+# log is measured (tall-search logs about 160 KB a partition, so it is
+# measured once, at the partition's end).
 _PAIR_BYTES = 1 << 18
 # Absolute error a float32 value, product or norm can gain by underflow
 # (2^-126 when BLAS flushes subnormals to zero), summed over a dot product
@@ -119,8 +129,10 @@ class NeighborTable:
     the batch's i-th instance, sorted by (distance, row id), with ``dist``
     the matching distances; unused slots hold -1 and +inf.  The slots of
     the instance's own class are its near-hits; every other class gives its
-    near-misses from that class.  The three counters account the locators
-    the partitions emitted before the merge.
+    near-misses from that class.  The first three counters account the
+    locators the partitions emitted before the merge; ``measured_pairs``
+    counts the exact distances the partitions computed, at least one per
+    emitted locator.
     """
 
     k: int
@@ -129,6 +141,7 @@ class NeighborTable:
     emitted_records: int = 0
     emitted_bytes: int = 0
     full_instance_bytes: int = 0
+    measured_pairs: int = 0
 
 
 def feature_diff(a: float, b: float, kind: FeatureKind) -> float:
@@ -298,8 +311,8 @@ def _sparse_distances(Q: SparseRows, block: SparseRows, block_sq: np.ndarray,
 def _keep_k(rows: np.ndarray, dist: np.ndarray, k: int):
     """The first k entries of each (..., candidates) list by (distance, row
     id), as (rows, dist).  Padding (-1, +inf) sorts after every finite
-    distance.  Tiles merge into a partition's lists, and partitions into
-    the table, by this one rule."""
+    distance.  Measured rows merge into a partition's lists, and
+    partitions into the table, by this one rule."""
     keep = np.lexsort((rows, dist), axis=-1)[..., :k]
     return (np.take_along_axis(rows, keep, axis=-1),
             np.take_along_axis(dist, keep, axis=-1))
@@ -310,141 +323,214 @@ def _in_block(cand: np.ndarray, first: int, width: int) -> np.ndarray:
     return cand[np.searchsorted(cand, first):np.searchsorted(cand, first + width)]
 
 
-def _append(rows: np.ndarray, dist: np.ndarray, qi: np.ndarray,
-            new_rows: np.ndarray, new_dist: np.ndarray):
-    """Each query's (rows, dist) list followed by its new entries (``qi``
-    ascending), as (query, width) arrays padded with (-1, +inf)."""
-    q, w = rows.shape
+def _append(lists, qi: np.ndarray, new):
+    """Each query's entries in every (query, width) array of ``lists``
+    followed by its entries in the matching array of ``new`` (``qi``
+    ascending), padded with -1 (row ids) or +inf (distances and bounds)."""
+    q, w = lists[0].shape
     count = np.bincount(qi, minlength=q)
     slot = w + np.arange(qi.size) - np.repeat(np.cumsum(count) - count, count)
-    all_rows = np.full((q, w + int(count.max())), -1, dtype=np.int64)
-    all_dist = np.full(all_rows.shape, np.inf)
-    all_rows[:, :w], all_dist[:, :w] = rows, dist
-    all_rows[qi, slot], all_dist[qi, slot] = new_rows, new_dist
-    return all_rows, all_dist
+    out = []
+    for old, add in zip(lists, new):
+        a = np.full((q, w + int(count.max())), -1 if old.dtype.kind == "i" else np.inf,
+                    dtype=old.dtype)
+        a[:, :w], a[qi, slot] = old, add
+        out.append(a)
+    return out
 
 
-def _filter_step(rows, dist, s: np.ndarray, first: int, members: dict, k: int,
-                 margin: float, measure):
-    """Merge the rows that a block of squared-distance bounds ``s``, from a
-    group of queries to the consecutive block rows first, first + 1, ...,
-    does not rule out into the group's running (query, class, k) lists
-    ``rows``/``dist``, in place, class by class.  ``members`` holds each
-    class's block positions, ascending.
-
-    Each entry of ``s`` lies within ``margin`` of its squared distance (an
-    entry set to +inf never enters a list).  Steps come in ascending row
-    order, so a row can enter a list only if its bound minus the margin
-    reaches both the list's k-th squared distance (+inf while the list has
-    room) and the block's own k-th bound plus the margin, which is taken for
-    every query on the first step that holds a class (more than k rows
-    through per query, on average) and later only for the queries with
-    more than k rows through.  ``measure(qi, j)`` gives the exact distances
-    of the rows left, and one ``_keep_k`` merges them.
-    """
-    q = s.shape[0]
-    for c, cand in members.items():
-        cand = _in_block(cand, first, s.shape[1])
-        if cand.size == 0:
-            continue
-        sc = np.take(s, cand - first, axis=1)
-        limit = dist[:, c, -1] ** 2 + margin
-        beats = sc <= _at_least(limit, sc.dtype)[:, None]
-        if np.count_nonzero(beats) > k * q:
-            limit = np.minimum(limit, _kth_reach(sc, k, margin))
-            beats = sc <= _at_least(limit, sc.dtype)[:, None]
-        qi, j = np.divmod(np.flatnonzero(beats), cand.size)
-        heavy = np.flatnonzero(np.bincount(qi, minlength=q) > k)
-        if heavy.size:
-            reach = np.full(q, np.inf)
-            reach[heavy] = _kth_reach(sc[heavy], k, margin)
-            keep = sc[qi, j] <= _at_least(reach, sc.dtype)[qi]
-            qi, j = qi[keep], j[keep]
-        if qi.size:
-            near = measure(qi, cand[j] - first)
-            rows[:, c], dist[:, c] = _keep_k(
-                *_append(rows[:, c], dist[:, c], qi, cand[j], near), k)
-
-
-def _kth_reach(sc: np.ndarray, k: int, margin: float) -> np.ndarray:
-    """Per row of bounds, the k-th smallest plus twice the margin, in
+def _reach(kth: np.ndarray, margin: float) -> np.ndarray:
+    """Per query, its k-th smallest bound plus twice the margin, in
     float64: a row whose bound exceeds it is farther than k rows are."""
-    return np.add(np.partition(sc, k - 1, axis=1)[:, k - 1], 2 * margin, dtype=np.float64)
+    return np.add(kth, 2 * margin, dtype=np.float64)
+
+
+class _Lists:
+    """A partition's running top-k per (class, query), merged on bounds and
+    measured once.
+
+    ``rows``/``dist`` are (class, query, k) lists of exactly measured rows
+    by (distance, row id), padded with (-1, +inf).  ``ub`` holds, per
+    (class, query), the k smallest upper bounds S + M on squared distances
+    seen so far, ascending (+inf while fewer than k rows were seen), then
+    k entries of scratch; its k-th entry is U.  ``step`` logs (class and
+    query, row, S) for the rows of a block of bounds that may still enter
+    a list, and ``flush`` measures the logged rows that U then does not
+    rule out with ``measure(qi, j, s)``, which gives the exact distances of
+    queries ``qi`` to block rows ``j`` from their bounds ``s``.  The search
+    flushes when its partition ends, and ``step`` whenever the log holds
+    more than ``_PAIR_BYTES``; ``measured`` counts the exact distances.
+    """
+
+    def __init__(self, n_queries: int, n_classes: int, k: int, measure):
+        self.rows = np.full((n_classes, n_queries, k), -1, dtype=np.int64)
+        self.dist = np.full(self.rows.shape, np.inf)
+        self.ub = np.full((n_classes, n_queries, 2 * k), np.inf)
+        self.k, self.measure = k, measure
+        self.log, self.log_bytes, self.measured = [], 0, 0
+
+    def step(self, s: np.ndarray, first: int, lo: int, members: dict, margin: float):
+        """Log the rows of a block of squared-distance bounds ``s``, from
+        queries lo, lo + 1, ... to the consecutive block rows first,
+        first + 1, ..., class by class; ``members`` holds each class's
+        block positions, ascending.
+
+        Each entry of ``s`` lies within ``margin`` of its squared distance
+        (an entry set to +inf is never logged).  A row is logged only if
+        its bound minus the margin reaches both U and the block's own k-th
+        bound plus the margin, which is taken for every query on the first
+        step that holds a class (more than k rows through per query, on
+        average) and later only for the queries with more than k rows
+        through: a row that fails either is farther than k rows are.  The
+        block's k smallest bounds, or the logged ones, plus the margin
+        then join ``ub``.
+        """
+        q, k = s.shape[0], self.k
+        n_queries = self.ub.shape[1]
+        for c, cand in members.items():
+            cand = _in_block(cand, first, s.shape[1])
+            if cand.size == 0:
+                continue
+            ub = self.ub[c, lo:lo + q]
+            sc = np.take(s, cand - first, axis=1)
+            limit = ub[:, k - 1] + margin
+            beats = sc <= _at_least(limit, sc.dtype)[:, None]
+            low = None
+            if np.count_nonzero(beats) > k * q:
+                low = np.partition(sc, k - 1, axis=1)[:, :k]
+                limit = np.minimum(limit, _reach(low[:, -1], margin))
+                beats = sc <= _at_least(limit, sc.dtype)[:, None]
+            qi, j = np.divmod(np.flatnonzero(beats), cand.size)
+            # Once the block's k-th bound was taken for every query, the
+            # queries with more than k rows through are ties within it.
+            heavy = (np.flatnonzero(np.bincount(qi, minlength=q) > k) if low is None
+                     else ())
+            if len(heavy):
+                reach = np.full(q, np.inf)
+                reach[heavy] = _reach(np.partition(sc[heavy], k - 1, axis=1)[:, k - 1], margin)
+                keep = sc[qi, j] <= _at_least(reach, sc.dtype)[qi]
+                qi, j = qi[keep], j[keep]
+            if qi.size == 0:
+                continue
+            sj = sc[qi, j]
+            if low is not None:  # the block's k smallest bounds, into the scratch
+                np.add(low, margin, out=ub[:, k:], dtype=np.float64)
+                ub.sort(axis=1)
+            else:
+                (both,) = _append((ub[:, :k],), qi, (np.add(sj, margin, dtype=np.float64),))
+                ub[:, :k] = np.sort(both, axis=1)[:, :k]
+            self.log.append((qi + (c * n_queries + lo), cand[j], sj, margin))
+            self.log_bytes += 16 * qi.size + sj.nbytes
+            if self.log_bytes > _PAIR_BYTES:
+                self.flush()
+
+    def flush(self):
+        """Measure the logged rows whose bound minus its margin reaches U,
+        and merge them into the lists of the (class, query) pairs they
+        belong to."""
+        if not self.log:
+            return
+        key, j, s = (np.concatenate(a) for a in zip(*(e[:3] for e in self.log)))
+        margin = np.repeat([e[3] for e in self.log], [e[0].size for e in self.log])
+        self.log, self.log_bytes = [], 0
+        rows, dist = (a.reshape(-1, self.k) for a in (self.rows, self.dist))
+        u = self.ub.reshape(rows.shape[0], -1)[key, self.k - 1]
+        keep = s <= _at_least(u + margin, s.dtype)
+        key, j, s = key[keep], j[keep], s[keep]
+        if key.size == 0:
+            return
+        near = self.measure(key % self.rows.shape[1], j, s)
+        self.measured += near.size
+        order = np.argsort(key, kind="stable")
+        key, j, near = key[order], j[order], near[order]
+        span = slice(key[0], key[-1] + 1)
+        rows[span], dist[span] = _keep_k(*_append((rows[span], dist[span]), key - key[0],
+                                                  (j, near)), self.k)
 
 
 def _search_block(stored, start: int, end: int, Q, space: FeatureSpace,
                   members: dict, n_classes: int, k: int, own=None):
     """Top-k per class of every query among the stored rows start:end, as
     (query, class, k) arrays (rows, dist) with row ids counted from
-    ``start``.  ``Q`` holds the queries on the z-scale, ``members`` each
-    class's rows (counted from ``start``, ascending) and ``own``, if given,
-    each query's own row, which never enters its lists.  The selector's
-    partitions and the k-NN classifier both search through here."""
-    rows = np.full((len(Q), n_classes, k), -1, dtype=np.int64)
-    dist = np.full(rows.shape, np.inf)
-    steps = _sparse_steps if isinstance(stored, SparseRows) else _dense_steps
-    for first, lo, hi, s, margin, measure in steps(stored, start, end, Q, space):
+    ``start``, and the number of distances measured exactly.  ``Q`` holds
+    the queries on the z-scale, ``members`` each class's rows (counted
+    from ``start``, ascending) and ``own``, if given, each query's own
+    row, which never enters its lists.  The selector's partitions and the
+    k-NN classifier both search through here."""
+    if isinstance(stored, SparseRows):
+        steps, measure = _sparse_steps(stored, start, end, Q, space), _square_roots
+    else:
+        steps = _dense_steps(stored, start, end, Q, space)
+        measure = partial(_dense_measure, stored, start, Q, space)
+    lists = _Lists(len(Q), n_classes, k, measure)
+    for first, lo, hi, s, margin in steps:
         if own is not None:
             mine = np.flatnonzero((own[lo:hi] >= first) & (own[lo:hi] < first + s.shape[1]))
             s[mine, own[lo + mine] - first] = np.inf
-        _filter_step(rows[lo:hi], dist[lo:hi], s, first, members, k, margin, measure)
-    rows[np.isinf(dist)] = -1
-    return rows, dist
+        lists.step(s, first, lo, members, margin)
+    lists.flush()
+    lists.rows[np.isinf(lists.dist)] = -1
+    return lists.rows.transpose(1, 0, 2), lists.dist.transpose(1, 0, 2), lists.measured
 
 
 def _search_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
                       Q, k: int, space: FeatureSpace):
     """Local top-k per class for every sampled instance, as the (rows,
-    dist) arrays of a ``NeighborTable``.  ``Q`` holds the batch's rows on
-    the z-scale."""
+    dist) arrays of a ``NeighborTable``, and the number of distances
+    measured exactly.  ``Q`` holds the batch's rows on the z-scale."""
     ds = pdata.dataset
     start = int(pdata.starts[g])
     end = int(pdata.starts[g + 1])
     labels = ds.labels[start:end]
     members = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
-    rows, dist = _search_block(ds.rows, start, end, Q, space, members,
-                               ds.n_classes, k, own=batch.indices - start)
+    rows, dist, measured = _search_block(ds.rows, start, end, Q, space, members,
+                                         ds.n_classes, k, own=batch.indices - start)
     rows[rows >= 0] += start
-    return rows, dist
+    return rows, dist, measured
+
+
+def _square_roots(qi: np.ndarray, j: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The sparse search's measure: its bounds are the exact squares."""
+    return np.sqrt(s)
 
 
 def _sparse_steps(stored: SparseRows, start: int, end: int, Q: SparseRows,
                   space: FeatureSpace):
     """Squared distances from query chunks to the whole partition, as (first
-    block row, query lo, query hi, squares, margin, measure) steps: the
-    squares are their own bounds, with the ``_SQRT_TIES`` margin, and
-    ``measure`` takes their square roots."""
+    block row, query lo, query hi, squares, margin) steps: the squares are
+    their own bounds, with the ``_SQRT_TIES`` margin, and their square
+    roots the distances (``_square_roots``)."""
     block = space.scaled(stored[start:end])
     block_sq = _row_sums(block.data * block.data, block.indptr)
     chunk = max(1, min(_QUERY_CHUNK, _TILE_BYTES // (8 * max(space.n_features, 1))))
     for lo in range(0, len(Q), chunk):
         hi = min(lo + chunk, len(Q))
         sq = _sparse_distances(Q[lo:hi], block, block_sq, space.n_features)
-        yield (0, lo, hi, sq, _SQRT_TIES * float(sq.max(initial=0.0)),
-               lambda qi, j, sq=sq: np.sqrt(sq[qi, j]))
+        yield 0, lo, hi, sq, _SQRT_TIES * float(sq.max(initial=0.0))
 
 
 def _dense_steps(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
                  space: FeatureSpace):
     """Bounds on the squared distances from the queries to the partition, a
     row tile at a time, as (first block row, query lo, query hi, bounds,
-    margin, measure) steps.
+    margin) steps.
 
     Tiles are consecutive row ranges (``_tile_height``) in the outer loop,
-    so each is z-scored once per batch.  The queries are spread evenly over
-    the fewest groups whose float32 bounds to a tile fit
+    so each is read once per batch: z-scored in blocks of ``_PAIR_BYTES``
+    straight into float32 augmented rows [b, 1, ||b||^2], with the squared
+    norms summed in float64.  The queries are spread evenly over the
+    fewest groups whose float32 bounds to a tile fit
     ``_DENSE_TILE_BYTES``, with ``_QUERY_CHUNK`` queries a group allowed
     whatever the budget, so each tile is filtered in as few steps as the
     budget allows (one for 500 queries against a 1048-row tile of 500
     features).  The bounds S are one float32 matmul of the augmented rows
     [-2q, ||q||^2, 1] and [b, 1, ||b||^2] (two columns wide when every
-    feature is nominal) plus the nominal mismatch count.  Each S lies
-    within the margin (``_margin_rate``) of its squared distance, and
-    ``measure(qi, j)`` gives the exact distances of block entries
-    (``_pair_distances``).  Queries or a tile with a squared norm above
-    ``_NORM_CAP`` get no bound: S is 0 and the margin +inf, so every row is
-    measured.  The buffers are allocated once and reused; a step's bounds
-    are only valid until the next step.
+    feature is nominal) plus the nominal mismatch count, and each lies
+    within the margin (``_margin_rate``) of its squared distance.  Queries
+    or a tile with a squared norm above ``_NORM_CAP`` get no bound: S is 0
+    and the margin +inf (for such queries no tile is read at all).  The
+    buffers are allocated once and reused; a step's bounds are only valid
+    until the next step.
     """
     n_samples = Q.shape[0]
     height = _tile_height(end - start, space.n_features)
@@ -453,8 +539,6 @@ def _dense_steps(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
     edges = [n_samples * i // groups for i in range(groups + 1)]
     Qn = _numeric_cols(Q, space)
     Qc = None if space.all_numeric else Q[:, space.nominal_idx]
-    tile_buf = (None if space.means is None
-                else np.empty(height * space.n_features))
     width = Qn.shape[1] + 2
     rate = _margin_rate(Qn.shape[1])
     q_sq = np.einsum("ij,ij->i", Qn, Qn)
@@ -464,36 +548,68 @@ def _dense_steps(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
         Qa = np.empty((n_samples, width), dtype=np.float32)
         np.multiply(Qn, -2.0, out=Qa[:, :-2], casting="same_kind")
         Qa[:, -2], Qa[:, -1] = q_sq, 1.0
-        aug_buf = np.empty(height * width, dtype=np.float32)
+        Ba = np.empty((height, width), dtype=np.float32)
+        Ba[:, -2] = 1.0
+        b_sq = np.empty(height)
+        Bc = None if Qc is None else np.empty((height, Qc.shape[1]))
+        block_rows = max(1, min(height, _PAIR_BYTES // (8 * space.n_features)))
+        z_buf = None if space.means is None else np.empty(block_rows * space.n_features)
     s_buf = np.empty(-(-n_samples // groups) * height, dtype=np.float32)
-    pair_buf = np.empty((2, max(1, _PAIR_BYTES // (8 * width)), width - 2))
     for first in range(0, end - start, height):
         h = min(height, end - start - first)
-        raw = stored[start + first:start + first + h]
-        tile = space.scaled(raw, out=None if tile_buf is None
-                            else tile_buf[:raw.size].reshape(raw.shape))
-        Bn = _numeric_cols(tile, space)
-        Bc = None if Qc is None else tile[:, space.nominal_idx]
         margin = math.inf
         if bounded:
-            b_sq = np.einsum("ij,ij->i", Bn, Bn)
-            b_max = float(b_sq.max())
+            for a in range(0, h, block_rows):
+                raw = stored[start + first + a:start + first + min(h, a + block_rows)]
+                z = space.scaled(raw, out=None if z_buf is None
+                                 else z_buf[:raw.size].reshape(raw.shape))
+                zn = _numeric_cols(z, space)
+                Ba[a:a + len(z), :-2] = zn
+                b_sq[a:a + len(z)] = np.einsum("ij,ij->i", zn, zn)
+                if Bc is not None:
+                    Bc[a:a + len(z)] = z[:, space.nominal_idx]
+            b_max = float(b_sq[:h].max())
             if b_max <= _NORM_CAP:
                 margin = (rate * (q_max + b_max + space.nominal_idx.size)
                           + width * _UNDERFLOW)
-                Ba = aug_buf[:h * width].reshape(h, width)
-                Ba[:, :-2], Ba[:, -2], Ba[:, -1] = Bn, 1.0, b_sq
+                Ba[:h, -1] = b_sq[:h]
         for g0, g1 in zip(edges, edges[1:]):
-            Qcg = None if Qc is None else Qc[g0:g1]
             s = s_buf[:(g1 - g0) * h].reshape(g1 - g0, h)
             if margin < math.inf:
-                np.matmul(Qa[g0:g1], Ba.T, out=s)
-                if Qcg is not None:
-                    _add_mismatches(s, Qcg, Bc)
+                np.matmul(Qa[g0:g1], Ba[:h].T, out=s)
+                if Bc is not None:
+                    _add_mismatches(s, Qc[g0:g1], Bc[:h])
             else:
                 s.fill(0.0)
-            yield first, g0, g1, s, margin, partial(
-                _pair_distances, Qn[g0:g1], Qcg, Bn, Bc, pair_buf)
+            yield first, g0, g1, s, margin
+
+
+def _dense_measure(stored: np.ndarray, start: int, Q: np.ndarray, space: FeatureSpace,
+                   qi: np.ndarray, j: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Exact distances (``_pair_distances``) between the queries ``qi`` and
+    the stored rows start + ``j``; ``s`` is not read.  The distinct rows
+    are gathered in ascending order, a tile's height of them at a time,
+    and each is z-scored once."""
+    Qn = _numeric_cols(Q, space)
+    Qc = None if space.all_numeric else Q[:, space.nominal_idx]
+    seen = np.zeros(int(j.max(initial=-1)) + 1, dtype=bool)
+    seen[j] = True
+    distinct = np.flatnonzero(seen)
+    inv = (np.cumsum(seen) - 1)[j]
+    height = _tile_height(distinct.size, space.n_features)
+    pair_buf = np.empty((2, max(1, min(j.size, _PAIR_BYTES // (8 * (Qn.shape[1] + 2)))),
+                         Qn.shape[1]))
+    out = np.empty(j.size)
+    for a in range(0, distinct.size, height):
+        p = (slice(None) if distinct.size <= height
+             else np.flatnonzero((inv >= a) & (inv < a + height)))
+        block = np.take(stored, start + distinct[a:a + height], axis=0)
+        block = space.scaled(block, out=block)
+        out[p] = _pair_distances(
+            Qn, Qc, _numeric_cols(block, space),
+            None if Qc is None else block[:, space.nominal_idx],
+            pair_buf, qi[p], inv[p] - a)
+    return out
 
 
 def neighborhood(pdata: PartitionedDataset, batch: SampleBatch, k: int) -> NeighborTable:
@@ -517,7 +633,8 @@ def neighborhood(pdata: PartitionedDataset, batch: SampleBatch, k: int) -> Neigh
     parts = pdata.map_partitions(
         lambda g: _search_partition(pdata, g, batch, Q, k, space),
         workers=1 if tiny else pdata.n_partitions)
-    rows, dist = (np.concatenate(a, axis=-1) for a in zip(*parts))
+    rows, dist, measured = zip(*parts)
+    rows, dist = np.concatenate(rows, axis=-1), np.concatenate(dist, axis=-1)
     emitted = rows[rows >= 0]
     if ds.is_sparse:
         inst_bytes = SPARSE_NONZERO_BYTES * int(np.diff(ds.rows.indptr)[emitted].sum())
@@ -531,4 +648,5 @@ def neighborhood(pdata: PartitionedDataset, batch: SampleBatch, k: int) -> Neigh
         emitted_records=emitted.size,
         emitted_bytes=emitted.size * LOCATOR_BYTES,
         full_instance_bytes=inst_bytes,
+        measured_pairs=sum(measured),
     )

@@ -166,10 +166,14 @@ class CollisionTables:
                 return
             if rates.shape[0] >= _TRANSPOSE_MIN_PAIRS:
                 cols = np.take(rates.T, order, axis=0)  # C-ordered
+                mins = None
             else:
                 cols = np.take(rates, order, axis=1).T  # F-ordered view
-            for r in range(t):
-                self.joint[r, r + 1:] += np.minimum(cols[r], cols[r + 1:]).sum(axis=1)
+                mins = np.empty(rates.shape).T  # one buffer, laid out as cols
+            for r in range(t):  # no name holds a fresh minimum past its row
+                self.joint[r, r + 1:] += np.minimum(
+                    cols[r], cols[r + 1:], out=None if mins is None else mins[r + 1:]
+                ).sum(axis=1)
 
         # Window order is feature order unless an untracked feature comes
         # before a tracked one.

@@ -177,6 +177,7 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
     collect = config.theta != 0.0
     total: ClassDistanceStats | None = None
     records = 0
+    measured = 0
     locator_bytes = 0
     instance_bytes = 0
     search_s = 0.0
@@ -195,6 +196,7 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
         table = neighborhood(pdata, batch, config.k)
         search_s += time.perf_counter() - t0
         records += table.emitted_records
+        measured += table.measured_pairs
         locator_bytes += table.emitted_bytes
         instance_bytes += table.full_instance_bytes
         t0 = time.perf_counter()
@@ -227,6 +229,7 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
         "sample_size": sum(len(b) for b in batches),
         "timings": timings,
         "locator_records": records,
+        "measured_pairs": measured,
         "locator_bytes": locator_bytes,
         "full_instance_bytes": instance_bytes,
     }

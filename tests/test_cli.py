@@ -204,6 +204,7 @@ class TestBench:
         assert doc["within_bound"] is True
         assert doc["locator_records"] <= doc["record_bound"]
         assert doc["locator_bytes"] == doc["locator_records"] * 16
+        assert doc["locator_records"] <= doc["measured_pairs"]
         assert doc["sample_size"] == 25
         assert 0.0 < doc["byte_ratio"] < 1.0
 

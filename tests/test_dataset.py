@@ -452,6 +452,12 @@ class TestZscore:
         dense = zscore_normalize(Dataset(X, np.arange(400) % 2, [FeatureKind.NUMERIC] * 2))
         np.testing.assert_allclose(sparse.stds, dense.stds, rtol=1e-12, atol=0)
 
+    def test_sparse_without_stored_entries_normalizes(self):
+        # Every value absent: means 0 and stds 1, as for constant features.
+        empty = (np.array([], dtype=np.int64), np.ones(0))
+        out = zscore_normalize(Dataset([empty] * 4, [0, 1, 1, 0], [FeatureKind.NUMERIC] * 3))
+        assert out.means.tolist() == [0.0] * 3 and out.stds.tolist() == [1.0] * 3
+
     def test_sparse_is_lazy(self):
         ds = parse_libsvm(io.StringIO("0 1:2.0\n0 1:4.0\n1 1:6.0\n"))
         out = zscore_normalize(ds)

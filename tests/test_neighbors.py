@@ -14,8 +14,8 @@ from beliefsel.dataset import (Dataset, FeatureKind, draw_sample, parse_libsvm,
                                partition, zscore_normalize)
 from beliefsel import dataset, neighbors
 from beliefsel.errors import DataError
-from beliefsel.neighbors import (LOCATOR_BYTES, _filter_step, _pair_distances,
-                                 _SQRT_TIES, feature_diff, instance_distance,
+from beliefsel.neighbors import (LOCATOR_BYTES, _Lists, _pair_distances, _SQRT_TIES,
+                                 _square_roots, feature_diff, instance_distance,
                                  neighborhood)
 
 
@@ -110,14 +110,14 @@ def first_tile_groups(monkeypatch):
     """The query count of every search step on a partition's first tile,
     appended to the returned list as the dense search runs."""
     groups = []
-    real = neighbors._filter_step
+    real = neighbors._Lists.step
 
-    def spy(rows, dist, s, first, *rest):
+    def spy(lists, s, first, *rest):
         if first == 0:
-            groups.append(rows.shape[0])
-        return real(rows, dist, s, first, *rest)
+            groups.append(s.shape[0])
+        return real(lists, s, first, *rest)
 
-    monkeypatch.setattr(neighbors, "_filter_step", spy)
+    monkeypatch.setattr(neighbors._Lists, "step", spy)
     return groups
 
 
@@ -440,8 +440,8 @@ class TestNeighborhood:
             finally:
                 tracemalloc.stop()
             assert groups == sizes
-            # The class member lists (0.8 MB), then per tile the z-scored
-            # rows, the bound block, a class's copy of it and its
+            # The class member lists (0.8 MB), then per tile the float32
+            # augmented rows, the bound block, a class's copy of it and its
             # partitioned copy, each within the tile budget.
             assert peak <= 4 * neighbors._DENSE_TILE_BYTES, rate
 
@@ -485,11 +485,15 @@ class TestNeighborhood:
         assert_matches_oracle(pdata, batch, 3)
 
     @settings(max_examples=40)
-    @given(ds=lattice_datasets(), p=st.integers(1, 5), k=st.integers(1, 7))
-    def test_tiled_search_matches_oracle_on_lattice_data(self, ds, p, k):
+    @given(ds=lattice_datasets(), p=st.integers(1, 5), k=st.integers(1, 7),
+           flush_often=st.booleans())
+    def test_tiled_search_matches_oracle_on_lattice_data(self, ds, p, k, flush_often):
         # Exact arithmetic on both sides, so distances must agree exactly
-        # and ties must resolve by row id as in the oracle.
-        with mock.patch.object(neighbors, "_DENSE_TILE_BYTES", 0):
+        # and ties must resolve by row id as in the oracle.  A zero log
+        # budget measures the log after every class of every step.
+        with mock.patch.object(neighbors, "_DENSE_TILE_BYTES", 0), \
+                mock.patch.object(neighbors, "_PAIR_BYTES", 0 if flush_often
+                                  else neighbors._PAIR_BYTES):
             pdata = partition(ds, min(p, ds.n_instances))
             batch = draw_sample(pdata, 0.3, 1, seed=k)[0]
             assert_matches_oracle(pdata, batch, k, rtol=0)
@@ -578,24 +582,74 @@ class TestFilteredSearch:
             assert_matches_oracle(pdata, batch, k, rtol=0)
 
     def test_filter_lets_few_rows_through(self, monkeypatch):
-        # N(0,1) rows, 4, 20 and 300 features wide: per tile, class and
-        # query, at most 2k rows are measured exactly, so the margin cannot
-        # quietly turn the filter into a full float64 recompute.  40-row
-        # tiles, 5-6 a partition.
+        # N(0,1) rows, 4, 20 and 300 features wide: per partition, class
+        # and query, at most 2k rows are measured exactly, so the margin
+        # cannot quietly turn the filter into a full float64 recompute.
+        # 40-row tiles, 5-6 a partition.
         k = 3
-        real = neighbors._pair_distances
+        steps, measured = [], []
+        step, measure = neighbors._Lists.step, neighbors._dense_measure
+
+        def step_spy(lists, s, *rest):
+            steps.append(s.shape)
+            return step(lists, s, *rest)
+
+        def measure_spy(stored, start, Q, space, qi, j, s):
+            labels = pdata.dataset.labels[start + j]
+            measured.append(np.bincount(2 * qi + labels).max())
+            return measure(stored, start, Q, space, qi, j, s)
+
+        monkeypatch.setattr(neighbors._Lists, "step", step_spy)
+        monkeypatch.setattr(neighbors, "_dense_measure", measure_spy)
         for n in (4, 20, 300):
-            measured = []
-
-            def spy(*args):
-                measured.append(np.bincount(args[-2]).max())
-                return real(*args)
-
-            monkeypatch.setattr(neighbors, "_pair_distances", spy)
+            steps.clear()
+            measured.clear()
             monkeypatch.setattr(neighbors, "_DENSE_TILE_BYTES", 40 * 8 * max(n, 128))
             pdata = partition(zscore_normalize(wide_dataset(92, m=420, n=n, n_classes=2)), 2)
-            neighborhood(pdata, draw_sample(pdata, 0.25, 1, seed=0)[0], k)
-            assert len(measured) > 4 and max(measured) <= 2 * k, n
+            table = neighborhood(pdata, draw_sample(pdata, 0.25, 1, seed=0)[0], k)
+            assert len(steps) > 4 and len(measured) == 2 and max(measured) <= 2 * k, n
+            assert table.emitted_records <= table.measured_pairs, n
+
+    @pytest.mark.parametrize("rows", ["huge", "tied"])
+    def test_logged_rows_stay_in_budget(self, monkeypatch, rows):
+        # 40,000 x 4 rows in one partition, 30 queries.  Rows far beyond
+        # the float32 filter's range get no bound (margin +inf), and rows
+        # that are all equal tie within any margin: either way every row is
+        # logged and measured, 1.2 M pairs in all.  The log is measured
+        # whenever it passes its budget, so the peak is that of the narrow
+        # search above, not the 100 MB of measuring the whole log at once.
+        rng = np.random.default_rng(6)
+        m = 40_000
+        X = (rng.standard_normal((m, 4)) * 2.0 ** 60 if rows == "huge"
+             else np.ones((m, 4)))
+        y = np.arange(m) % 3
+        pdata = partition(Dataset(X, y, [FeatureKind.NUMERIC] * 4, normalized=True), 1)
+        batch = draw_sample(pdata, 0.00075, 1, seed=0)[0]
+        flushes = []
+        flush = neighbors._Lists.flush
+        monkeypatch.setattr(neighbors._Lists, "flush",
+                            lambda lists: flushes.append(lists.log_bytes) or flush(lists))
+        tracemalloc.start()
+        try:
+            table = neighborhood(pdata, batch, k=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(batch) == 30 and len(flushes) > 10
+        assert table.measured_pairs == 30 * (m - 1)
+        assert peak <= 4 * neighbors._DENSE_TILE_BYTES
+        if rows == "tied":  # the lowest row ids of each class, self excluded
+            for i, gid in enumerate(batch.indices):
+                for c in range(3):
+                    want = [r for r in range(c, 12, 3) if r != gid][:3]
+                    assert table.rows[i, c].tolist() == want
+            assert np.all(table.dist == 0.0)
+        else:  # 2^60 times the distances of the same rows at scale 1
+            pdata = partition(Dataset(X / 2.0 ** 60, y, [FeatureKind.NUMERIC] * 4,
+                                      normalized=True), 1)
+            small = neighborhood(pdata, draw_sample(pdata, 0.00075, 1, seed=0)[0], k=3)
+            assert np.array_equal(table.rows, small.rows)
+            assert np.array_equal(table.dist, small.dist * 2.0 ** 60)
 
     def test_rows_sharing_a_square_root_keep_the_lower_id(self):
         # Three consecutive float64 squares round to one root here.  Row 1
@@ -610,10 +664,10 @@ class TestFilteredSearch:
             tied.append(np.nextafter(tied[-1], 4.0))
         assert len(tied) >= 3 and np.all(np.sqrt(tied) == r)
         s = np.array([[tied[-1], tied[0], 5.0]])
-        rows, dist = np.full((1, 1, 1), -1), np.full((1, 1, 1), np.inf)
-        _filter_step(rows, dist, s, 0, {0: np.arange(3)}, 1, _SQRT_TIES * s.max(),
-                     lambda qi, j: np.sqrt(s[qi, j]))
-        assert (rows[0, 0, 0], dist[0, 0, 0]) == (0, r)
+        lists = _Lists(1, 1, 1, _square_roots)
+        lists.step(s, 0, 0, {0: np.arange(3)}, _SQRT_TIES * s.max())
+        lists.flush()
+        assert (lists.rows[0, 0, 0], lists.dist[0, 0, 0]) == (0, r)
 
 
 class TestAccounting:
@@ -627,7 +681,7 @@ class TestAccounting:
         bound = len(batch) * k * ds.n_classes * p
         assert table.emitted_records <= bound
         merged = int(np.count_nonzero(table.rows >= 0))
-        assert merged <= table.emitted_records
+        assert merged <= table.emitted_records <= table.measured_pairs
         # every emitted record priced as a full dense instance
         assert table.full_instance_bytes == table.emitted_records * 8 * ds.n_features
 

@@ -1,6 +1,6 @@
-"""Pipeline properties on random small inputs: bad input fails loudly, and
-the result does not depend on how the work is cut into partitions and
-batches.
+"""Pipeline properties on random small inputs: bad input fails loudly, the
+result does not depend on how the work is cut into partitions and batches,
+and sparse input gives the result of its dense equivalent.
 
 The datasets are dense with mixed numeric and nominal columns, or sparse
 and all numeric: m <= 60 rows, n <= 12 features, 2-4 classes.
@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beliefsel.dataset import (Dataset, FeatureKind, draw_sample, partition,
@@ -134,3 +134,51 @@ def test_partitions_and_batches_do_not_change_the_result(data, pick):
             assert a.pair_count == b.pair_count
             np.testing.assert_allclose(a.joint, b.joint, rtol=1e-12, atol=0)
             np.testing.assert_allclose(a.marginal, b.marginal, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=small_inputs(), pick=st.data())
+def test_sparse_input_matches_its_dense_equivalent(data, pick):
+    # All-numeric inputs, stored sparse (the nonzero cells) and dense.
+    # Sparse rows are read as value / std and dense ones as (value - mean)
+    # / std, and the sparse search squares distances as ||q||^2 + ||b||^2 -
+    # 2 q.b, so the two agree up to rounding.  Squared distances agree
+    # within 1e-12 of ||q||^2 + ||b||^2 on both scales (that of the sparse
+    # sum's cancellation and of the dense centering; plain relative error
+    # reached 2.8e-10 on a close pair).
+    # The neighbor rows are the same but where rows tie in exact
+    # arithmetic, which rounding then orders (a feature stored in one row
+    # reads +-m / sqrt(m - 1) in every such feature); there the dense
+    # distance of the sparse search's row matches the slot's.  The weights,
+    # differences of mean diffs in z units, agree within 1e-12 of the
+    # largest or of 1 when the rows are the same.
+    X, y, kinds, _ = data
+    # Nominal codes read as numbers put rows on a lattice of ties.
+    assume(all(kind is FeatureKind.NUMERIC for kind in kinds))
+    n = X.shape[1]
+    sparse, dense = (zscore_normalize(build(X, y, kinds, s)) for s in (True, False))
+    config = replace(pick.draw(configs(n)), batches=1)
+    batches, tables = [], []
+    for ds in (sparse, dense):
+        pdata = partition(ds, config.partitions)
+        batches.append(draw_sample(pdata, config.sample_rate, 1, config.seed)[0])
+        tables.append(neighborhood(pdata, batches[-1], config.k))
+    s, d = tables
+    queries = batches[0].indices
+    assert np.array_equal(queries, batches[1].indices)
+    found = d.rows >= 0
+    assert np.array_equal(s.rows >= 0, found)
+    assert np.isinf(s.dist[~found]).all() and np.isinf(d.dist[~found]).all()
+    D = dense.feature_space().scaled(dense.rows)
+    Z = sparse.feature_space().scaled(sparse.rows).to_dense(n)
+    sq = (Z * Z).sum(axis=1) + (D * D).sum(axis=1)
+    scale = sq[queries, None, None] + sq[s.rows]
+    gap = np.abs(s.dist[found] ** 2 - d.dist[found] ** 2)
+    assert np.all(gap <= 1e-12 * scale[found])
+    swapped = found & (s.rows != d.rows)
+    i = np.nonzero(swapped)[0]
+    tie = ((D[queries[i]] - D[s.rows[swapped]]) ** 2).sum(axis=1)
+    assert np.all(np.abs(tie - d.dist[swapped] ** 2) <= 1e-12 * scale[swapped])
+    if not swapped.any():
+        ws, wd = (run_belief(ds, config).weights.values for ds in (sparse, dense))
+        np.testing.assert_allclose(ws, wd, rtol=0, atol=1e-12 * max(np.abs(wd).max(), 1.0))

@@ -175,9 +175,27 @@ class TestRunBelief:
         assert md["sample_size"] == 120
         assert md["locator_records"] > 0
         assert md["locator_bytes"] == md["locator_records"] * 16
+        assert md["measured_pairs"] >= md["locator_records"]
         for key in ("normalize_s", "sample_s", "search_s", "estimate_s",
                     "redundancy_s", "select_s"):
             assert key in md["timings"]
+
+    def test_tall_search_measures_about_one_pair_per_locator(self):
+        # The tall-search benchmark's shape: 10,000 x 500 N(0,1), ten
+        # features shifted in class 1, 5% sample, k = 3, two partitions.
+        # Only the rows whose bounds no k others beat are measured exactly:
+        # 6087 pairs for 6000 locators (16,247 when each tile measured its
+        # own survivors).
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((10_000, 500))
+        y = rng.integers(0, 2, 10_000)
+        y[:2] = (0, 1)
+        X[np.ix_(y == 1, np.sort(rng.choice(500, 10, replace=False)))] += 1.0
+        md = run_belief(Dataset(X, y, [FeatureKind.NUMERIC] * 500),
+                        SelectorConfig(n_select=20, k=3, sample_rate=0.05,
+                                       partitions=2, theta=0.0)).metadata
+        assert md["locator_records"] == 6000
+        assert md["locator_records"] <= md["measured_pairs"] <= 1.05 * md["locator_records"]
 
     def test_deterministic_repeat_runs_are_bit_identical(self):
         ds = gaussian_classes(1)
