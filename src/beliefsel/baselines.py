@@ -8,9 +8,6 @@ are discretized into equal-width bins first.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import Dataset
@@ -19,53 +16,82 @@ from .selection import RankingResult, SelectedFeature
 from .estimation import WeightVector
 
 __all__ = [
-    "ContingencyTable",
-    "mutual_information",
     "discretize_equal_width",
     "mrmr_select",
 ]
 
-# Byte budget of the block of float columns mrmr discretizes at a time.
+# Byte budget of the block of float columns mrmr discretizes at a time, and
+# of each MI block's int64 cell ids and of its features x A x B table cells.
 _COLUMN_BLOCK_BYTES = 1 << 22
 
 
-@dataclass
-class ContingencyTable:
-    """Joint counts of two code vectors with their marginals."""
+def _mi_rows(codes: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """MI in bits of each row of a (features, m) block of codes with ``b``.
 
-    counts: np.ndarray
-    total: int
+    Row f's code a meets code b_i at cell (f * A + a) * B + b_i of one
+    ``np.bincount``, with A and B the block's and ``b``'s largest code + 1.
+    Each row's plugin terms, taken where the count is > 0, are summed one
+    at a time in row-major (a, b) order.  Memory is the int64 cell ids,
+    then one (features, A, B) table of 8-byte cells, which holds the
+    counts, then the plugin probabilities, then the terms and their
+    running sums, plus temporaries of at most ``_COLUMN_BLOCK_BYTES`` and
+    of the nonzero cells.
+    """
+    if codes.ndim != 2 or b.ndim != 1 or codes.shape[1] != b.size:
+        raise DataError("codes must be a (features, m) block aligned with 1-D b")
+    if b.size == 0:
+        raise DataError("empty code vectors")
+    if codes.min() < 0 or b.min() < 0:
+        raise DataError("codes must be nonnegative")
+    F, m = codes.shape
+    A = int(codes.max()) + 1
+    B = int(b.max()) + 1
+    ids = np.empty((F, m), dtype=np.int64)
+    np.multiply(np.arange(F, dtype=np.int64)[:, None], A, out=ids)
+    ids += codes
+    ids *= B
+    ids += b
+    counts = np.bincount(ids.reshape(-1), minlength=F * A * B)
+    del ids
+    cells = np.flatnonzero(counts)
+    p = counts.view(np.float64)  # each count turns into count / m in place
+    step = max(1, _COLUMN_BLOCK_BYTES // 8)
+    for lo in range(0, p.size, step):
+        p[lo:lo + step] = counts[lo:lo + step] / m
+    del counts
+    p = p.reshape(F, A, B)
+    pa = p.sum(axis=2).reshape(-1)
+    pb = p.sum(axis=1).reshape(-1)
+    terms = p.reshape(F, A * B)  # 0.0 wherever the count is 0
+    pn = terms.reshape(-1)[cells]
+    q = pa[cells // B]
+    q *= pb[cells // (A * B) * B + cells % B]
+    np.divide(pn, q, out=q)
+    np.log2(q, out=q)
+    q *= pn
+    terms.reshape(-1)[cells] = q
+    return np.cumsum(terms, axis=1, out=terms)[:, -1].copy()
 
-    @classmethod
-    def from_codes(cls, a: np.ndarray, b: np.ndarray) -> "ContingencyTable":
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if a.shape != b.shape or a.ndim != 1:
-            raise DataError("code vectors must be 1-D and aligned")
-        if a.size == 0:
-            raise DataError("empty code vectors")
-        if a.min() < 0 or b.min() < 0:
-            raise DataError("codes must be nonnegative")
-        na = int(a.max()) + 1
-        nb = int(b.max()) + 1
-        counts = np.zeros((na, nb), dtype=np.int64)
-        np.add.at(counts, (a, b), 1)
-        return cls(counts=counts, total=a.size)
 
-    def mutual_information(self) -> float:
-        """MI in bits from the table's plugin probabilities."""
-        p = self.counts / self.total
-        pa = p.sum(axis=1)
-        pb = p.sum(axis=0)
-        total = 0.0
-        for i, j in zip(*np.nonzero(self.counts)):
-            total += p[i, j] * math.log2(p[i, j] / (pa[i] * pb[j]))
-        return total
-
-
-def mutual_information(a: np.ndarray, b: np.ndarray) -> float:
-    """MI in bits between two code vectors."""
-    return ContingencyTable.from_codes(a, b).mutual_information()
+def _mi_with(codes: list[np.ndarray], top: np.ndarray, features: np.ndarray,
+             b: np.ndarray) -> np.ndarray:
+    """``_mi_rows`` of the listed features against ``b``, in consecutive
+    blocks of at most ``_COLUMN_BLOCK_BYTES`` of cell ids and of table
+    cells, at least one feature each; ``top[j]`` is feature j's largest
+    code."""
+    cap = _COLUMN_BLOCK_BYTES // 8
+    B = int(b.max()) + 1
+    out = np.empty(features.size)
+    lo = 0
+    while lo < features.size:
+        # A block's table has (its features) x (its largest code + 1) x B
+        # cells, which grows with every feature taken.
+        reach = np.maximum.accumulate(top[features[lo:lo + max(1, cap // b.size)]] + 1)
+        cells = np.arange(1, reach.size + 1) * reach * B
+        hi = lo + max(1, int(np.count_nonzero(cells <= cap)))
+        out[lo:hi] = _mi_rows(np.stack([codes[j] for j in features[lo:hi]]), b)
+        lo = hi
+    return out
 
 
 def discretize_equal_width(values: np.ndarray, bins: int = 10) -> np.ndarray:
@@ -88,7 +114,7 @@ def discretize_equal_width(values: np.ndarray, bins: int = 10) -> np.ndarray:
 def _feature_codes(col: np.ndarray, numeric: bool, bins: int) -> np.ndarray:
     """Bin codes of a numeric column in the smallest unsigned type that
     holds ``bins - 1`` (one byte at 10 bins); a nominal column's codes as
-    int64, so a negative one still reaches ``ContingencyTable``'s check."""
+    int64, so a negative one still reaches ``_mi_rows``'s check."""
     if numeric:
         return discretize_equal_width(col, bins).astype(np.min_scalar_type(bins - 1))
     return col.astype(np.int64)
@@ -103,17 +129,25 @@ def mrmr_select(dataset: Dataset, n_select: int, bins: int = 10) -> RankingResul
     deterministic.
     """
     n = dataset.n_features
+    m = dataset.n_instances
     if not 1 <= n_select <= n:
         raise DataError(f"selection size {n_select} not in 1..{n}")
+    if m == 0:
+        raise DataError("mrmr needs at least one instance")
     # Columns are read a block at a time, so the float values never sit
     # next to all the codes at once.
-    width = max(1, _COLUMN_BLOCK_BYTES // (8 * max(dataset.n_instances, 1)))
-    codes = [_feature_codes(col, numeric, bins)
-             for a in range(0, n, width)
-             for col, numeric in zip(dataset.columns(range(a, min(a + width, n))),
-                                     dataset.numeric[a:a + width])]
-    labels = dataset.labels
-    relevance = np.array([mutual_information(codes[j], labels) for j in range(n)])
+    width = max(1, _COLUMN_BLOCK_BYTES // (8 * m))
+    codes = []
+    for a in range(0, n, width):
+        cols = dataset.columns(range(a, min(a + width, n)))
+        bad = np.flatnonzero(~np.isfinite(cols).all(axis=1))
+        if bad.size:
+            raise DataError(f"feature {a + int(bad[0])} holds a non-finite value")
+        codes += [_feature_codes(col, numeric, bins)
+                  for col, numeric in zip(cols, dataset.numeric[a:a + width])]
+        del cols
+    top = np.array([c.max() for c in codes], dtype=np.int64)
+    relevance = _mi_with(codes, top, np.arange(n), dataset.labels)
 
     # total[i] is the running sum of MI(i, j) over the selected features j,
     # added one pick at a time in pick order.
@@ -135,8 +169,8 @@ def mrmr_select(dataset: Dataset, n_select: int, bins: int = 10) -> RankingResul
         ))
         remaining[pick] = False
         if len(selected) < n_select:
-            for i in np.flatnonzero(remaining).tolist():
-                total[i] += mutual_information(codes[min(i, pick)], codes[max(i, pick)])
+            rest = np.flatnonzero(remaining)
+            total[rest] += _mi_with(codes, top, rest, codes[pick])
     weights = WeightVector(values=relevance, method="mrmr")
     return RankingResult(selected=selected, weights=weights,
                          metadata={"bins": bins})

@@ -165,6 +165,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    if args.nfeat is not None and args.nfeat < 1:
+        raise DataError(f"--nfeat must be >= 1, got {args.nfeat}")
     ds = _load_dataset(args)
     config = _selector_config(args, n_select=ds.n_features, theta=0.0)
     result = run_belief(ds, config)

@@ -555,8 +555,7 @@ def _map_pool(fn, items, workers: int) -> list:
 
 # -- normalization ---------------------------------------------------------
 
-# Block budget of the dense statistics' leaf buffer and of the sparse
-# search's query buffer and tiles.
+# Block budget of the dense statistics' leaf buffer.
 _STATS_BYTES = 1 << 20
 
 # Rows in one leaf of numpy's pairwise float64 sum (its PW_BLOCKSIZE).
@@ -726,12 +725,6 @@ class PartitionedDataset:
     @property
     def n_partitions(self) -> int:
         return self.starts.shape[0] - 1
-
-    def block_indices(self, g: int) -> np.ndarray:
-        return np.arange(self.starts[g], self.starts[g + 1], dtype=np.int64)
-
-    def block_size(self, g: int) -> int:
-        return int(self.starts[g + 1] - self.starts[g])
 
     def map_partitions(self, fn, workers: int | None = None) -> list:
         """``[fn(g) for g in range(p)]``, run in a pool of min(``workers``,

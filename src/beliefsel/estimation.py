@@ -13,10 +13,6 @@ with P(c) the class priors over the full dataset and zero-count classes
 contributing nothing.  Accumulation is partition-local (each partition
 touches only its own block) and the partial matrices merge by entrywise
 addition, so the totals do not depend on the partition or batch layout.
-
-``relieff_reference`` and ``relief_reference`` implement the classic
-single-threaded instance-update weighting rules; they serve as oracles for
-the distance-accumulation path on shared inputs.
 """
 
 from __future__ import annotations
@@ -26,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import Dataset, FeatureSpace, PartitionedDataset, SampleBatch
-from .errors import DataError, IntegrityError
-from .neighbors import NeighborTable, instance_distance, pair_diffs
+from .dataset import PartitionedDataset, SampleBatch
+from .errors import IntegrityError
+from .neighbors import NeighborTable, pair_diffs
 from .redundancy import CollisionTables, collision_rates
 
 __all__ = [
@@ -39,8 +35,6 @@ __all__ = [
     "estimate_batch",
     "merge_stats",
     "belief_weights",
-    "relieff_reference",
-    "relief_reference",
 ]
 
 
@@ -247,80 +241,4 @@ def belief_weights(stats: ClassDistanceStats, priors: np.ndarray) -> WeightVecto
               where=stats.hit_count[:, None] > 0)
     values = priors @ miss - priors @ hit
     return WeightVector(values=values, method="belief")
-
-
-# -- single-threaded reference rules ---------------------------------------
-
-
-def _reference_inputs(dataset: Dataset, sample_indices):
-    """The sample ids (all rows by default), feature space and dense rows on
-    the z-scale that the reference rules read."""
-    ids = list(range(dataset.n_instances) if sample_indices is None else sample_indices)
-    if not ids:
-        raise DataError("empty sample")
-    space = dataset.feature_space()
-    X = space.scaled(dataset.rows)
-    return ids, space, X.to_dense(dataset.n_features) if dataset.is_sparse else X
-
-
-def _reference_neighbors(dataset: Dataset, space: FeatureSpace, i: int):
-    """Distances from instance ``i`` to every other instance, self excluded."""
-    dists = np.array([instance_distance(dataset.row(i), dataset.row(j), space)
-                      for j in range(dataset.n_instances)])
-    dists[i] = np.inf
-    return dists
-
-
-def _topk_of_class(dists, labels, c, k):
-    members = np.flatnonzero(labels == c)
-    finite = members[np.isfinite(dists[members])]
-    order = np.lexsort((finite, dists[finite]))
-    return finite[order[:k]]
-
-
-def relieff_reference(dataset: Dataset, sample_indices=None, k: int = 3) -> WeightVector:
-    """Multi-class k-neighbor instance-update weighting (reference oracle).
-
-    For each sampled instance: subtract the diffs to its k nearest hits,
-    add the prior-weighted diffs to the k nearest misses of every other
-    class, everything divided by (sample size * k).  Short neighbor lists
-    contribute fewer terms; the divisor stays (s * k).
-    """
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
-    sample_indices, space, X = _reference_inputs(dataset, sample_indices)
-    s = len(sample_indices)
-    priors = dataset.class_priors()
-    w = np.zeros(dataset.n_features)
-    denom = s * k
-    for i in sample_indices:
-        y = int(dataset.labels[i])
-        dists = _reference_neighbors(dataset, space, i)
-        for h in _topk_of_class(dists, dataset.labels, y, k):
-            w -= pair_diffs(X[i], X[h], space) / denom
-        for c in range(dataset.n_classes):
-            if c == y:
-                continue
-            for mss in _topk_of_class(dists, dataset.labels, c, k):
-                w += priors[c] * pair_diffs(X[i], X[mss], space) / denom
-    return WeightVector(values=w, method="relieff")
-
-
-def relief_reference(dataset: Dataset, sample_indices=None) -> WeightVector:
-    """Binary single-neighbor instance-update weighting (reference oracle)."""
-    if dataset.n_classes != 2:
-        raise DataError("this rule is defined for binary problems")
-    sample_indices, space, X = _reference_inputs(dataset, sample_indices)
-    s = len(sample_indices)
-    w = np.zeros(dataset.n_features)
-    for i in sample_indices:
-        y = int(dataset.labels[i])
-        dists = _reference_neighbors(dataset, space, i)
-        hits = _topk_of_class(dists, dataset.labels, y, 1)
-        misses = _topk_of_class(dists, dataset.labels, 1 - y, 1)
-        if hits.size:
-            w -= pair_diffs(X[i], X[hits[0]], space) / s
-        if misses.size:
-            w += pair_diffs(X[i], X[misses[0]], space) / s
-    return WeightVector(values=w, method="relief")
 

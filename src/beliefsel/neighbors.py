@@ -52,15 +52,12 @@ from functools import partial
 
 import numpy as np
 
-from .dataset import (_STATS_BYTES as _TILE_BYTES, FeatureKind, FeatureSpace,
-                      PartitionedDataset, SampleBatch, SparseRows)
+from .dataset import FeatureSpace, PartitionedDataset, SampleBatch, SparseRows
 from .errors import DataError
 
 __all__ = [
     "NeighborTable",
-    "feature_diff",
     "pair_diffs",
-    "instance_distance",
     "neighborhood",
     "LOCATOR_BYTES",
 ]
@@ -71,6 +68,10 @@ DENSE_VALUE_BYTES = 8
 SPARSE_NONZERO_BYTES = 12
 
 _QUERY_CHUNK = 128
+
+# Byte budget of the sparse search's dense query buffer and of each tile of
+# its (queries, stored entries) products.
+_TILE_BYTES = 1 << 20
 
 # Byte budget of a dense search tile: a tile holds at most this many bytes
 # of float64 rows (its float32 augmented rows take about half), a step's
@@ -144,13 +145,6 @@ class NeighborTable:
     measured_pairs: int = 0
 
 
-def feature_diff(a: float, b: float, kind: FeatureKind) -> float:
-    """Per-feature difference: |a - b| for numeric, 0/1 mismatch for nominal."""
-    if FeatureKind(kind) is FeatureKind.NOMINAL:
-        return 0.0 if a == b else 1.0
-    return abs(a - b)
-
-
 def pair_diffs(a: np.ndarray, b: np.ndarray, space: FeatureSpace) -> np.ndarray:
     """Per-feature differences between two rows, or between two aligned
     (pairs, features) blocks of rows, already on the z-scale: |a - b| for
@@ -163,30 +157,6 @@ def pair_diffs(a: np.ndarray, b: np.ndarray, space: FeatureSpace) -> np.ndarray:
     if nom.size:
         d[..., nom] = a[..., nom] != b[..., nom]
     return d
-
-
-def instance_distance(x, y, space: FeatureSpace) -> float:
-    """Euclidean distance between two instances of the same feature space.
-
-    Accepts stored dense rows (ndarray), sparse rows ((indices, values)), or
-    one of each, expanded to dense and read through ``space.scaled``: the
-    result matches the distance between the z-scored dense equivalents.
-    """
-    x, y = (_dense_row(v, space) for v in (x, y))
-    dn = x[space.numeric_idx] - y[space.numeric_idx]
-    nom = (x[space.nominal_idx] != y[space.nominal_idx]).sum()
-    return math.sqrt(float((dn * dn).sum()) + float(nom))
-
-
-def _dense_row(row, space: FeatureSpace) -> np.ndarray:
-    """A dense or (indices, values) row as a dense vector of effective values."""
-    if isinstance(row, tuple):
-        idx, vals = row
-        row = np.zeros(space.n_features)
-        row[idx] = vals
-    elif row.shape != (space.n_features,):
-        raise DataError("dimension mismatch between instances")
-    return space.scaled(row)
 
 
 # -- dense distance kernels -------------------------------------------------

@@ -40,12 +40,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, IntegrityError
-from .dataset import FeatureKind, FeatureSpace
+from .dataset import FeatureSpace
 
 __all__ = [
     "COLLISION_SPAN",
     "FIRST_BATCH_ETA",
-    "collision_rate",
     "collision_rates",
     "CollisionTables",
     "RedundancyTable",
@@ -69,16 +68,6 @@ _MCR_BLOCK_BYTES = 1 << 20
 # pairs on, and 1.1-1.4x at 48-56 pairs; full sd3's 32-pair blocks (4060
 # features under the 1 MiB chunk budget) took 1.9x.
 _TRANSPOSE_MIN_PAIRS = 80
-
-
-def collision_rate(a: float, b: float, kind: FeatureKind, kappa: float = 0.8) -> float:
-    """Collision rate of one value pair; see the module docstring."""
-    if FeatureKind(kind) is FeatureKind.NOMINAL:
-        return 1.0 if a == b else 0.0
-    rate = max(0.0, 1.0 - abs(a - b) / COLLISION_SPAN)
-    if 0.0 < rate < kappa:
-        return 0.0
-    return rate
 
 
 def collision_rates(diffs: np.ndarray, space: FeatureSpace,
@@ -105,8 +94,8 @@ class CollisionTables:
     ``joint[r, j]`` holds the mass of the unordered pair {tracked[r], j}.
     Within one update a pair is written once (both-tracked pairs go to the
     lower-index row), but after merging tables with different tracked sets
-    the mass of a pair may be spread over both orientations; ``pair_mass``
-    sums them.
+    the mass of a pair may be spread over both orientations;
+    ``compute_mcr`` sums them.
     """
 
     n_features: int
@@ -127,15 +116,6 @@ class CollisionTables:
             marginal=np.zeros(n_features),
             pair_count=0,
         )
-
-    def add_pair_rates(self, rates: np.ndarray) -> None:
-        """Fold one instance pair's collision-rate vector into the tables."""
-        self.add_rate_rows(np.asarray(rates)[None, :])
-
-    def add_rate_rows(self, rates: np.ndarray) -> None:
-        """Fold one block of collision-rate rows, one row per instance pair."""
-        with self.window_fold() as fold:
-            fold(rates)
 
     @contextmanager
     def window_fold(self):
@@ -216,17 +196,6 @@ class CollisionTables:
             pair_count=self.pair_count + other.pair_count,
         )
 
-    def pair_mass(self, i: int, j: int) -> float:
-        """Accumulated joint mass of the unordered pair {i, j}."""
-        if i == j:
-            raise DataError("joint mass is defined for distinct features")
-        total = 0.0
-        for a, b in ((i, j), (j, i)):
-            r = np.searchsorted(self.tracked, a)
-            if r < self.tracked.size and self.tracked[r] == a:
-                total += self.joint[r, b]
-        return total
-
 
 @dataclass
 class RedundancyTable:
@@ -236,8 +205,8 @@ class RedundancyTable:
     (tracked, features) array laid out like ``CollisionTables.joint``;
     both orientations of a both-tracked pair hold the same value.  Pairs
     with no tracked member (and every pair whose measure is exactly 0) have
-    a raw value of 0.  ``normalized`` rescales raw values through minmax
-    bounds that always include the zero point.
+    a raw value of 0.  ``normalized_row`` rescales raw values through
+    minmax bounds that always include the zero point.
     """
 
     n_features: int
@@ -250,13 +219,6 @@ class RedundancyTable:
         r = int(np.searchsorted(self.tracked, i))
         return r if r < self.tracked.size and self.tracked[r] == i else None
 
-    def raw(self, i: int, j: int) -> float:
-        r = self._row_of(i)
-        if r is not None:
-            return float(self.values[r, j])
-        r = self._row_of(j)
-        return 0.0 if r is None else float(self.values[r, i])
-
     def raw_row(self, i: int) -> np.ndarray:
         """Raw values of feature ``i`` against every feature."""
         r = self._row_of(i)
@@ -266,14 +228,9 @@ class RedundancyTable:
         out[self.tracked] = self.values[:, i]
         return out
 
-    def normalized(self, i: int, j: int) -> float:
-        span = self.hi - self.lo
-        if span <= 0.0:
-            return 0.0
-        return (self.raw(i, j) - self.lo) / span
-
     def normalized_row(self, i: int) -> np.ndarray:
-        """``normalized(i, j)`` for every feature j."""
+        """Raw values of feature ``i`` against every feature, rescaled to
+        (raw - lo) / (hi - lo), or all 0 when the bounds meet."""
         span = self.hi - self.lo
         if span <= 0.0:
             return np.zeros(self.n_features)

@@ -5,23 +5,36 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefsel import baselines
-from beliefsel.baselines import (ContingencyTable, discretize_equal_width,
-                                 mrmr_select, mutual_information)
+from beliefsel.baselines import discretize_equal_width, mrmr_select
 from beliefsel.dataset import Dataset, FeatureKind
 from beliefsel.errors import DataError
+from oracles import ContingencyTable, mutual_information
+
+
+def kernel_mi(a, b):
+    """MI of two code vectors through the block kernel, as a one-row block."""
+    return float(baselines._mi_rows(np.asarray(a)[None, :], np.asarray(b))[0])
+
+
+# Every exact case runs through the scalar oracle and the block kernel.
+MI = (mutual_information, kernel_mi)
 
 
 class TestMutualInformation:
     def test_identical_balanced_bits_carry_one_bit(self):
         a = np.array([0, 1, 0, 1, 0, 1])
-        assert mutual_information(a, a) == 1.0
+        for mi in MI:
+            assert mi(a, a) == 1.0
 
     def test_independent_bits_carry_zero(self):
         a = np.array([0, 0, 1, 1])
         b = np.array([0, 1, 0, 1])
-        assert mutual_information(a, b) == 0.0
+        for mi in MI:
+            assert mi(a, b) == 0.0
 
     def test_hand_expanded_table(self):
         # joint counts  [[2, 1], [0, 1]]
@@ -30,32 +43,51 @@ class TestMutualInformation:
         want = (0.5 * math.log2(0.5 / (0.75 * 0.5))
                 + 0.25 * math.log2(0.25 / (0.75 * 0.5))
                 + 0.25 * math.log2(0.25 / (0.25 * 0.5)))
-        assert mutual_information(a, b) == pytest.approx(want, abs=1e-15)
+        for mi in MI:
+            assert mi(a, b) == pytest.approx(want, abs=1e-15)
 
     def test_symmetry_and_nonnegativity(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             a = rng.integers(0, 4, 50)
             b = rng.integers(0, 3, 50)
-            mab = mutual_information(a, b)
-            assert mab == pytest.approx(mutual_information(b, a), abs=1e-12)
-            assert mab > -1e-12
+            for mi in MI:
+                mab = mi(a, b)
+                assert mab == pytest.approx(mi(b, a), abs=1e-12)
+                assert mab > -1e-12
 
     def test_relabeling_codes_changes_nothing(self):
         rng = np.random.default_rng(7)
         a = rng.integers(0, 3, 60)
         b = rng.integers(0, 2, 60)
         perm = np.array([2, 0, 1])
-        assert mutual_information(perm[a], b) == pytest.approx(
-            mutual_information(a, b), abs=1e-12)
+        for mi in MI:
+            assert mi(perm[a], b) == pytest.approx(mi(a, b), abs=1e-12)
 
     def test_bad_vectors_rejected(self):
-        with pytest.raises(DataError):
-            mutual_information(np.array([0, 1]), np.array([0]))
-        with pytest.raises(DataError):
-            mutual_information(np.array([-1, 0]), np.array([0, 1]))
-        with pytest.raises(DataError):
-            ContingencyTable.from_codes(np.array([]), np.array([]))
+        for mi in MI:
+            with pytest.raises(DataError):
+                mi(np.array([0, 1]), np.array([0]))
+            with pytest.raises(DataError):
+                mi(np.array([-1, 0]), np.array([0, 1]))
+        for empty in (ContingencyTable.from_codes, kernel_mi):
+            with pytest.raises(DataError):
+                empty(np.array([]), np.array([]))
+
+    @settings(max_examples=60)
+    @given(m=st.integers(1, 200), rows=st.integers(1, 6), a=st.integers(1, 300),
+           b=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_kernel_rows_match_the_oracle(self, m, rows, a, b, seed):
+        # uint16 codes below a, labels below b; row 0 is constant at 0 and
+        # row 1 holds the single code a - 1.
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, a, (rows + 2, m)).astype(np.uint16)
+        codes[0] = 0
+        codes[1] = a - 1
+        labels = rng.integers(0, b, m)
+        got = baselines._mi_rows(codes, labels)
+        for row, value in zip(codes, got):
+            assert value == pytest.approx(mutual_information(row, labels), abs=1e-12)
 
 
 class TestDiscretize:
@@ -182,7 +214,48 @@ class TestMrmrSelect:
         with pytest.raises(DataError, match="nonnegative"):
             mrmr_select(nominal, 1)
 
+    def test_wide_nominal_codes_hold_one_table_at_a_time(self):
+        # After the first pick each candidate's table against it has about
+        # 1000 x 1000 cells (8 MB), over the block budget, so a block holds
+        # one feature and one table.  Besides the int64 codes, the bound
+        # leaves 128 KiB for the run's small arrays and Python objects.
+        rng = np.random.default_rng(16)
+        m, n = 600, 8
+        X = rng.integers(0, 1000, (m, n)).astype(float)
+        ds = Dataset(X, rng.integers(0, 2, m), [FeatureKind.NOMINAL] * n)
+        table = 8 * (int(X.max()) + 1) ** 2
+        tracemalloc.start()
+        try:
+            res = mrmr_select(ds, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * m * n + baselines._COLUMN_BLOCK_BYTES + table + (1 << 17)
+        codes = X.astype(int)
+        pick = res.selected[0].feature
+        for item in res.selected[1:]:
+            pen = mutual_information(codes[:, item.feature], codes[:, pick])
+            assert item.penalty == pytest.approx(pen, abs=1e-12)
+
     def test_selection_size_validated(self):
         ds = Dataset(np.zeros((4, 2)), [0, 1, 0, 1], [FeatureKind.NUMERIC] * 2)
         with pytest.raises(DataError):
             mrmr_select(ds, 3)
+
+    def test_empty_dataset_rejected(self):
+        ds = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), [FeatureKind.NUMERIC] * 3)
+        with pytest.raises(DataError, match="at least one instance"):
+            mrmr_select(ds, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("budget", [1 << 22, 8 * 30 * 3])
+    def test_non_finite_value_names_the_lowest_feature(self, monkeypatch, bad, budget):
+        # Blocks of three columns put features 2 and 4 in different blocks.
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((30, 6))
+        X[7, 4] = bad
+        X[3, 2] = bad
+        ds = Dataset(X, rng.integers(0, 2, 30), [FeatureKind.NUMERIC] * 6)
+        monkeypatch.setattr(baselines, "_COLUMN_BLOCK_BYTES", budget)
+        with pytest.raises(DataError, match=r"feature 2 holds a non-finite value"):
+            mrmr_select(ds, 1)

@@ -5,9 +5,9 @@ import io
 import numpy as np
 import pytest
 
-from beliefsel.baselines import mutual_information
 from beliefsel.benchdata import GENERATORS, GroundTruth, generate, success_score
 from beliefsel.errors import DataError
+from oracles import mutual_information
 
 
 class TestSuccessScore:

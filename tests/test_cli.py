@@ -79,6 +79,12 @@ class TestSelectAndRank:
                      "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())["selected"]) == 4
 
+    @pytest.mark.parametrize("nfeat", ["0", "-3"])
+    def test_rank_nfeat_below_one_is_exit_two(self, tmp_path, capsys, nfeat):
+        data, _ = run_gen(tmp_path)
+        assert main(["rank", "--input", str(data), "--nfeat", nfeat]) == 2
+        assert f"--nfeat must be >= 1, got {nfeat}" in capsys.readouterr().err
+
     def test_deterministic_runs_repeat_exactly(self, tmp_path):
         # Everything but the wall-clock timings must repeat bit for bit,
         # weights included: json emits full float repr.

@@ -514,18 +514,18 @@ class TestPartition:
     def test_sizes_differ_by_at_most_one(self):
         ds = make_dense(m=10)
         pd = partition(ds, 3)
-        sizes = [pd.block_size(g) for g in range(3)]
+        sizes = [int(pd.starts[g + 1] - pd.starts[g]) for g in range(3)]
         assert sorted(sizes, reverse=True) == [4, 3, 3]
 
     def test_single_partition_is_input_order(self):
         ds = make_dense(m=7)
         pd = partition(ds, 1)
-        assert pd.block_indices(0).tolist() == list(range(7))
+        assert np.arange(pd.starts[0], pd.starts[1]).tolist() == list(range(7))
 
     def test_blocks_cover_every_row_once(self):
         ds = make_dense(m=23)
         pd = partition(ds, 5)
-        seen = np.concatenate([pd.block_indices(g) for g in range(5)])
+        seen = np.concatenate([np.arange(pd.starts[g], pd.starts[g + 1]) for g in range(5)])
         assert sorted(seen.tolist()) == list(range(23))
 
     def test_block_order_is_global_order(self):
@@ -533,7 +533,7 @@ class TestPartition:
         pd = partition(ds, 4)
         flat = []
         for g in range(4):
-            block = pd.block_indices(g).tolist()
+            block = np.arange(pd.starts[g], pd.starts[g + 1]).tolist()
             assert block == sorted(block)
             flat += block
         assert flat == sorted(flat)

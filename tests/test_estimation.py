@@ -11,10 +11,10 @@ from beliefsel.dataset import (Dataset, FeatureKind, draw_sample, partition,
 from beliefsel.errors import IntegrityError
 from beliefsel.estimation import (ClassDistanceStats, WeightVector,
                                   accumulate_partition, belief_weights,
-                                  estimate_batch, merge_stats, pair_diffs,
-                                  relief_reference, relieff_reference)
-from beliefsel.neighbors import NeighborTable, instance_distance
+                                  estimate_batch, merge_stats, pair_diffs)
+from beliefsel.neighbors import NeighborTable
 from beliefsel.redundancy import CollisionTables
+from oracles import instance_distance, relief_reference, relieff_reference
 
 
 def tiny_bits():

@@ -15,8 +15,8 @@ from beliefsel.dataset import (Dataset, FeatureKind, draw_sample, parse_libsvm,
 from beliefsel import dataset, neighbors
 from beliefsel.errors import DataError
 from beliefsel.neighbors import (LOCATOR_BYTES, _Lists, _pair_distances, _SQRT_TIES,
-                                 _square_roots, feature_diff, instance_distance,
-                                 neighborhood)
+                                 _square_roots, neighborhood)
+from oracles import feature_diff, instance_distance
 
 
 def oracle_neighbors(pdata, batch, k):

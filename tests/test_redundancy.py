@@ -15,9 +15,10 @@ from beliefsel.errors import DataError, IntegrityError
 from beliefsel.estimation import accumulate_partition
 from beliefsel.neighbors import NeighborTable, neighborhood, pair_diffs
 from beliefsel.redundancy import (COLLISION_SPAN, FIRST_BATCH_ETA,
-                                  CollisionTables, collision_rate,
-                                  collision_rates, compute_mcr, eta_tracked,
-                                  window_size)
+                                  CollisionTables, collision_rates, compute_mcr,
+                                  eta_tracked, window_size)
+from oracles import (add_pair_rates, add_rate_rows, collision_rate, normalized,
+                     pair_mass, raw)
 
 NUM = FeatureKind.NUMERIC
 NOM = FeatureKind.NOMINAL
@@ -28,7 +29,7 @@ def tables_from_rates(rate_rows, tracked=None, n=None):
     tracked = range(n) if tracked is None else tracked
     t = CollisionTables.empty(n, tracked)
     for row in rate_rows:
-        t.add_pair_rates(np.asarray(row, dtype=float))
+        add_pair_rates(t, np.asarray(row, dtype=float))
     return t
 
 
@@ -67,7 +68,7 @@ class TestCollisionTables:
         ds = Dataset(np.zeros((2, 3)), [0, 1], [NUM, NUM, NOM])
         space = ds.feature_space()
         t = CollisionTables.empty(3, range(3))
-        t.add_pair_rates(collision_rates(np.zeros(3), space))
+        add_pair_rates(t, collision_rates(np.zeros(3), space))
         assert t.marginal.tolist() == [1.0, 1.0, 1.0]
         assert t.pair_count == 1
 
@@ -93,14 +94,14 @@ class TestCollisionTables:
                     if i not in ts and j not in ts:
                         continue
                     want = sum(min(r[i], r[j]) for r in rows)
-                    assert t.pair_mass(i, j) == pytest.approx(want, abs=1e-12)
+                    assert pair_mass(t, i, j) == pytest.approx(want, abs=1e-12)
 
     def test_partial_tracking_keeps_all_marginals(self):
         t = tables_from_rates([[0.9, 1.0, 0.8]], tracked=(0,))
         assert t.marginal.tolist() == [0.9, 1.0, 0.8]
         assert t.joint.shape == (1, 3)
         assert t.joint[0].tolist() == [0.0, pytest.approx(0.9), pytest.approx(0.8)]
-        assert t.pair_mass(1, 2) == 0.0  # untracked pair never accumulates
+        assert pair_mass(t, 1, 2) == 0.0  # untracked pair never accumulates
 
     def test_merge_unions_tracked_and_sums_mass(self):
         a = tables_from_rates([[1.0, 0.0, 1.0, 0.0]], tracked=(0,))
@@ -108,7 +109,7 @@ class TestCollisionTables:
         merged = a.merge(b)
         assert merged.tracked.tolist() == [0, 2]
         assert merged.pair_count == 2
-        assert merged.pair_mass(0, 2) == 2.0  # one unit from each orientation
+        assert pair_mass(merged, 0, 2) == 2.0  # one unit from each orientation
         assert merged.marginal.tolist() == [2.0, 1.0, 2.0, 1.0]
 
     def test_merge_order_does_not_matter(self):
@@ -123,15 +124,15 @@ class TestCollisionTables:
         np.testing.assert_allclose(left.marginal, right.marginal, atol=1e-12)
         for i in range(4):
             for j in range(i + 1, 4):
-                assert left.pair_mass(i, j) == pytest.approx(
-                    right.pair_mass(i, j), abs=1e-12)
+                assert pair_mass(left, i, j) == pytest.approx(
+                    pair_mass(right, i, j), abs=1e-12)
 
     def test_feature_count_mismatch_rejected(self):
         a = CollisionTables.empty(3)
         with pytest.raises(IntegrityError):
             a.merge(CollisionTables.empty(4))
         with pytest.raises(IntegrityError):
-            a.add_pair_rates(np.ones(5))
+            add_pair_rates(a, np.ones(5))
         with pytest.raises(DataError):
             CollisionTables.empty(3, (5,))
 
@@ -198,8 +199,8 @@ class TestBatchedFold:
         rng = np.random.default_rng(11)
         rows = random_rates(rng, 17, 9)
         t = CollisionTables.empty(9, tracked)
-        t.add_rate_rows(rows[:5])
-        t.add_rate_rows(rows[5:])
+        add_rate_rows(t, rows[:5])
+        add_rate_rows(t, rows[5:])
         np.testing.assert_allclose(t.joint, joint_oracle(rows, tracked, 9),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(t.marginal, rows.sum(axis=0), rtol=0, atol=1e-12)
@@ -238,7 +239,7 @@ class TestBatchedFold:
         rows = random_rates(rng, 6, 9)
         tracked = (0, 2, 5, 6, 8)
         t = CollisionTables.empty(9, tracked)
-        t.add_rate_rows(rows[:2])
+        add_rate_rows(t, rows[:2])
         before = t.joint.copy()
         with pytest.raises(IntegrityError):
             with t.window_fold() as fold:
@@ -288,7 +289,7 @@ class TestBatchedFold:
             assert len(edges) > 3 and len(edges) - 1 == -(-rates.shape[0] // 3)
             blocks = [rates[a:b] for a, b in zip(edges[:-1], edges[1:])]
             for block in blocks:
-                want.add_rate_rows(block)
+                add_rate_rows(want, block)
             got = accumulate_partition(pdata, g, batch, table, tracked=tracked,
                                        kappa=0.8, collect_collisions=True).collisions
             assert np.array_equal(got.joint, want.joint)
@@ -330,7 +331,7 @@ class TestBatchedFold:
             np.testing.assert_array_equal(
                 collision_rates(diffs[p], space, kappa=0.8), rates[p])
         t = CollisionTables.empty(5, (1, 2))
-        t.add_rate_rows(rates)
+        add_rate_rows(t, rates)
         np.testing.assert_allclose(t.joint, joint_oracle(rates, (1, 2), 5),
                                    rtol=0, atol=1e-12)
 
@@ -345,9 +346,9 @@ class TestBatchedFold:
     def test_rate_rows_shape_checked(self):
         t = CollisionTables.empty(3, range(3))
         with pytest.raises(IntegrityError):
-            t.add_rate_rows(np.ones((2, 4)))
+            add_rate_rows(t, np.ones((2, 4)))
         with pytest.raises(IntegrityError):
-            t.add_rate_rows(np.ones(3))
+            add_rate_rows(t, np.ones(3))
 
     @pytest.mark.parametrize("tracked", TRACKED_SETS)
     def test_same_tracked_merge_matches_realigned_sum(self, tracked):
@@ -380,7 +381,7 @@ class TestRedundancyMeasure:
         merged = None
         for tracked, chunk in parts:
             t = CollisionTables.empty(n, tracked)
-            t.add_rate_rows(chunk)
+            add_rate_rows(t, chunk)
             merged = t if merged is None else merged.merge(t)
         red = compute_mcr(merged)
         pc = merged.marginal / merged.pair_count
@@ -389,19 +390,19 @@ class TestRedundancyMeasure:
             for j in range(n):
                 if i == j:
                     continue
-                pij = merged.pair_mass(i, j) / merged.pair_count
+                pij = pair_mass(merged, i, j) / merged.pair_count
                 if pij > 0.0 and pc[i] > 0.0 and pc[j] > 0.0:
                     expected[i, j] = min(pc[i], pc[j]) * math.log2(
                         pij / (pc[i] * pc[j]))
         assert np.count_nonzero(expected) > 20
-        assert red.raw(4, 6) == 0.0  # never tracked on either side
+        assert raw(red, 4, 6) == 0.0  # never tracked on either side
         for i in range(n):
             row = red.raw_row(i)
             norm = red.normalized_row(i)
             for j in range(n):
-                assert red.raw(i, j) == pytest.approx(expected[i, j], abs=1e-12)
-                assert row[j] == red.raw(i, j)
-                assert norm[j] == red.normalized(i, j)
+                assert raw(red, i, j) == pytest.approx(expected[i, j], abs=1e-12)
+                assert row[j] == raw(red, i, j)
+                assert norm[j] == normalized(red, i, j)
         assert red.lo == pytest.approx(min(0.0, expected.min()), abs=1e-12)
         assert red.hi == pytest.approx(max(0.0, expected.max()), abs=1e-12)
 
@@ -436,36 +437,36 @@ class TestRedundancyMeasure:
         # PC_i = PC_j = PC_ij = 1/2, so the value is 0.5 * log2(2) = 0.5.
         t = tables_from_rates([[1, 1], [1, 1], [0, 0], [0, 0]])
         red = compute_mcr(t)
-        assert red.raw(0, 1) == 0.5
+        assert raw(red, 0, 1) == 0.5
 
     def test_independent_features_score_exactly_zero(self):
         # PC_ij factorizes: 0.5 * 0.5 = 0.25 on four pairs.
         t = tables_from_rates([[1, 1], [1, 0], [0, 1], [0, 0]])
         red = compute_mcr(t)
-        assert red.raw(0, 1) == 0.0
+        assert raw(red, 0, 1) == 0.0
 
     def test_duplicate_feature_follows_closed_form(self):
         # A feature paired with its copy: PC_i = PC_j = PC_ij = q gives
         # q * log2(1/q); with q = 1/4 that is exactly 0.5.
         t = tables_from_rates([[1, 1], [0, 0], [0, 0], [0, 0]])
         red = compute_mcr(t)
-        assert red.raw(0, 1) == 0.5
+        assert raw(red, 0, 1) == 0.5
         q = 0.25
-        assert red.raw(0, 1) == pytest.approx(q * math.log2(1.0 / q))
+        assert raw(red, 0, 1) == pytest.approx(q * math.log2(1.0 / q))
 
     def test_anti_collision_goes_negative_and_sets_lower_bound(self):
         rows = [[1, 1], [1, 0], [0, 1], [1, 0], [0, 1]]
         red = compute_mcr(tables_from_rates(rows))
-        v = red.raw(0, 1)
+        v = raw(red, 0, 1)
         assert v == pytest.approx(0.6 * math.log2(0.2 / 0.36))
         assert v < 0.0
         assert red.lo == v and red.hi == 0.0
-        assert red.normalized(0, 1) == 0.0
+        assert normalized(red, 0, 1) == 0.0
 
     def test_never_colliding_feature_scores_zero(self):
         t = tables_from_rates([[1, 0], [1, 0]])
         red = compute_mcr(t)
-        assert red.raw(0, 1) == 0.0
+        assert raw(red, 0, 1) == 0.0
 
     def test_symmetry_is_exact(self):
         rng = np.random.default_rng(9)
@@ -476,8 +477,8 @@ class TestRedundancyMeasure:
         for i in range(5):
             for j in range(5):
                 if i != j:
-                    assert red.raw(i, j) == red.raw(j, i)
-                    assert red.normalized(i, j) == red.normalized(j, i)
+                    assert raw(red, i, j) == raw(red, j, i)
+                    assert normalized(red, i, j) == normalized(red, j, i)
 
     def test_empty_accumulation_rejected(self):
         with pytest.raises(DataError):
@@ -486,11 +487,11 @@ class TestRedundancyMeasure:
     def test_normalization_spans_zero_anchor(self):
         rows = [[1, 1, 0], [1, 1, 0], [0, 0, 1], [0, 0, 0]]
         red = compute_mcr(tables_from_rates(rows))
-        top = red.raw(0, 1)
+        top = raw(red, 0, 1)
         assert top > 0.0
         assert red.hi == top and red.lo == 0.0
-        assert red.normalized(0, 1) == 1.0
-        assert red.normalized(0, 2) == 0.0
+        assert normalized(red, 0, 1) == 1.0
+        assert normalized(red, 0, 2) == 0.0
 
 
 class TestTrackingWindows:

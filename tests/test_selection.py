@@ -12,6 +12,7 @@ from beliefsel.dataset import Dataset, FeatureKind, zscore_normalize
 from beliefsel.errors import DataError
 from beliefsel.estimation import WeightVector
 from beliefsel.redundancy import RedundancyTable
+from oracles import normalized
 from beliefsel.selection import (RankingResult, SelectorConfig, minmax_normalize,
                                  run_belief, sfs)
 
@@ -42,7 +43,7 @@ def rescoring_oracle(weights, red, n_select, theta):
         for i in range(wn.size):
             if i in chosen:
                 continue
-            pen = 0.0 if red is None else sum(red.normalized(j, i) for j in chosen)
+            pen = 0.0 if red is None else sum(normalized(red, j, i) for j in chosen)
             score = wn[i] - theta * pen
             if best is None or score > best[1]:
                 best = (i, score)
