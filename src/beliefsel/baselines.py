@@ -97,16 +97,26 @@ def _mi_with(codes: list[np.ndarray], top: np.ndarray, features: np.ndarray,
 def discretize_equal_width(values: np.ndarray, bins: int = 10) -> np.ndarray:
     """Equal-width bin codes; boundary values land in the upper bin.
 
-    A constant vector maps to a single bin.
+    A constant vector maps to a single bin.  An empty vector, a NaN or
+    infinite value, and a range wider than float64 holds raise
+    ``DataError``.
     """
     if bins < 1:
         raise DataError(f"bin count must be >= 1, got {bins}")
     values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        raise DataError("cannot discretize an empty vector")
     lo = values.min()
     hi = values.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise DataError("cannot discretize a non-finite value")
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    if not np.isfinite(span):
+        raise DataError(f"value range {lo:.6g} to {hi:.6g} overflows float64")
     if hi == lo:
         return np.zeros(values.shape, dtype=np.int64)
-    width = (hi - lo) / bins
+    width = span / bins
     codes = np.floor((values - lo) / width).astype(np.int64)
     return np.minimum(codes, bins - 1)
 
@@ -140,9 +150,15 @@ def mrmr_select(dataset: Dataset, n_select: int, bins: int = 10) -> RankingResul
     codes = []
     for a in range(0, n, width):
         cols = dataset.columns(range(a, min(a + width, n)))
-        bad = np.flatnonzero(~np.isfinite(cols).all(axis=1))
+        # NaN, an infinity or an overflowing range: a non-finite spread.
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = np.flatnonzero(~np.isfinite(cols.max(axis=1) - cols.min(axis=1)))
         if bad.size:
-            raise DataError(f"feature {a + int(bad[0])} holds a non-finite value")
+            col = cols[bad[0]]
+            what = ("a non-finite value" if not np.isfinite(col).all()
+                    else f"values from {col.min():.6g} to {col.max():.6g}, "
+                         f"whose range overflows float64")
+            raise DataError(f"feature {a + int(bad[0])} holds {what}")
         codes += [_feature_codes(col, numeric, bins)
                   for col, numeric in zip(cols, dataset.numeric[a:a + width])]
         del cols

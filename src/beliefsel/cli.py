@@ -20,7 +20,7 @@ from .benchdata import GroundTruth, generate, success_score
 from .dataset import Dataset, parse_csv, parse_libsvm, write_csv, write_metadata
 from .errors import DataError, IntegrityError
 from .evaluation import cross_validate
-from .selection import SelectorConfig, run_belief
+from .selection import SelectorConfig, minmax_normalize, run_belief
 
 __all__ = ["main", "build_parser", "RunReport", "bench_run"]
 
@@ -104,7 +104,6 @@ def _selector_config(args, n_select: int, theta: float) -> SelectorConfig:
         kappa=args.kappa,
         partitions=args.partitions,
         seed=args.seed,
-        threshold=getattr(args, "threshold", None),
     )
 
 
@@ -170,6 +169,9 @@ def cmd_rank(args) -> int:
     ds = _load_dataset(args)
     config = _selector_config(args, n_select=ds.n_features, theta=0.0)
     result = run_belief(ds, config)
+    if args.threshold is not None:
+        wn = minmax_normalize(result.weights.values)
+        result.metadata["above_threshold"] = (wn > args.threshold).nonzero()[0].tolist()
     doc = result.to_json_obj()
     doc["selected"] = doc["selected"][: args.nfeat] if args.nfeat else doc["selected"]
     _emit(doc, args)

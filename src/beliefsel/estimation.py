@@ -13,12 +13,14 @@ with P(c) the class priors over the full dataset and zero-count classes
 contributing nothing.  Accumulation is partition-local (each partition
 touches only its own block) and the partial matrices merge by entrywise
 addition, so the totals do not depend on the partition or batch layout.
+
+Collision rates fold for the window the caller passes as ``tracked`` (None
+folds none); choosing that window is the selection pipeline's rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -38,7 +40,7 @@ __all__ = [
 ]
 
 
-# The accumulation pass gathers, diffs and (with collisions on) folds a
+# The accumulation pass gathers, diffs and (given a window) folds a
 # partition's neighbor pairs in consecutive chunks of at most this many
 # bytes of (pairs, features) rows, at least one pair, so memory stays flat
 # whatever the batch size.  With the window-ordered collision fold, CPU per
@@ -101,20 +103,19 @@ class ClassDistanceStats:
 
 
 def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
-                         table: NeighborTable, tracked=(), kappa: float = 0.8,
-                         collect_collisions: bool = False,
+                         table: NeighborTable, tracked=None, kappa: float = 0.8,
                          weigh: bool = True) -> ClassDistanceStats:
     """Fold one partition's share of the batch's neighbor pairs into stats.
 
     Only neighbors whose rows lie in partition ``g`` are consumed; the same
-    diff vector feeds both the distance matrices and (when enabled) the
-    collision tables, so redundancy tracking adds no distance work.  The
-    pairs go through in (sample, class, slot) order, in the fewest chunks
-    of at most ``_CHUNK_BYTES`` of rows, with sizes that differ by at most
-    one pair; each chunk's collision rates fold into the tables as one
-    block, and the tables leave window order once, when the partition is
-    done.  With ``weigh`` off the distance matrices and counts stay 0 (a
-    collision-only pass).
+    diff vector feeds both the distance matrices and, unless ``tracked`` is
+    None, the collision tables for that window, so redundancy tracking adds
+    no distance work.  The pairs go through in (sample, class, slot) order,
+    in the fewest chunks of at most ``_CHUNK_BYTES`` of rows, with sizes
+    that differ by at most one pair; each chunk's collision rates fold into
+    the tables as one block, and the tables leave window order once, when
+    the partition is done.  With ``weigh`` off the distance matrices and
+    counts stay 0 (a collision-only pass).
     """
     ds = pdata.dataset
     n = ds.n_features
@@ -130,7 +131,7 @@ def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
     if outside.any():
         raise IntegrityError(f"neighbor row {int(rows[outside][0])} outside "
                              f"the {ds.n_instances} rows")
-    stats = ClassDistanceStats.zeros(C, n, tracked if collect_collisions else ())
+    stats = ClassDistanceStats.zeros(C, n, () if tracked is None else tracked)
     space = ds.feature_space()
     start = int(pdata.starts[g])
     end = int(pdata.starts[g + 1])
@@ -174,7 +175,7 @@ def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
                     (stats.hit_dist if hit else stats.miss_dist)[y] += group
                     (stats.hit_count if hit else stats.miss_count)[y] += tail - head
                     run += 1
-            if collect_collisions:
+            if tracked is not None:
                 rates = collision_rates(diffs, space, kappa)
                 del diffs  # the fold lays the rates out again in its place
                 fold(rates)
@@ -195,36 +196,20 @@ def merge_stats(a: ClassDistanceStats, b: ClassDistanceStats) -> ClassDistanceSt
 
 
 def estimate_batch(pdata: PartitionedDataset, batch: SampleBatch,
-                   table: NeighborTable, tracked=(), kappa: float = 0.8,
-                   collect_collisions: bool = False,
-                   window: Callable[[ClassDistanceStats], np.ndarray] | None = None
-                   ) -> ClassDistanceStats:
+                   table: NeighborTable, tracked=None, kappa: float = 0.8,
+                   weigh: bool = True) -> ClassDistanceStats:
     """Accumulate the whole batch: map over partitions, merge the parts.
 
     The partial results fold in partition-index order, so repeat runs are
-    bit-identical whatever order the threads finish in.
-
-    ``window``, used only when collisions are collected, replaces
-    ``tracked`` by a function of the batch's own merged stats.  The pairs
-    then go through twice: once for the distance matrices and counts, and,
-    with the window taken from their totals, once more to gather, diff and
-    fold collision rates for it, skipping the weighting walk.  The result
-    equals one pass with ``tracked=window(stats)``.
+    bit-identical whatever order the threads finish in.  ``tracked``,
+    ``kappa`` and ``weigh`` go to every ``accumulate_partition`` call.
     """
-    def run(tracked, collisions: bool, weigh: bool) -> ClassDistanceStats:
-        parts = pdata.map_partitions(lambda g: accumulate_partition(
-            pdata, g, batch, table, tracked=tracked, kappa=kappa,
-            collect_collisions=collisions, weigh=weigh))
-        total = parts[0]
-        for part in parts[1:]:
-            total = merge_stats(total, part)
-        return total
-
-    if window is None or not collect_collisions:
-        return run(tracked, collect_collisions, True)
-    stats = run((), False, True)
-    stats.collisions = run(window(stats), True, False).collisions
-    return stats
+    parts = pdata.map_partitions(lambda g: accumulate_partition(
+        pdata, g, batch, table, tracked=tracked, kappa=kappa, weigh=weigh))
+    total = parts[0]
+    for part in parts[1:]:
+        total = merge_stats(total, part)
+    return total
 
 
 def belief_weights(stats: ClassDistanceStats, priors: np.ndarray) -> WeightVector:

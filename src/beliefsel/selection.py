@@ -5,12 +5,11 @@ and accumulate the per-class distance matrices and collision tables.  The
 accumulated matrices from all batches merge by addition; the weight formula
 and one final forward selection run on the totals.  Joint collisions are
 tracked only for the relevance window, the top ceil(n_select * eta)
-features by weight.  Later batches take it from the weights accumulated
-through the previous batch.  The first batch has none, so it weighs its
-pairs first and takes its window from its own weights at
-``max(eta, FIRST_BATCH_ETA)``, then folds the collisions for that window in
-a second pass over the same pairs (one pass when the window covers every
-feature).
+features by weight, which ``run_belief`` alone picks.  Later batches take
+it from the weights accumulated through the previous batch.  The first has
+none, so one ``estimate_batch`` call weighs its pairs, the window comes from
+those weights at ``max(eta, FIRST_BATCH_ETA)``, and a second call folds the
+collisions for it (one call when the window covers every feature).
 
 Selection scores a candidate as
 
@@ -24,7 +23,7 @@ feature's contribution is added to the remaining candidates.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -59,7 +58,6 @@ class SelectorConfig:
     kappa: float = 0.8
     partitions: int = 1
     seed: int = 0
-    threshold: float | None = None
 
 
 @dataclass
@@ -89,10 +87,6 @@ class RankingResult:
             "method": self.weights.method,
             "metadata": self.metadata,
         }
-
-    def to_text(self) -> str:
-        lines = [f"{s.feature}\t{s.score:.6g}" for s in self.selected]
-        return "\n".join(lines) + "\n"
 
 
 def minmax_normalize(values: np.ndarray) -> np.ndarray:
@@ -183,12 +177,9 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
     search_s = 0.0
     estimate_s = 0.0
     first_eta = max(config.eta, FIRST_BATCH_ETA)
-    tracked = np.arange(n)  # the first window, when it covers every feature
-    window = None
-    if window_size(n, config.n_select, first_eta) < n:
-        def window(stats: ClassDistanceStats) -> np.ndarray:
-            return eta_tracked(belief_weights(stats, priors).values,
-                               config.n_select, first_eta)
+    # The first batch's window when it covers every feature; None at theta 0.
+    tracked = np.arange(n) if collect else None
+    two_pass = collect and window_size(n, config.n_select, first_eta) < n
     for batch in batches:
         if len(batch) == 0:
             continue
@@ -200,16 +191,24 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
         locator_bytes += table.emitted_bytes
         instance_bytes += table.full_instance_bytes
         t0 = time.perf_counter()
-        stats = estimate_batch(
-            pdata, batch, table, tracked=tracked, kappa=config.kappa,
-            collect_collisions=collect, window=window)
+        if two_pass and total is None:
+            # The first batch's window comes from its own weights: weigh
+            # the pairs, then fold the same pairs' collisions for it.
+            weighed = estimate_batch(pdata, batch, table)
+            tracked = eta_tracked(belief_weights(weighed, priors).values,
+                                  config.n_select, first_eta)
+            folded = estimate_batch(pdata, batch, table, tracked=tracked,
+                                    kappa=config.kappa, weigh=False)
+            stats = replace(weighed, collisions=folded.collisions)
+        else:
+            stats = estimate_batch(pdata, batch, table, tracked=tracked,
+                                   kappa=config.kappa)
         total = stats if total is None else merge_stats(total, stats)
         estimate_s += time.perf_counter() - t0
-        # Refresh the relevance window for the next batch from the weights
-        # accumulated so far.
-        window = None
-        tracked = eta_tracked(belief_weights(total, priors).values,
-                              config.n_select, config.eta)
+        if collect:
+            # The next batch's window: the weights accumulated so far.
+            tracked = eta_tracked(belief_weights(total, priors).values,
+                                  config.n_select, config.eta)
     timings["search_s"] = search_s
     timings["estimate_s"] = estimate_s
 
@@ -233,8 +232,4 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
         "locator_bytes": locator_bytes,
         "full_instance_bytes": instance_bytes,
     }
-    if config.threshold is not None:
-        wn = minmax_normalize(weights.values)
-        result.metadata["above_threshold"] = [
-            int(j) for j in np.flatnonzero(wn > config.threshold)]
     return result

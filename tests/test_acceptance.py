@@ -130,8 +130,7 @@ def accumulate_once(ds, p, seed):
     pdata = partition(ds, p)
     batch = draw_sample(pdata, 1.0, 1, seed=seed)[0]
     table = neighborhood(pdata, batch, 3)
-    return estimate_batch(pdata, batch, table, tracked=range(ds.n_features),
-                          collect_collisions=True)
+    return estimate_batch(pdata, batch, table, tracked=range(ds.n_features))
 
 
 def test_02_partition_count_does_not_change_statistics():
@@ -305,8 +304,7 @@ def test_09_batch_count_does_not_change_the_aggregate():
         for batch in draw_sample(pdata, 1.0, batches, seed):
             table = neighborhood(pdata, batch, 3)
             stats = estimate_batch(pdata, batch, table,
-                                   tracked=range(ds.n_features),
-                                   collect_collisions=True)
+                                   tracked=range(ds.n_features))
             total = stats if total is None else merge_stats(total, stats)
         return total
 

@@ -112,6 +112,20 @@ class TestDiscretize:
         with pytest.raises(DataError):
             discretize_equal_width(np.array([1.0]), 0)
 
+    @pytest.mark.parametrize("values, match", [
+        ([], "empty vector"),
+        ([0.0, np.nan, 1.0], "non-finite"),
+        ([0.0, np.inf], "non-finite"),
+        ([-np.inf, 0.0], "non-finite"),
+        ([0.0, 1e308, -1e308], r"range -1e\+308 to 1e\+308 overflows")],
+        ids=["empty", "nan", "inf", "-inf", "overflow"])
+    def test_bad_values_are_data_error(self, values, match):
+        # These once raised a bare ValueError, warned from the cast or the
+        # division, or (the finite values whose range overflows) returned
+        # code -2**63.
+        with pytest.raises(DataError, match=match):
+            discretize_equal_width(np.array(values, dtype=np.float64))
+
 
 class TestMrmrSelect:
     def test_first_pick_maximizes_label_mi(self):
@@ -258,4 +272,19 @@ class TestMrmrSelect:
         ds = Dataset(X, rng.integers(0, 2, 30), [FeatureKind.NUMERIC] * 6)
         monkeypatch.setattr(baselines, "_COLUMN_BLOCK_BYTES", budget)
         with pytest.raises(DataError, match=r"feature 2 holds a non-finite value"):
+            mrmr_select(ds, 1)
+
+    @pytest.mark.parametrize("budget", [1 << 22, 8 * 30 * 3])
+    def test_overflowing_range_names_the_lowest_feature(self, monkeypatch, budget):
+        # Finite values whose range overflows float64 once got code -2**63,
+        # which the byte cast turned into 0, so the feature scored MI 0.
+        # Blocks of three columns put features 2 and 4 in different blocks.
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((30, 6))
+        X[[1, 8], 4] = [-1e308, 1e308]
+        X[[3, 5], 2] = [1e308, -1e308]
+        ds = Dataset(X, rng.integers(0, 2, 30), [FeatureKind.NUMERIC] * 6)
+        monkeypatch.setattr(baselines, "_COLUMN_BLOCK_BYTES", budget)
+        with pytest.raises(DataError, match=r"feature 2 holds values from -1e\+308 "
+                                            r"to 1e\+308, whose range overflows"):
             mrmr_select(ds, 1)

@@ -7,6 +7,8 @@ import pytest
 
 from beliefsel import cli
 from beliefsel.cli import main
+from beliefsel.dataset import Dataset, FeatureKind, write_csv
+from beliefsel.selection import minmax_normalize
 
 
 def run_gen(tmp_path, name="parity33", seed=0):
@@ -78,6 +80,28 @@ class TestSelectAndRank:
         assert main(["rank", "--input", str(data), "--nfeat", "4",
                      "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())["selected"]) == 4
+
+    def test_threshold_reports_strong_features(self, tmp_path):
+        # Binary data with three mean-shifted columns, the rest pure noise.
+        rng = np.random.default_rng(5)
+        y = rng.integers(0, 2, 120)
+        y[:2] = [0, 1]
+        X = rng.standard_normal((120, 8))
+        X[:, :3] += np.array([2.0, 1.5, 1.2]) * y[:, None]
+        data = tmp_path / "shifted.csv"
+        with open(data, "w") as fh:
+            write_csv(Dataset(X, y, [FeatureKind.NUMERIC] * 8), fh)
+        out = tmp_path / "rank.json"
+        assert main(["rank", "--input", str(data), "--threshold", "0.5",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        weights = np.zeros(8)
+        for row in doc["weights"]:
+            weights[row["feature"]] = row["weight"]
+        wn = minmax_normalize(weights)
+        above = doc["metadata"]["above_threshold"]
+        assert 0 in above
+        assert above == [j for j in range(8) if wn[j] > 0.5]
 
     @pytest.mark.parametrize("nfeat", ["0", "-3"])
     def test_rank_nfeat_below_one_is_exit_two(self, tmp_path, capsys, nfeat):

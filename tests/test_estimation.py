@@ -278,7 +278,7 @@ class TestAccumulation:
         without = calls["n"]
         calls["n"] = 0
         accumulate_partition(pdata, 0, batch, table,
-                             tracked=np.arange(4), collect_collisions=True)
+                             tracked=np.arange(4))
         assert calls["n"] == without  # rates reuse the diffs already taken
 
     @pytest.mark.parametrize("n, budget", [(4, 5 * 4 * 8), (2000, None)])
@@ -341,8 +341,8 @@ class TestAccumulation:
         assert tracked.size == window
         tracemalloc.start()
         try:
-            stats = accumulate_partition(pdata, 0, batch, table, tracked=tracked,
-                                         collect_collisions=collect)
+            stats = accumulate_partition(pdata, 0, batch, table,
+                                         tracked=tracked if collect else None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -431,50 +431,10 @@ def assert_stats_equal(a, b):
 
 
 class TestFirstBatchWindow:
-    """The first batch weighs its pairs, takes its window from its own
-    weights, then folds collisions for that window in a second pass; the
-    result must be the bits of one pass with that window known up front."""
-
-    @pytest.mark.parametrize("p", [1, 2, 3])
-    @pytest.mark.parametrize("kind", ["mixed", "sparse"])
-    def test_two_passes_equal_one_pass_with_the_window(self, kind, p):
-        from beliefsel.neighbors import neighborhood
-        from beliefsel.redundancy import eta_tracked
-        ds = window_input(kind)
-        priors = ds.class_priors()
-        pdata = partition(ds, p)
-        batch = draw_sample(pdata, 0.7, 1, seed=2)[0]
-        table = neighborhood(pdata, batch, 3)
-        seen = []
-
-        def window(stats):
-            seen.append(stats)
-            return eta_tracked(belief_weights(stats, priors).values, 1, 20.0)
-
-        got = estimate_batch(pdata, batch, table, kappa=0.6,
-                             collect_collisions=True, window=window)
-        plain = estimate_batch(pdata, batch, table)
-        tracked = eta_tracked(belief_weights(plain, priors).values, 1, 20.0)
-        assert tracked.size == 20
-        want = estimate_batch(pdata, batch, table, tracked=tracked, kappa=0.6,
-                              collect_collisions=True)
-        assert len(seen) == 1
-        assert_stats_equal(got, want)
-        assert np.array_equal(seen[0].miss_dist, want.miss_dist)
-        assert np.array_equal(seen[0].hit_dist, want.hit_dist)
-
-    def test_window_is_ignored_without_collisions(self):
-        from beliefsel.neighbors import neighborhood
-        ds = window_input("mixed")
-        pdata = partition(ds, 2)
-        batch = draw_sample(pdata, 1.0, 1, seed=0)[0]
-        table = neighborhood(pdata, batch, 2)
-
-        def window(stats):
-            raise AssertionError("no window is taken at theta 0")
-
-        got = estimate_batch(pdata, batch, table, window=window)
-        assert_stats_equal(got, estimate_batch(pdata, batch, table))
+    """run_belief weighs the first batch's pairs, takes its window from
+    their weights, then folds collisions for that window in a second
+    estimate_batch call; each batch's stats must be the bits of one pass
+    with its window known up front."""
 
     @staticmethod
     def one_pass_reference(pdata, batches, k, n_select, eta, kappa):
@@ -491,41 +451,45 @@ class TestFirstBatchWindow:
                 w = belief_weights(estimate_batch(pdata, batch, table), priors)
                 tracked = eta_tracked(w.values, n_select, max(eta, FIRST_BATCH_ETA))
             out.append(estimate_batch(pdata, batch, table, tracked=tracked,
-                                      kappa=kappa, collect_collisions=True))
+                                      kappa=kappa))
             total = out[-1] if total is None else merge_stats(total, out[-1])
             tracked = eta_tracked(belief_weights(total, priors).values, n_select, eta)
         return out
 
-    # n_select 1 tracks 20 of 30 features in batch 1; n_select 2 saturates
-    # the window (40 >= 30), so batch 1 takes a single pass.
+    # n_select 1 tracks 20 of 30 features in batch 1, so run_belief weighs
+    # it and folds its collisions in two calls; n_select 2 saturates the
+    # window (40 >= 30), so batch 1 takes a single call.
+    @pytest.mark.parametrize("kind", ["mixed", "sparse"])
     @pytest.mark.parametrize("n_select, passes", [(1, 2), (2, 1)])
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_run_belief_batches_equal_the_one_pass_reference(
-            self, monkeypatch, p, n_select, passes):
+            self, monkeypatch, p, n_select, passes, kind):
         from beliefsel import selection
-        ds = window_input("mixed", seed=43)
+        ds = window_input(kind, seed=43)
         cfg = selection.SelectorConfig(n_select=n_select, k=2, sample_rate=0.8,
                                        batches=2, partitions=p, theta=0.5,
                                        kappa=0.6, seed=4)
-        got, calls = [], []
+        merged, calls = [], []
+        real_merge = selection.merge_stats
         real_acc = estimation.accumulate_partition
 
-        def spy(*args, **kwargs):
-            got.append(estimation.estimate_batch(*args, **kwargs))
-            return got[-1]
+        def spy(a, b):
+            merged.append((a, b))  # batch 1's stats, then batch 2's
+            return real_merge(a, b)
 
         def counting(*args, **kwargs):
-            calls.append(len(got))  # the batch it serves
+            calls.append(int(args[2].indices[0]))  # the batch it serves
             return real_acc(*args, **kwargs)
 
-        monkeypatch.setattr(selection, "estimate_batch", spy)
+        monkeypatch.setattr(selection, "merge_stats", spy)
         monkeypatch.setattr(estimation, "accumulate_partition", counting)
         selection.run_belief(ds, cfg)
-        assert calls == [0] * (passes * p) + [1] * p
         pdata = partition(ds, p)
         batches = draw_sample(pdata, cfg.sample_rate, cfg.batches, cfg.seed)
+        first, second = (int(b.indices[0]) for b in batches)
+        assert calls == [first] * (passes * p) + [second] * p
         want = self.one_pass_reference(pdata, batches, cfg.k, n_select,
                                        cfg.eta, cfg.kappa)
-        assert len(got) == len(want) == 2
-        for a, b in zip(got, want):
+        assert len(merged) == 1 and len(want) == 2
+        for a, b in zip(merged[0], want):
             assert_stats_equal(a, b)

@@ -101,7 +101,7 @@ def full_window_stats(ds, config):
             table = neighborhood(pdata, batch, config.k)
             stats = estimate_batch(pdata, batch, table,
                                    tracked=np.arange(ds.n_features),
-                                   kappa=config.kappa, collect_collisions=True)
+                                   kappa=config.kappa)
             total = stats if total is None else merge_stats(total, stats)
     return total
 

@@ -309,21 +309,35 @@ class TestRunBelief:
         assert np.array_equal(six.weights.values, nine.weights.values)
         assert six.selected_features() == nine.selected_features()
 
-    def test_estimate_batch_runs_once_per_batch(self, monkeypatch):
-        # The first batch's two passes stay inside one estimate_batch call,
-        # so per-call counters (the benchmark's spans) keep one per batch.
+    def test_estimate_batch_results_count_each_pair_once(self, monkeypatch):
+        # The first batch's window (20 of 30 features) is narrower than the
+        # input, so run_belief weighs its pairs in one estimate_batch call
+        # and folds their collisions in a second.  Per-call counters (the
+        # benchmark's spans) must still see every pair once: in the counts
+        # of one call and in the collision pair count of one call.
         ds = gaussian_classes(6, m=90, n=30)
-        calls = []
-        real = selection.estimate_batch
+        results, totals = [], []
+        real_estimate = selection.estimate_batch
+        real_merge = selection.merge_stats
 
-        def spy(*args, **kwargs):
-            calls.append(kwargs.get("window"))
-            return real(*args, **kwargs)
+        def estimating(*args, **kwargs):
+            results.append(real_estimate(*args, **kwargs))
+            return results[-1]
 
-        monkeypatch.setattr(selection, "estimate_batch", spy)
-        run_belief(ds, SelectorConfig(n_select=1, batches=3, theta=0.5))
-        assert len(calls) == 3
-        assert callable(calls[0]) and calls[1:] == [None, None]
+        def merging(a, b):
+            totals.append(real_merge(a, b))
+            return totals[-1]
+
+        monkeypatch.setattr(selection, "estimate_batch", estimating)
+        monkeypatch.setattr(selection, "merge_stats", merging)
+        run_belief(ds, SelectorConfig(n_select=1, batches=2, theta=0.5))
+        assert len(results) == 3 and len(totals) == 1
+        total = totals[0]
+        pairs = int(total.hit_count.sum() + total.miss_count.sum())
+        assert pairs > 0 and total.collisions.pair_count == pairs
+        assert sum(int(r.hit_count.sum() + r.miss_count.sum())
+                   for r in results) == pairs
+        assert sum(r.collisions.pair_count for r in results) == pairs
 
     def test_redundancy_penalty_applies_above_5000_features(self):
         # The first batch once tracked every pair up to 5000 features and
@@ -350,13 +364,6 @@ class TestRunBelief:
         narrow = run_belief(ds, SelectorConfig(n_select=2, eta=0.5))
         np.testing.assert_allclose(wide.weights.values, narrow.weights.values,
                                    atol=1e-12)
-
-    def test_threshold_reports_strong_features(self):
-        ds = gaussian_classes(5)
-        res = run_belief(ds, SelectorConfig(n_select=3, theta=0.0, threshold=0.5))
-        above = res.metadata["above_threshold"]
-        assert 0 in above
-        assert all(minmax_normalize(res.weights.values)[j] > 0.5 for j in above)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
     def test_sparse_input_matches_its_dense_equivalent(self, seed):
@@ -409,10 +416,8 @@ class TestRunBelief:
 
 
 class TestRankingResult:
-    def test_json_and_text_forms(self):
+    def test_json_form(self):
         res = sfs(wvec(0.2, 0.8), None, 2, theta=0.0)
         obj = res.to_json_obj()
         assert [s["feature"] for s in obj["selected"]] == [1, 0]
         assert obj["method"] == "test"
-        text = res.to_text()
-        assert text.splitlines()[0].startswith("1\t")
