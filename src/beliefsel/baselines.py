@@ -97,9 +97,10 @@ def _mi_with(codes: list[np.ndarray], top: np.ndarray, features: np.ndarray,
 def discretize_equal_width(values: np.ndarray, bins: int = 10) -> np.ndarray:
     """Equal-width bin codes; boundary values land in the upper bin.
 
-    A constant vector maps to a single bin.  An empty vector, a NaN or
-    infinite value, and a range wider than float64 holds raise
-    ``DataError``.
+    A constant vector maps to a single bin, and so does one whose range is
+    too narrow to split (``span / bins`` underflows to 0, as for
+    ``[0.0, 5e-324]`` at 10 bins).  An empty vector, a NaN or infinite
+    value, and a range wider than float64 holds raise ``DataError``.
     """
     if bins < 1:
         raise DataError(f"bin count must be >= 1, got {bins}")
@@ -114,9 +115,9 @@ def discretize_equal_width(values: np.ndarray, bins: int = 10) -> np.ndarray:
         span = hi - lo
     if not np.isfinite(span):
         raise DataError(f"value range {lo:.6g} to {hi:.6g} overflows float64")
-    if hi == lo:
-        return np.zeros(values.shape, dtype=np.int64)
     width = span / bins
+    if width == 0.0:
+        return np.zeros(values.shape, dtype=np.int64)
     codes = np.floor((values - lo) / width).astype(np.int64)
     return np.minimum(codes, bins - 1)
 

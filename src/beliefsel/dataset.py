@@ -534,23 +534,29 @@ def read_metadata(stream: IO[str]) -> dict:
 
 # -- thread pool -----------------------------------------------------------
 
-# Widest pool of any phase: partition search and accumulation, and the
-# dense z-scoring statistics of inputs wider than one 1024-column block.
+# Most items of one map at once, in any phase: partition search and
+# accumulation, and the dense z-scoring statistics of inputs wider than one
+# 1024-column block.
 _MAX_THREADS = 8
 
 
 def _map_pool(fn, items, workers: int) -> list:
-    """``[fn(x) for x in items]``, run in a pool of min(workers, 8) threads.
+    """``[fn(x) for x in items]``, at most min(workers, 8) items at once.
 
-    The results come back in input order whatever order the threads finish
-    in.  A single item, or a single worker, runs on the calling thread.
+    The calling thread runs item 0 while a pool of one thread fewer runs
+    the rest, so a map over p items at width p starts p - 1 threads; each
+    thread holds one item's working set at a time.  A single item, or a
+    single worker, runs on the calling thread alone.  The results come back
+    in item order whatever order the threads finish in, the first exception
+    in item order reaches the caller, and no pool thread outlives the call.
     """
     items = list(items)
     width = min(workers, len(items), _MAX_THREADS)
     if width <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(fn, items))
+    with ThreadPoolExecutor(max_workers=width - 1) as pool:
+        rest = pool.map(fn, items[1:])  # submitted before item 0 starts
+        return [fn(items[0]), *rest]
 
 
 # -- normalization ---------------------------------------------------------
@@ -572,9 +578,9 @@ def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
     summed in numpy's pairwise order (leaves of at most 128 rows, each added
     in 8 interleaved lanes, halves split at multiples of 8), rebuilt from
     contiguous row slices instead of a strided column gather.  Inputs wider
-    than 1024 numeric columns map column blocks over a pool of
-    min(``workers``, 8) threads, each holding one leaf buffer of at most
-    ``_STATS_BYTES``; results do not depend on ``workers``.  Nominal
+    than 1024 numeric columns map column blocks over min(``workers``, 8)
+    threads (the calling one among them), each holding one leaf buffer of
+    at most ``_STATS_BYTES``; results do not depend on ``workers``.  Nominal
     features get mean 0 and std 1, which reads them unchanged.  Absent
     sparse entries count as raw zeros.  Statistics come from the stored
     rows, so normalizing again records the same ones.  A numeric feature
@@ -727,8 +733,10 @@ class PartitionedDataset:
         return self.starts.shape[0] - 1
 
     def map_partitions(self, fn, workers: int | None = None) -> list:
-        """``[fn(g) for g in range(p)]``, run in a pool of min(``workers``,
-        8) threads (p by default), with the results in partition order."""
+        """``[fn(g) for g in range(p)]``, at most min(``workers``, 8)
+        partitions at once (p by default), with the results in partition
+        order.  Partition 0 runs on the calling thread, so a map over p
+        partitions starts p - 1 threads (see ``_map_pool``)."""
         return _map_pool(fn, range(self.n_partitions),
                          self.n_partitions if workers is None else workers)
 

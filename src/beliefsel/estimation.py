@@ -116,6 +116,12 @@ def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
     the tables as one block, and the tables leave window order once, when
     the partition is done.  With ``weigh`` off the distance matrices and
     counts stay 0 (a collision-only pass).
+
+    Each chunk's gather of neighbor rows becomes its diffs and then its
+    rates in place, and is dropped before the next gather, so beside the
+    tables a call holds at most two chunk-sized arrays while it weighs
+    (the gather and the chunk's own rows, one per pair) and three while it
+    folds (the rates, their window-ordered copy and one row of minimums).
     """
     ds = pdata.dataset
     n = ds.n_features
@@ -159,8 +165,8 @@ def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
             own = space.scaled(own, out=own)[np.cumsum(first) - 1]
             if ds.is_sparse:  # within the chunk budget
                 nbrs, own = nbrs.to_dense(n), own.to_dense(n)
-            diffs = pair_diffs(nbrs, own, space)
-            del nbrs, own  # before the rates take their chunk-sized buffers
+            diffs = pair_diffs(nbrs, own, space, out=nbrs)
+            del nbrs, own
             a = lo if weigh else hi  # a collision-only pass skips the walk
             while a < hi:
                 head, tail = bounds[run], bounds[run + 1]
@@ -176,9 +182,8 @@ def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
                     (stats.hit_count if hit else stats.miss_count)[y] += tail - head
                     run += 1
             if tracked is not None:
-                rates = collision_rates(diffs, space, kappa)
-                del diffs  # the fold lays the rates out again in its place
-                fold(rates)
+                fold(collision_rates(diffs, space, kappa, out=diffs))
+            del diffs  # before the next chunk's gather
     return stats
 
 

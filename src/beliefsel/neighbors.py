@@ -145,17 +145,24 @@ class NeighborTable:
     measured_pairs: int = 0
 
 
-def pair_diffs(a: np.ndarray, b: np.ndarray, space: FeatureSpace) -> np.ndarray:
+def pair_diffs(a: np.ndarray, b: np.ndarray, space: FeatureSpace,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Per-feature differences between two rows, or between two aligned
     (pairs, features) blocks of rows, already on the z-scale: |a - b| for
-    numeric features and a 0/1 mismatch for nominal ones."""
+    numeric features and a 0/1 mismatch for nominal ones.
+
+    The diffs go into ``out`` when it is given, which may be ``a`` or
+    ``b`` itself: the nominal mismatches are read before anything is
+    overwritten, so the bits are those of a fresh result.
+    """
     if a.shape != b.shape:
         raise DataError("dimension mismatch between instances")
-    d = a - b
-    np.abs(d, out=d)
     nom = space.nominal_idx
+    mismatch = a[..., nom] != b[..., nom] if nom.size else None
+    d = np.subtract(a, b, out=out)
+    np.abs(d, out=d)
     if nom.size:
-        d[..., nom] = a[..., nom] != b[..., nom]
+        d[..., nom] = mismatch
     return d
 
 

@@ -71,19 +71,25 @@ _TRANSPOSE_MIN_PAIRS = 80
 
 
 def collision_rates(diffs: np.ndarray, space: FeatureSpace,
-                    kappa: float = 0.8) -> np.ndarray:
+                    kappa: float = 0.8, out: np.ndarray | None = None) -> np.ndarray:
     """Collision rates of instance pairs from their absolute diffs.
 
     ``diffs`` is what the weight-estimation pass already computed, so
     collision tracking adds no distance work of its own: one pair's dense
-    vector or a (pairs, features) block of them.
+    vector or a (pairs, features) block of them.  The rates go into
+    ``out`` when it is given, which may be ``diffs`` itself: the nominal
+    rates are read before anything is overwritten, so the bits are those
+    of a fresh result.
     """
-    rates = 1.0 - diffs / COLLISION_SPAN
+    nom = space.nominal_idx
+    # Nominal diffs are 0/1 indicators: equal -> 1, different -> 0.
+    equal = 1.0 - diffs[..., nom] if nom.size else None
+    rates = np.divide(diffs, COLLISION_SPAN, out=out)
+    np.subtract(1.0, rates, out=rates)
     np.maximum(rates, 0.0, out=rates)
     rates *= rates >= kappa  # zeroes the rates in (0, kappa)
-    if space.nominal_idx.size:
-        # Nominal diffs are 0/1 indicators: equal -> 1, different -> 0.
-        rates[..., space.nominal_idx] = 1.0 - diffs[..., space.nominal_idx]
+    if nom.size:
+        rates[..., nom] = equal
     return rates
 
 

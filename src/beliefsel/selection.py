@@ -183,6 +183,10 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
     for batch in batches:
         if len(batch) == 0:
             continue
+        if collect and total is not None:
+            # A later batch's window: the weights accumulated so far.
+            tracked = eta_tracked(belief_weights(total, priors).values,
+                                  config.n_select, config.eta)
         t0 = time.perf_counter()
         table = neighborhood(pdata, batch, config.k)
         search_s += time.perf_counter() - t0
@@ -205,10 +209,6 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
                                    kappa=config.kappa)
         total = stats if total is None else merge_stats(total, stats)
         estimate_s += time.perf_counter() - t0
-        if collect:
-            # The next batch's window: the weights accumulated so far.
-            tracked = eta_tracked(belief_weights(total, priors).values,
-                                  config.n_select, config.eta)
     timings["search_s"] = search_s
     timings["estimate_s"] = estimate_s
 

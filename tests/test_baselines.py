@@ -102,6 +102,13 @@ class TestDiscretize:
     def test_constant_vector_is_single_bin(self):
         assert discretize_equal_width(np.full(5, 2.5), 10).tolist() == [0] * 5
 
+    def test_range_too_narrow_to_split_is_single_bin(self):
+        # span / bins underflows to 0 here; dividing by it once warned
+        # "divide by zero" (an error under the suite's warning filter) and
+        # returned garbage codes.  One subnormal step wider splits.
+        assert discretize_equal_width(np.array([0.0, 5e-324]), 10).tolist() == [0, 0]
+        assert discretize_equal_width(np.array([0.0, 5e-324, 1e-323]), 2).tolist() == [0, 1, 1]
+
     def test_codes_stay_in_range(self):
         rng = np.random.default_rng(8)
         for bins in (1, 3, 10):

@@ -2,6 +2,8 @@
 
 import io
 import math
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -544,6 +546,79 @@ class TestPartition:
             partition(ds, 5)
         with pytest.raises(DataError):
             partition(ds, 0)
+
+
+class TestMapPool:
+    """``_map_pool``: item 0 on the calling thread, the rest on a pool of
+    one thread fewer, results and errors in item order."""
+
+    def test_results_in_item_order_when_later_items_finish_first(self):
+        done = [threading.Event() for _ in range(3)]
+        finished = []
+
+        def fn(x):
+            if x < 2:  # each item waits for the one after it
+                assert done[x + 1].wait(5)
+            finished.append(x)
+            done[x].set()
+            return x * x
+
+        assert dataset._map_pool(fn, range(3), 3) == [0, 1, 4]
+        assert finished == [2, 1, 0]
+
+    def test_item_zero_runs_on_the_calling_thread(self):
+        ids = dataset._map_pool(lambda x: threading.get_ident(), range(3), 3)
+        assert ids[0] == threading.get_ident()
+        assert threading.get_ident() not in ids[1:]
+
+    def test_at_most_workers_items_at_once(self):
+        lock = threading.Lock()
+        running = [0]
+        peak = [0]
+
+        def fn(x):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.01)
+            with lock:
+                running[0] -= 1
+            return x
+
+        for workers in (1, 2, 3):
+            peak[0] = 0
+            assert dataset._map_pool(fn, range(6), workers) == list(range(6))
+            assert 1 <= peak[0] <= workers
+
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_an_item_error_reaches_the_caller(self, bad):
+        def fn(x):
+            if x == bad:
+                raise ValueError(f"item {x}")
+            return x
+
+        with pytest.raises(ValueError, match=f"item {bad}"):
+            dataset._map_pool(fn, range(3), 3)
+
+    def test_first_error_in_item_order_wins(self):
+        def fn(x):
+            if x:
+                time.sleep(0.02 * (3 - x))  # item 2 fails first
+                raise ValueError(f"item {x}")
+
+        with pytest.raises(ValueError, match="item 1"):
+            dataset._map_pool(fn, range(3), 3)
+
+    def test_no_pool_thread_outlives_the_call(self):
+        def fail(x):
+            raise ValueError(f"item {x}")
+
+        before = threading.active_count()
+        dataset._map_pool(lambda x: time.sleep(0.01), range(3), 3)
+        assert threading.active_count() == before
+        with pytest.raises(ValueError, match="item 0"):
+            dataset._map_pool(fail, range(3), 3)
+        assert threading.active_count() == before
 
 
 class TestDrawSample:

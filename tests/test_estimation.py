@@ -303,9 +303,9 @@ class TestAccumulation:
         sizes = []
         real = estimation.pair_diffs
 
-        def spy(a, b, space):
+        def spy(a, b, space, out=None):
             sizes.append(a.shape[0])
-            return real(a, b, space)
+            return real(a, b, space, out=out)
 
         monkeypatch.setattr(estimation, "pair_diffs", spy)
         cap = max(1, estimation._CHUNK_BYTES // (8 * n))
@@ -325,8 +325,9 @@ class TestAccumulation:
         # numpy reports its buffers to tracemalloc.  3000 x 300 rows read
         # through the z-scale, half of them sampled: 9000 pairs, 21 chunks
         # of 428-429 pairs (about 1 MiB each).  The peak must stay within
-        # the stats and collision tables plus a few chunk-sized buffers and
-        # the per-pair index arrays, not grow with the pair count; also
+        # the stats and collision tables plus the chunk-sized arrays (two
+        # while weighing, three while folding) and the per-pair index
+        # arrays, not grow with the pair count; also
         # with a window of 40 features spread over the 300, whose fold
         # moves the joint columns into window order and back.
         from beliefsel.neighbors import neighborhood
@@ -350,7 +351,31 @@ class TestAccumulation:
             stats.miss_dist, stats.hit_dist, stats.miss_count, stats.hit_count,
             stats.collisions.joint, stats.collisions.marginal))
         assert stats.collisions.pair_count == (9000 if collect else 0)
-        assert peak <= tables + 6 * estimation._CHUNK_BYTES
+        assert peak <= tables + 4 * estimation._CHUNK_BYTES
+
+    @pytest.mark.parametrize("kappa", [0.8, 0.0])
+    def test_in_place_diffs_and_rates_keep_their_bits(self, kappa):
+        # Mixed numeric and nominal rows, with gaps on both sides of kappa
+        # and past the collision span: diffs written over their first (or
+        # second) operand, and rates over their diffs, equal the
+        # allocating forms bit for bit.
+        from beliefsel.redundancy import collision_rates
+        ds = window_input("mixed")
+        space = ds.feature_space()
+        X = space.scaled(ds.rows)
+        a, b = X[:20] * 3.0, X[20:40]
+        want = pair_diffs(a, b, space)
+        for operand in ("a", "b"):
+            buf = (a if operand == "a" else b).copy()
+            got = (pair_diffs(buf, b, space, out=buf) if operand == "a"
+                   else pair_diffs(a, buf, space, out=buf))
+            assert got is buf and np.array_equal(got, want), operand
+        assert (want < 1.2).any() and ((want > 1.2) & (want < 6)).any()
+        assert (want > 6).any()
+        rates = collision_rates(want, space, kappa)
+        buf = want.copy()
+        got = collision_rates(buf, space, kappa, out=buf)
+        assert got is buf and np.array_equal(got, rates)
 
 
 class TestReferenceRules:
@@ -455,6 +480,29 @@ class TestFirstBatchWindow:
             total = out[-1] if total is None else merge_stats(total, out[-1])
             tracked = eta_tracked(belief_weights(total, priors).values, n_select, eta)
         return out
+
+    @pytest.mark.parametrize("batches, calls", [(1, 2), (2, 3)])
+    def test_each_window_and_the_final_weights_are_computed_once(
+            self, monkeypatch, batches, calls):
+        # Batch 1's window, each later batch's window, and the final
+        # weights: no window is computed after the last batch.
+        from beliefsel import selection
+        seen = []
+        real = selection.belief_weights
+
+        def counting(stats, priors):
+            seen.append(stats)
+            return real(stats, priors)
+
+        monkeypatch.setattr(selection, "belief_weights", counting)
+        ds = window_input("mixed", seed=43)
+        cfg = selection.SelectorConfig(n_select=1, k=2, sample_rate=0.8,
+                                       batches=batches, partitions=2, theta=0.5,
+                                       seed=4)
+        result = selection.run_belief(ds, cfg)
+        assert len(seen) == calls
+        final = real(seen[-1], ds.class_priors())
+        assert np.array_equal(result.weights.values, final.values)
 
     # n_select 1 tracks 20 of 30 features in batch 1, so run_belief weighs
     # it and folds its collisions in two calls; n_select 2 saturates the
