@@ -292,7 +292,7 @@ class Dataset:
         if bad.size:
             raise DataError(f"feature index {bad[0]} out of range")
         if self._sparse:
-            uniq, inverse = np.unique(feats, return_inverse=True)
+            uniq = np.flatnonzero(np.bincount(feats, minlength=self.n_features))
             slot = np.full(self.n_features, -1)
             slot[uniq] = np.arange(uniq.size)
             at = slot[self.rows.indices]
@@ -301,7 +301,7 @@ class Dataset:
             out[at[hit], np.searchsorted(self.rows.indptr, hit, side="right") - 1] = \
                 self.rows.data[hit]
             if not np.array_equal(uniq, feats):  # repeated or out of order
-                out = out[inverse]
+                out = out[slot[feats]]
         else:
             out = self.rows.T[feats]
         if self.stds is not None:

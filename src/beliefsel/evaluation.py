@@ -69,7 +69,7 @@ def knn_classify(train: Dataset, test: Dataset, k: int,
     Xtr, Xte, ytr, space = _aligned_matrices(train, test, features)
     m = Xtr.shape[0]
     k = min(k, m)
-    rows, _, _ = _search_block(Xtr, 0, m, Xte, space, {0: np.arange(m)}, 1, k)
+    rows, _, _ = _search_block(Xtr, 0, m, Xte, space, np.zeros(m, dtype=np.intp), 1, k)
     preds = np.empty(Xte.shape[0], dtype=np.int64)
     for i, near in enumerate(ytr[rows[:, 0]]):
         votes = np.bincount(near)
@@ -107,9 +107,11 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int = 0) -> np.ndarra
     labels = np.asarray(labels, dtype=np.int64)
     if folds < 2:
         raise DataError(f"fold count must be >= 2, got {folds}")
+    if labels.size and labels.min() < 0:
+        raise DataError("labels must be nonnegative class ids")
     rng = np.random.default_rng(seed)
     assignment = np.empty(labels.shape[0], dtype=np.int64)
-    for c in np.unique(labels):
+    for c in np.flatnonzero(np.bincount(labels)):
         members = np.flatnonzero(labels == c)
         if members.size < folds:
             raise DataError(

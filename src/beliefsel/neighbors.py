@@ -20,28 +20,28 @@ Distances are Euclidean over per-feature diffs (``pair_diffs``): |a - b|
 for numeric values and a 0/1 indicator for nominal values, on rows read
 through ``FeatureSpace.scaled``.  The batch is put on the z-scale once.
 
-Every search step is merged into a partition's running per-(query, class)
-lists by one rule, on bounds only (``_Lists``): a block of bounds on squared
-distances, each within a stated margin of its exact value, rules out each
-row that cannot enter a list, and the rows left are logged.  When the
-partition ends, or the log passes its byte budget, the logged rows that
-the k smallest upper bounds seen by then still leave in are measured
-exactly, once each, and merged with the same (distance, row id) rule that
-merges partitions.
+Each search step hands bounds on squared distances, each within a stated
+margin of its exact value, with the columns grouped by class.  A
+partition's per-(query, class) lists take each class's slice by one rule
+(``_Lists``): the rows that neither the slice's k-th bound nor the k-th
+smallest upper bound seen before rule out are logged, and the slice's k
+smallest bounds join those.  When the partition ends, or the log passes
+its byte budget, the logged rows the k smallest then leave in are measured
+exactly, once each, and merged by (distance, row id).
 
-Dense rows are streamed through row tiles: consecutive row ranges, in row
-order, each z-scored once per batch in small row blocks straight into
-float32 augmented rows (raw rows with recorded statistics) or read in place
-(rows stored z-scored), so the search holds a few tile-sized buffers per
-thread whatever the partition height.  A tile's bounds are one float32
-matmul of augmented rows.  The rows to measure are gathered again, each
-z-scored once, and get their float64 subtract-and-square distance.  So
-every distance depends on its two rows alone, never on BLAS, the tiling or
-the partition count, and an exact duplicate sits at 0.0.
+Dense rows stream through tiles of consecutive rows, read in row order,
+z-scored once per batch in small row blocks (raw rows with recorded
+statistics) or read in place (rows stored z-scored), and written in class
+order into float32 augmented rows: a thread holds a few tile-sized buffers
+whatever the partition height.  A tile's bounds are one float32 matmul.
+The rows to measure are gathered again, z-scored once each, and get their
+float64 subtract-and-square distance, which depends on its two rows alone,
+never on BLAS, the tiling or the partition count; an exact duplicate sits
+at 0.0.
 
 Sparse rows are searched as ||q||^2 + ||b||^2 - 2 q.b over a partition's
-stored entries, a tile of rows at a time.  Those float64 squares are the
-bounds, and a row's distance is the square root of its own square.
+stored entries, a tile of rows at a time, then taken into class order; the
+float64 squares are the bounds, and their roots the distances.
 """
 
 from __future__ import annotations
@@ -295,15 +295,34 @@ def _keep_k(rows: np.ndarray, dist: np.ndarray, k: int):
             np.take_along_axis(dist, keep, axis=-1))
 
 
-def _in_block(cand: np.ndarray, first: int, width: int) -> np.ndarray:
-    """The ascending positions ``cand`` that fall in first:first + width."""
-    return cand[np.searchsorted(cand, first):np.searchsorted(cand, first + width)]
+def _k_smallest(a: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k smallest entries, ascending, +inf past the row's width
+    (bit for bit ``np.sort(a, axis=1)[:, :k]``), by k ``argmin`` passes over
+    one copy of ``a``: for a search's small k, a third of a k-th partition."""
+    work = np.array(a)
+    out = np.full((a.shape[0], k), np.inf, dtype=a.dtype)
+    q = np.arange(a.shape[0])
+    for i in range(min(k, a.shape[1])):
+        j = work.argmin(axis=1)
+        out[:, i] = work[q, j]
+        work[q, j] = np.inf
+    return out
+
+
+def _class_order(labels: np.ndarray, n_classes: int):
+    """``order``: a block's rows by class, ascending within each; ``at``:
+    each row's column; class c holds columns bounds[c]:bounds[c + 1]."""
+    order = np.argsort(labels, kind="stable")
+    at = np.empty_like(order)
+    at[order] = np.arange(order.size)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=n_classes))))
+    return order, at, bounds
 
 
 def _append(lists, qi: np.ndarray, new):
     """Each query's entries in every (query, width) array of ``lists``
     followed by its entries in the matching array of ``new`` (``qi``
-    ascending), padded with -1 (row ids) or +inf (distances and bounds)."""
+    ascending), padded with -1 (row ids) or +inf (distances)."""
     q, w = lists[0].shape
     count = np.bincount(qi, minlength=q)
     slot = w + np.arange(qi.size) - np.repeat(np.cumsum(count) - count, count)
@@ -346,57 +365,32 @@ class _Lists:
         self.k, self.measure = k, measure
         self.log, self.log_bytes, self.measured = [], 0, 0
 
-    def step(self, s: np.ndarray, first: int, lo: int, members: dict, margin: float):
+    def step(self, s: np.ndarray, lo: int, rows: np.ndarray, bounds: np.ndarray,
+             margin: float):
         """Log the rows of a block of squared-distance bounds ``s``, from
-        queries lo, lo + 1, ... to the consecutive block rows first,
-        first + 1, ..., class by class; ``members`` holds each class's
-        block positions, ascending.
+        queries lo, lo + 1, ... to the block rows ``rows`` (one a column),
+        class by class: class c holds columns bounds[c]:bounds[c + 1].
 
         Each entry of ``s`` lies within ``margin`` of its squared distance
         (an entry set to +inf is never logged).  A row is logged only if
-        its bound minus the margin reaches both U and the block's own k-th
-        bound plus the margin, which is taken for every query on the first
-        step that holds a class (more than k rows through per query, on
-        average) and later only for the queries with more than k rows
-        through: a row that fails either is farther than k rows are.  The
-        block's k smallest bounds, or the logged ones, plus the margin
-        then join ``ub``.
+        its bound minus the margin reaches both U and the k-th bound of its
+        class slice plus the margin: a row that fails either is farther
+        than k rows are.  The slice's k smallest bounds (+inf past its
+        width) plus the margin then join ``ub``.
         """
         q, k = s.shape[0], self.k
         n_queries = self.ub.shape[1]
-        for c, cand in members.items():
-            cand = _in_block(cand, first, s.shape[1])
-            if cand.size == 0:
-                continue
+        for c in np.flatnonzero(np.diff(bounds)):
+            sc = s[:, bounds[c]:bounds[c + 1]]
             ub = self.ub[c, lo:lo + q]
-            sc = np.take(s, cand - first, axis=1)
-            limit = ub[:, k - 1] + margin
-            beats = sc <= _at_least(limit, sc.dtype)[:, None]
-            low = None
-            if np.count_nonzero(beats) > k * q:
-                low = np.partition(sc, k - 1, axis=1)[:, :k]
-                limit = np.minimum(limit, _reach(low[:, -1], margin))
-                beats = sc <= _at_least(limit, sc.dtype)[:, None]
-            qi, j = np.divmod(np.flatnonzero(beats), cand.size)
-            # Once the block's k-th bound was taken for every query, the
-            # queries with more than k rows through are ties within it.
-            heavy = (np.flatnonzero(np.bincount(qi, minlength=q) > k) if low is None
-                     else ())
-            if len(heavy):
-                reach = np.full(q, np.inf)
-                reach[heavy] = _reach(np.partition(sc[heavy], k - 1, axis=1)[:, k - 1], margin)
-                keep = sc[qi, j] <= _at_least(reach, sc.dtype)[qi]
-                qi, j = qi[keep], j[keep]
-            if qi.size == 0:
-                continue
+            low = _k_smallest(sc, k)
+            limit = np.minimum(ub[:, k - 1] + margin, _reach(low[:, -1], margin))
+            qi, j = np.divmod(np.flatnonzero(sc <= _at_least(limit, sc.dtype)[:, None]),
+                              sc.shape[1])
+            np.add(low, margin, out=ub[:, k:], dtype=np.float64)
+            ub.sort(axis=1)
             sj = sc[qi, j]
-            if low is not None:  # the block's k smallest bounds, into the scratch
-                np.add(low, margin, out=ub[:, k:], dtype=np.float64)
-                ub.sort(axis=1)
-            else:
-                (both,) = _append((ub[:, :k],), qi, (np.add(sj, margin, dtype=np.float64),))
-                ub[:, :k] = np.sort(both, axis=1)[:, :k]
-            self.log.append((qi + (c * n_queries + lo), cand[j], sj, margin))
+            self.log.append((qi + (c * n_queries + lo), rows[bounds[c] + j], sj, margin))
             self.log_bytes += 16 * qi.size + sj.nbytes
             if self.log_bytes > _PAIR_BYTES:
                 self.flush()
@@ -426,25 +420,21 @@ class _Lists:
 
 
 def _search_block(stored, start: int, end: int, Q, space: FeatureSpace,
-                  members: dict, n_classes: int, k: int, own=None):
+                  labels: np.ndarray, n_classes: int, k: int, own=None):
     """Top-k per class of every query among the stored rows start:end, as
     (query, class, k) arrays (rows, dist) with row ids counted from
     ``start``, and the number of distances measured exactly.  ``Q`` holds
-    the queries on the z-scale, ``members`` each class's rows (counted
-    from ``start``, ascending) and ``own``, if given, each query's own
-    row, which never enters its lists.  The selector's partitions and the
-    k-NN classifier both search through here."""
+    the queries on the z-scale, ``labels`` the class of each row start:end
+    and ``own``, if given, each query's own row (counted from ``start``),
+    which never enters its lists.  The selector's partitions and the k-NN
+    classifier both search through here."""
     if isinstance(stored, SparseRows):
-        steps, measure = _sparse_steps(stored, start, end, Q, space), _square_roots
+        steps, measure = _sparse_steps, _square_roots
     else:
-        steps = _dense_steps(stored, start, end, Q, space)
-        measure = partial(_dense_measure, stored, start, Q, space)
+        steps, measure = _dense_steps, partial(_dense_measure, stored, start, Q, space)
     lists = _Lists(len(Q), n_classes, k, measure)
-    for first, lo, hi, s, margin in steps:
-        if own is not None:
-            mine = np.flatnonzero((own[lo:hi] >= first) & (own[lo:hi] < first + s.shape[1]))
-            s[mine, own[lo + mine] - first] = np.inf
-        lists.step(s, first, lo, members, margin)
+    for step in steps(stored, start, end, Q, space, labels, n_classes, own):
+        lists.step(*step)
     lists.flush()
     lists.rows[np.isinf(lists.dist)] = -1
     return lists.rows.transpose(1, 0, 2), lists.dist.transpose(1, 0, 2), lists.measured
@@ -458,9 +448,7 @@ def _search_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
     ds = pdata.dataset
     start = int(pdata.starts[g])
     end = int(pdata.starts[g + 1])
-    labels = ds.labels[start:end]
-    members = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
-    rows, dist, measured = _search_block(ds.rows, start, end, Q, space, members,
+    rows, dist, measured = _search_block(ds.rows, start, end, Q, space, ds.labels[start:end],
                                          ds.n_classes, k, own=batch.indices - start)
     rows[rows >= 0] += start
     return rows, dist, measured
@@ -472,31 +460,35 @@ def _square_roots(qi: np.ndarray, j: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _sparse_steps(stored: SparseRows, start: int, end: int, Q: SparseRows,
-                  space: FeatureSpace):
-    """Squared distances from query chunks to the whole partition, as (first
-    block row, query lo, query hi, squares, margin) steps: the squares are
-    their own bounds, with the ``_SQRT_TIES`` margin, and their square
-    roots the distances (``_square_roots``)."""
+                  space: FeatureSpace, labels: np.ndarray, n_classes: int, own):
+    """Squared distances from query chunks to the whole partition, in class
+    order, as ``_Lists.step`` arguments: the squares are their own bounds,
+    with the ``_SQRT_TIES`` margin, and their roots the distances
+    (``_square_roots``); a query's square to its ``own`` row is +inf."""
     block = space.scaled(stored[start:end])
     block_sq = _row_sums(block.data * block.data, block.indptr)
+    order, at, bounds = _class_order(labels, n_classes)
     chunk = max(1, min(_QUERY_CHUNK, _TILE_BYTES // (8 * max(space.n_features, 1))))
     for lo in range(0, len(Q), chunk):
-        hi = min(lo + chunk, len(Q))
-        sq = _sparse_distances(Q[lo:hi], block, block_sq, space.n_features)
-        yield 0, lo, hi, sq, _SQRT_TIES * float(sq.max(initial=0.0))
+        sq = np.take(_sparse_distances(Q[lo:lo + chunk], block, block_sq, space.n_features),
+                     order, axis=1)
+        margin = _SQRT_TIES * float(sq.max(initial=0.0))
+        if own is not None:
+            mine = np.flatnonzero((own[lo:lo + chunk] >= 0) & (own[lo:lo + chunk] < at.size))
+            sq[mine, at[own[lo + mine]]] = np.inf
+        yield sq, lo, order, bounds, margin
 
 
 def _dense_steps(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
-                 space: FeatureSpace):
+                 space: FeatureSpace, labels: np.ndarray, n_classes: int, own):
     """Bounds on the squared distances from the queries to the partition, a
-    row tile at a time, as (first block row, query lo, query hi, bounds,
-    margin) steps.
+    row tile at a time, as ``_Lists.step`` arguments.
 
     Tiles are consecutive row ranges (``_tile_height``) in the outer loop,
     so each is read once per batch: z-scored in blocks of ``_PAIR_BYTES``
-    straight into float32 augmented rows [b, 1, ||b||^2], with the squared
-    norms summed in float64.  The queries are spread evenly over the
-    fewest groups whose float32 bounds to a tile fit
+    and written in class order into float32 augmented rows [b, 1,
+    ||b||^2], with the squared norms summed in float64.  The queries are
+    spread evenly over the fewest groups whose float32 bounds to a tile fit
     ``_DENSE_TILE_BYTES``, with ``_QUERY_CHUNK`` queries a group allowed
     whatever the budget, so each tile is filtered in as few steps as the
     budget allows (one for 500 queries against a 1048-row tile of 500
@@ -505,9 +497,9 @@ def _dense_steps(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
     feature is nominal) plus the nominal mismatch count, and each lies
     within the margin (``_margin_rate``) of its squared distance.  Queries
     or a tile with a squared norm above ``_NORM_CAP`` get no bound: S is 0
-    and the margin +inf (for such queries no tile is read at all).  The
-    buffers are allocated once and reused; a step's bounds are only valid
-    until the next step.
+    and the margin +inf (for such queries no tile is read at all); a
+    query's bound to its ``own`` row is +inf.  The buffers are allocated
+    once and reused; a step's bounds are only valid until the next step.
     """
     n_samples = Q.shape[0]
     height = _tile_height(end - start, space.n_features)
@@ -534,6 +526,7 @@ def _dense_steps(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
     s_buf = np.empty(-(-n_samples // groups) * height, dtype=np.float32)
     for first in range(0, end - start, height):
         h = min(height, end - start - first)
+        order, at, bounds = _class_order(labels[first:first + h], n_classes)
         margin = math.inf
         if bounded:
             for a in range(0, h, block_rows):
@@ -541,10 +534,11 @@ def _dense_steps(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
                 z = space.scaled(raw, out=None if z_buf is None
                                  else z_buf[:raw.size].reshape(raw.shape))
                 zn = _numeric_cols(z, space)
-                Ba[a:a + len(z), :-2] = zn
-                b_sq[a:a + len(z)] = np.einsum("ij,ij->i", zn, zn)
+                to = at[a:a + len(z)]
+                Ba[to, :-2] = zn
+                b_sq[to] = np.einsum("ij,ij->i", zn, zn)
                 if Bc is not None:
-                    Bc[a:a + len(z)] = z[:, space.nominal_idx]
+                    Bc[to] = z[:, space.nominal_idx]
             b_max = float(b_sq[:h].max())
             if b_max <= _NORM_CAP:
                 margin = (rate * (q_max + b_max + space.nominal_idx.size)
@@ -558,7 +552,10 @@ def _dense_steps(stored: np.ndarray, start: int, end: int, Q: np.ndarray,
                     _add_mismatches(s, Qc[g0:g1], Bc[:h])
             else:
                 s.fill(0.0)
-            yield first, g0, g1, s, margin
+            if own is not None:
+                mine = np.flatnonzero((own[g0:g1] >= first) & (own[g0:g1] < first + h))
+                s[mine, at[own[g0 + mine] - first]] = np.inf
+            yield s, g0, first + order, bounds, margin
 
 
 def _dense_measure(stored: np.ndarray, start: int, Q: np.ndarray, space: FeatureSpace,

@@ -139,7 +139,7 @@ class CollisionTables:
         when the fold closes.  Temporaries are the size of a block and of
         one joint row.
         """
-        untracked = np.setdiff1d(np.arange(self.n_features), self.tracked)
+        untracked = np.flatnonzero(np.bincount(self.tracked, minlength=self.n_features) == 0)
         order = np.concatenate([self.tracked, untracked])
         t = self.tracked.size
 
@@ -188,7 +188,8 @@ class CollisionTables:
             tracked = self.tracked.copy()
             joint = self.joint + other.joint
         else:
-            tracked = np.union1d(self.tracked, other.tracked)
+            tracked = np.flatnonzero(np.bincount(np.concatenate([self.tracked, other.tracked]),
+                                                 minlength=self.n_features))
             joint = np.zeros((tracked.size, self.n_features))
             for src in (self, other):
                 if src.tracked.size:

@@ -1,7 +1,15 @@
 """Classifier scoring and leakage-safe cross-validation."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import beliefsel
 
 from beliefsel import neighbors
 from beliefsel.dataset import Dataset, FeatureKind, zscore_normalize
@@ -214,6 +222,10 @@ class TestStratifiedFolds:
         with pytest.raises(DataError):
             stratified_folds(np.zeros(10, dtype=int), 1)
 
+    def test_negative_label_rejected(self):
+        with pytest.raises(DataError, match="nonnegative"):
+            stratified_folds(np.array([0, 1, -1, 0, 1, -1]), 2)
+
 
 class TestCrossValidate:
     def test_selection_never_sees_the_test_fold(self):
@@ -255,3 +267,30 @@ class TestCrossValidate:
         accs = [m["accuracy"] for m in out["per_fold"]]
         assert out["accuracy_mean"] == pytest.approx(np.mean(accs))
         assert out["accuracy_std"] == pytest.approx(np.std(accs))
+
+
+def test_selection_and_evaluation_leave_numpy_ma_unimported():
+    # numpy's set routines (np.unique, np.setdiff1d, np.union1d) import the
+    # three numpy.ma modules on first use: about 1.25 MB of RSS and 13 ms
+    # on a process's first selection.  A fresh interpreter runs a two-batch
+    # theta=0.5 selection, dense and sparse, and a cross-validation.
+    script = textwrap.dedent("""
+        import io, sys
+        from beliefsel import SelectorConfig, generate, run_belief
+        from beliefsel.dataset import parse_libsvm
+        from beliefsel.evaluation import cross_validate
+        config = SelectorConfig(n_select=3, theta=0.5, batches=2, sample_rate=0.5,
+                                partitions=2, seed=0)
+        ds, _ = generate("sd3", 0)
+        text = "".join(f"{i % 2} {i % 7 + 1}:{i * 0.1} {i % 5 + 9}:1.5\\n" for i in range(40))
+        for data in (ds, parse_libsvm(io.StringIO(text))):
+            run_belief(data, config)
+            cross_validate(data, 3, lambda d: run_belief(d, config).selected_features())
+        assert "numpy.ma" not in sys.modules, sorted(m for m in sys.modules if "numpy.ma" in m)
+    """)
+    src = str(Path(beliefsel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -14,8 +14,8 @@ from beliefsel.dataset import (Dataset, FeatureKind, draw_sample, parse_libsvm,
                                partition, zscore_normalize)
 from beliefsel import dataset, neighbors
 from beliefsel.errors import DataError
-from beliefsel.neighbors import (LOCATOR_BYTES, _Lists, _pair_distances, _SQRT_TIES,
-                                 _square_roots, neighborhood)
+from beliefsel.neighbors import (LOCATOR_BYTES, _k_smallest, _Lists, _pair_distances,
+                                 _SQRT_TIES, _square_roots, neighborhood)
 from oracles import feature_diff, instance_distance
 
 
@@ -112,10 +112,10 @@ def first_tile_groups(monkeypatch):
     groups = []
     real = neighbors._Lists.step
 
-    def spy(lists, s, first, *rest):
-        if first == 0:
+    def spy(lists, s, lo, rows, *rest):
+        if 0 in rows:  # the first tile holds row 0
             groups.append(s.shape[0])
-        return real(lists, s, first, *rest)
+        return real(lists, s, lo, rows, *rest)
 
     monkeypatch.setattr(neighbors._Lists, "step", spy)
     return groups
@@ -665,9 +665,47 @@ class TestFilteredSearch:
         assert len(tied) >= 3 and np.all(np.sqrt(tied) == r)
         s = np.array([[tied[-1], tied[0], 5.0]])
         lists = _Lists(1, 1, 1, _square_roots)
-        lists.step(s, 0, 0, {0: np.arange(3)}, _SQRT_TIES * s.max())
+        lists.step(s, 0, np.arange(3), np.array([0, 3]), _SQRT_TIES * s.max())
         lists.flush()
         assert (lists.rows[0, 0, 0], lists.dist[0, 0, 0]) == (0, r)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_k_smallest_is_the_sorted_prefix(self, k, dtype):
+        # Ties (four values only), +inf entries (a query's own row) and
+        # slices narrower than k, which pad with +inf; the slice is a
+        # strided view and is left as it was.
+        rng = np.random.default_rng(k)
+        for width in (1, 2, 3, 4, 9):
+            full = rng.integers(0, 4, (6, width + 2)).astype(dtype)
+            full[rng.random(full.shape) < 0.25] = np.inf
+            a = full[:, 1:width + 1]
+            before = a.copy()
+            want = np.sort(a, axis=1)[:, :k]
+            want = np.pad(want, ((0, 0), (0, k - want.shape[1])), constant_values=np.inf)
+            got = _k_smallest(a, k)
+            assert got.dtype == dtype and np.array_equal(got, want), width
+            assert np.array_equal(a, before)
+
+    def test_class_slice_narrower_than_k_logs_every_row(self):
+        # k = 3.  Class 0 holds two columns (rows 0 and 3), so both are
+        # logged for each query and its k-th upper bound stays +inf; class
+        # 1 holds four (rows 1, 2, 4 and 5), and each query logs its three
+        # smallest.
+        s = np.array([[4, 1, 9, 2, 7, 3],
+                      [3, 5, 6, 8, 0.5, 1]], dtype=np.float32)
+        lists = _Lists(2, 2, 3, _square_roots)
+        lists.step(s, 0, np.array([0, 3, 1, 2, 4, 5]), np.array([0, 2, 6]), 0.0)
+        logged = {(int(key), int(r)) for keys, rows, _, _ in lists.log
+                  for key, r in zip(keys, rows)}  # key: class * 2 + query
+        assert logged == {(0, 0), (0, 3), (1, 0), (1, 3),
+                          (2, 2), (2, 4), (2, 5), (3, 1), (3, 4), (3, 5)}
+        assert lists.ub[:, :, :3].tolist() == [[[1, 4, np.inf], [3, 5, np.inf]],
+                                              [[2, 3, 7], [0.5, 1, 6]]]
+        lists.flush()
+        assert lists.measured == 10
+        assert lists.rows[0].tolist() == [[3, 0, -1], [0, 3, -1]]
+        assert np.array_equal(lists.dist[0, :, 2], [np.inf, np.inf])
 
 
 class TestAccounting:
