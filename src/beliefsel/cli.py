@@ -100,7 +100,6 @@ def _selector_config(args, n_select: int, theta: float) -> SelectorConfig:
         sample_rate=args.sample_rate,
         batches=args.batches,
         theta=theta,
-        eta=args.eta,
         kappa=args.kappa,
         partitions=args.partitions,
         seed=args.seed,
@@ -172,9 +171,8 @@ def cmd_rank(args) -> int:
     if args.threshold is not None:
         wn = minmax_normalize(result.weights.values)
         result.metadata["above_threshold"] = (wn > args.threshold).nonzero()[0].tolist()
-    doc = result.to_json_obj()
-    doc["selected"] = doc["selected"][: args.nfeat] if args.nfeat else doc["selected"]
-    _emit(doc, args)
+    result.selected = result.selected[:args.nfeat]  # all of them without --nfeat
+    _emit(result.to_json_obj(), args)
     return 0
 
 
@@ -253,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parent.add_argument("--k", type=int, default=3)
     run_parent.add_argument("--sample-rate", type=float, default=1.0)
     run_parent.add_argument("--batches", type=int, default=1)
-    run_parent.add_argument("--eta", type=float, default=2.0)
     run_parent.add_argument("--kappa", type=float, default=0.8)
     run_parent.add_argument("--partitions", type=int, default=1)
 

@@ -130,10 +130,7 @@ class FeatureSpace:
             return np.divide(out, self.stds, out=out)
         if self.inv_scale is None:
             return rows
-        if isinstance(rows, SparseRows):
-            return SparseRows(rows.indptr, rows.indices,
-                              rows.data * self.inv_scale[rows.indices])
-        return rows * self.inv_scale
+        return SparseRows(rows.indptr, rows.indices, rows.data * self.inv_scale[rows.indices])
 
 
 class Dataset:

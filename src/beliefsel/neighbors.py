@@ -277,7 +277,8 @@ def _sparse_distances(Q: SparseRows, block: SparseRows, block_sq: np.ndarray,
         prod *= block.data[ptr[r0]:ptr[r1]]
         cross[:, r0:r1] = _row_sums(prod, ptr[r0:r1 + 1])
         r0 = r1
-    out = _row_sums(Q.data * Q.data, Q.indptr)[:, None] + block_sq - 2.0 * cross
+    out = _row_sums(Q.data * Q.data, Q.indptr)[:, None] + block_sq
+    out -= np.multiply(cross, 2.0, out=cross)
     np.maximum(out, 0.0, out=out)
     return out
 
@@ -461,22 +462,28 @@ def _square_roots(qi: np.ndarray, j: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _sparse_steps(stored: SparseRows, start: int, end: int, Q: SparseRows,
                   space: FeatureSpace, labels: np.ndarray, n_classes: int, own):
-    """Squared distances from query chunks to the whole partition, in class
-    order, as ``_Lists.step`` arguments: the squares are their own bounds,
-    with the ``_SQRT_TIES`` margin, and their roots the distances
-    (``_square_roots``); a query's square to its ``own`` row is +inf."""
+    """Squared distances from query chunks to row tiles of the partition
+    (``_DENSE_TILE_BYTES`` of squares, at least one row), in class order, as
+    ``_Lists.step`` arguments: the squares are their own bounds, with the
+    ``_SQRT_TIES`` margin, and their roots the distances (``_square_roots``);
+    a query's square to its ``own`` row is +inf."""
     block = space.scaled(stored[start:end])
     block_sq = _row_sums(block.data * block.data, block.indptr)
-    order, at, bounds = _class_order(labels, n_classes)
     chunk = max(1, min(_QUERY_CHUNK, _TILE_BYTES // (8 * max(space.n_features, 1))))
+    height = max(1, _DENSE_TILE_BYTES // (8 * chunk))
+    tiles = [(first, block[first:first + height], block_sq[first:first + height],
+              *_class_order(labels[first:first + height], n_classes))
+             for first in range(0, end - start, height)]
     for lo in range(0, len(Q), chunk):
-        sq = np.take(_sparse_distances(Q[lo:lo + chunk], block, block_sq, space.n_features),
-                     order, axis=1)
-        margin = _SQRT_TIES * float(sq.max(initial=0.0))
-        if own is not None:
-            mine = np.flatnonzero((own[lo:lo + chunk] >= 0) & (own[lo:lo + chunk] < at.size))
-            sq[mine, at[own[lo + mine]]] = np.inf
-        yield sq, lo, order, bounds, margin
+        for first, tile, tile_sq, order, at, bounds in tiles:
+            sq = np.take(_sparse_distances(Q[lo:lo + chunk], tile, tile_sq, space.n_features),
+                         order, axis=1)
+            margin = _SQRT_TIES * float(sq.max(initial=0.0))
+            if own is not None:
+                mine = np.flatnonzero((own[lo:lo + chunk] >= first)
+                                      & (own[lo:lo + chunk] < first + at.size))
+                sq[mine, at[own[lo + mine] - first]] = np.inf
+            yield sq, lo, first + order, bounds, margin
 
 
 def _dense_steps(stored: np.ndarray, start: int, end: int, Q: np.ndarray,

@@ -12,8 +12,8 @@ Joint mass is accumulated only for pairs involving at least one *tracked*
 feature (the relevance window: the top ceil(n_select * eta) features by
 weight, see ``eta_tracked``), as min(rate_i, rate_j) when both features
 collide.  The first batch has no earlier weights, so it takes its window
-from its own, at ``max(eta, FIRST_BATCH_ETA)``; a window of t features
-costs t x n float64 of joint mass per partition.
+from its own, at ``FIRST_BATCH_ETA`` (later ones: ``LATER_BATCH_ETA``); a
+window of t features costs t x n float64 of joint mass per partition.
 
 Rates arrive in blocks of instance pairs and each block adds its own sum
 of mins to every owned cell.  A block of at least ``_TRANSPOSE_MIN_PAIRS``
@@ -45,6 +45,7 @@ from .dataset import FeatureSpace
 __all__ = [
     "COLLISION_SPAN",
     "FIRST_BATCH_ETA",
+    "LATER_BATCH_ETA",
     "collision_rates",
     "CollisionTables",
     "RedundancyTable",
@@ -54,11 +55,12 @@ __all__ = [
 ]
 
 COLLISION_SPAN = 6.0
-# Smallest eta the first batch's window uses.  Its weights come from one
-# batch only, so it looks wider than later batches: of 2, 5, 10 and 20, 20
-# was the smallest that reproduced full tracking's selection on the first
-# 500 columns of sd3 for seeds 0-5.
+# Eta of the first batch's window and of later batches'.  The first's
+# weights come from one batch only, so it looks wider: of 2, 5, 10 and 20,
+# 20 was the smallest that reproduced full tracking's selection on the
+# first 500 columns of sd3 for seeds 0-5.
 FIRST_BATCH_ETA = 20.0
+LATER_BATCH_ETA = 2.0
 # Row-block budget of compute_mcr.
 _MCR_BLOCK_BYTES = 1 << 20
 # Pairs from which a rate block folds features x pairs rather than pairs x
@@ -285,7 +287,7 @@ def window_size(n_features: int, n_select: int, eta: float) -> int:
     return min(n_features, math.ceil(n_select * eta))
 
 
-def eta_tracked(scores: np.ndarray, n_select: int, eta: float = 2.0) -> np.ndarray:
+def eta_tracked(scores: np.ndarray, n_select: int, eta: float = LATER_BATCH_ETA) -> np.ndarray:
     """Indices of the top ``window_size`` features by score.
 
     Ties break toward the lower feature index; the result is sorted

@@ -6,10 +6,10 @@ accumulated matrices from all batches merge by addition; the weight formula
 and one final forward selection run on the totals.  Joint collisions are
 tracked only for the relevance window, the top ceil(n_select * eta)
 features by weight, which ``run_belief`` alone picks.  Later batches take
-it from the weights accumulated through the previous batch.  The first has
-none, so one ``estimate_batch`` call weighs its pairs, the window comes from
-those weights at ``max(eta, FIRST_BATCH_ETA)``, and a second call folds the
-collisions for it (one call when the window covers every feature).
+it from the weights accumulated through the previous batch, at
+``LATER_BATCH_ETA``.  The first has none, so one ``estimate_batch`` call
+weighs its pairs, the window comes from those weights at ``FIRST_BATCH_ETA``,
+and a second call folds the collisions for it (one call when it covers all).
 
 Selection scores a candidate as
 
@@ -32,8 +32,8 @@ from .errors import DataError
 from .estimation import (ClassDistanceStats, WeightVector, belief_weights,
                          estimate_batch, merge_stats)
 from .neighbors import neighborhood
-from .redundancy import (FIRST_BATCH_ETA, RedundancyTable, compute_mcr,
-                         eta_tracked, window_size)
+from .redundancy import (FIRST_BATCH_ETA, LATER_BATCH_ETA, RedundancyTable,
+                         compute_mcr, eta_tracked, window_size)
 
 __all__ = [
     "SelectorConfig",
@@ -54,7 +54,6 @@ class SelectorConfig:
     sample_rate: float = 1.0
     batches: int = 1
     theta: float = 0.5
-    eta: float = 2.0
     kappa: float = 0.8
     partitions: int = 1
     seed: int = 0
@@ -103,33 +102,32 @@ def sfs(weights: WeightVector, redundancy: RedundancyTable | None,
         n_select: int, theta: float = 0.5) -> RankingResult:
     """Greedy forward selection under the redundancy-penalized score.
 
-    With ``theta`` 0 (or no redundancy table) this reduces to the top
-    ``n_select`` features by weight.  Ties always break toward the lower
-    feature index.
+    With ``theta`` 0 (or no redundancy table) one sort gives the top
+    ``n_select`` features by weight; otherwise each pick is the first maximum
+    of the scores, picked features at -inf.  Ties break toward the lower index.
     """
     n = weights.values.shape[0]
     if not 1 <= n_select <= n:
         raise DataError(f"selection size {n_select} not in 1..{n}")
     wn = minmax_normalize(weights.values)
-    penalize = theta != 0.0 and redundancy is not None
-    penalty = np.zeros(n)
-    remaining = np.ones(n, dtype=bool)
-    selected: list[SelectedFeature] = []
-    for _ in range(n_select):
-        scores = wn - theta * penalty if penalize else wn
-        cand = np.flatnonzero(remaining)
-        best = int(cand[np.lexsort((cand, -scores[cand]))[0]])
-        selected.append(SelectedFeature(
-            feature=best,
-            weight=float(weights.values[best]),
-            normalized_weight=float(wn[best]),
-            penalty=float(penalty[best]),
-            score=float(scores[best]),
-        ))
-        remaining[best] = False
-        if penalize:
+    if theta == 0.0 or redundancy is None:
+        picks = np.lexsort((np.arange(n), -wn))[:n_select]
+        penalties, scores = np.zeros(n_select), wn[picks]
+    else:
+        picks = np.empty(n_select, dtype=np.int64)
+        penalties, scores = np.empty(n_select), np.empty(n_select)
+        penalty = np.zeros(n)
+        score = wn - theta * penalty
+        for s in range(n_select):
+            best = int(np.argmax(score))
+            picks[s], penalties[s], scores[s] = best, penalty[best], score[best]
             # One new term per candidate: the feature just picked.
             penalty += redundancy.normalized_row(best)
+            score = wn - theta * penalty
+            score[picks[:s + 1]] = -np.inf
+    selected = [SelectedFeature(*entry) for entry in zip(
+        picks.tolist(), weights.values[picks].tolist(), wn[picks].tolist(),
+        penalties.tolist(), scores.tolist())]
     return RankingResult(selected=selected, weights=weights)
 
 
@@ -146,8 +144,6 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
         raise DataError(f"kappa must be in [0, 1], got {config.kappa}")
     if not 0.0 <= config.theta < np.inf:
         raise DataError(f"theta must be finite and >= 0, got {config.theta}")
-    if not 0.0 < config.eta < np.inf:
-        raise DataError(f"eta must be finite and > 0, got {config.eta}")
     present = np.count_nonzero(np.bincount(dataset.labels, minlength=2))
     if present < 2:
         raise DataError(f"weighting needs instances of at least two classes, "
@@ -176,17 +172,16 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
     instance_bytes = 0
     search_s = 0.0
     estimate_s = 0.0
-    first_eta = max(config.eta, FIRST_BATCH_ETA)
     # The first batch's window when it covers every feature; None at theta 0.
     tracked = np.arange(n) if collect else None
-    two_pass = collect and window_size(n, config.n_select, first_eta) < n
+    two_pass = collect and window_size(n, config.n_select, FIRST_BATCH_ETA) < n
     for batch in batches:
         if len(batch) == 0:
             continue
         if collect and total is not None:
             # A later batch's window: the weights accumulated so far.
             tracked = eta_tracked(belief_weights(total, priors).values,
-                                  config.n_select, config.eta)
+                                  config.n_select, LATER_BATCH_ETA)
         t0 = time.perf_counter()
         table = neighborhood(pdata, batch, config.k)
         search_s += time.perf_counter() - t0
@@ -200,7 +195,7 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
             # the pairs, then fold the same pairs' collisions for it.
             weighed = estimate_batch(pdata, batch, table)
             tracked = eta_tracked(belief_weights(weighed, priors).values,
-                                  config.n_select, first_eta)
+                                  config.n_select, FIRST_BATCH_ETA)
             folded = estimate_batch(pdata, batch, table, tracked=tracked,
                                     kappa=config.kappa, weigh=False)
             stats = replace(weighed, collisions=folded.collisions)

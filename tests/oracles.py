@@ -15,7 +15,9 @@ quantity the slow, obvious way, one pair or one instance at a time:
   ``collision_rates``);
 * ``add_pair_rates``, ``add_rate_rows`` and ``pair_mass``: fold rates into
   ``CollisionTables`` one block at a time and read one pair's joint mass;
-* ``raw`` and ``normalized``: one pair's value in a ``RedundancyTable``.
+* ``raw`` and ``normalized``: one pair's value in a ``RedundancyTable``;
+* ``sfs_reference``: forward selection that sorts every remaining
+  candidate at each pick (oracle of ``sfs``).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from beliefsel.errors import DataError
 from beliefsel.estimation import WeightVector
 from beliefsel.neighbors import pair_diffs
 from beliefsel.redundancy import COLLISION_SPAN, CollisionTables, RedundancyTable
+from beliefsel.selection import SelectedFeature, minmax_normalize
 
 
 # -- mutual information -----------------------------------------------------
@@ -105,6 +108,8 @@ def _dense_row(row, space: FeatureSpace) -> np.ndarray:
         row[idx] = vals
     elif row.shape != (space.n_features,):
         raise DataError("dimension mismatch between instances")
+    if space.inv_scale is not None:  # a sparse dataset's values times 1/sigma
+        return row * space.inv_scale
     return space.scaled(row)
 
 
@@ -236,3 +241,31 @@ def normalized(red: RedundancyTable, i: int, j: int) -> float:
     if span <= 0.0:
         return 0.0
     return (raw(red, i, j) - red.lo) / span
+
+
+# -- forward selection -------------------------------------------------------
+
+
+def sfs_reference(weights: WeightVector, redundancy: RedundancyTable | None,
+                  n_select: int, theta: float) -> list[SelectedFeature]:
+    """``sfs``'s picks by a ``lexsort`` of every remaining candidate per
+    pick, by score and then index; the penalty grows by the picked
+    feature's normalized row after each pick."""
+    n = weights.values.shape[0]
+    wn = minmax_normalize(weights.values)
+    penalize = theta != 0.0 and redundancy is not None
+    penalty = np.zeros(n)
+    remaining = np.ones(n, dtype=bool)
+    selected = []
+    for _ in range(n_select):
+        scores = wn - theta * penalty if penalize else wn
+        cand = np.flatnonzero(remaining)
+        best = int(cand[np.lexsort((cand, -scores[cand]))[0]])
+        selected.append(SelectedFeature(
+            feature=best, weight=float(weights.values[best]),
+            normalized_weight=float(wn[best]), penalty=float(penalty[best]),
+            score=float(scores[best])))
+        remaining[best] = False
+        if penalize:
+            penalty += redundancy.normalized_row(best)
+    return selected

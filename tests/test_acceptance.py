@@ -328,8 +328,9 @@ def test_09_batch_count_does_not_change_the_aggregate():
                       belief_weights(four, ds.class_priors()).values)]:
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
             worst = max(worst, float(np.max(np.abs(a - b))))
-        # same through the front door, with tracking saturated (eta covers n)
-        split = dict(n_select=n // 2, eta=2.0, theta=0.5, seed=seed)
+        # same through the front door, with tracking saturated (both
+        # windows, 20 and 2 times n_select, cover n)
+        split = dict(n_select=n // 2, theta=0.5, seed=seed)
         w1 = run_belief(ds, SelectorConfig(batches=1, **split))
         w4 = run_belief(ds, SelectorConfig(batches=4, **split))
         np.testing.assert_allclose(w1.weights.values, w4.weights.values,

@@ -462,23 +462,25 @@ class TestFirstBatchWindow:
     with its window known up front."""
 
     @staticmethod
-    def one_pass_reference(pdata, batches, k, n_select, eta, kappa):
+    def one_pass_reference(pdata, batches, k, n_select, kappa):
         """The batch loop with every tracked set known before its batch's
         single pass: the first from that batch's own weights at
-        max(eta, FIRST_BATCH_ETA), later ones from the weights so far."""
+        FIRST_BATCH_ETA, later ones from the weights so far at
+        LATER_BATCH_ETA."""
         from beliefsel.neighbors import neighborhood
-        from beliefsel.redundancy import FIRST_BATCH_ETA, eta_tracked
+        from beliefsel.redundancy import FIRST_BATCH_ETA, LATER_BATCH_ETA, eta_tracked
         priors = pdata.dataset.class_priors()
         total, out = None, []
         for batch in batches:
             table = neighborhood(pdata, batch, k)
             if total is None:
                 w = belief_weights(estimate_batch(pdata, batch, table), priors)
-                tracked = eta_tracked(w.values, n_select, max(eta, FIRST_BATCH_ETA))
+                tracked = eta_tracked(w.values, n_select, FIRST_BATCH_ETA)
             out.append(estimate_batch(pdata, batch, table, tracked=tracked,
                                       kappa=kappa))
             total = out[-1] if total is None else merge_stats(total, out[-1])
-            tracked = eta_tracked(belief_weights(total, priors).values, n_select, eta)
+            tracked = eta_tracked(belief_weights(total, priors).values, n_select,
+                                  LATER_BATCH_ETA)
         return out
 
     @pytest.mark.parametrize("batches, calls", [(1, 2), (2, 3)])
@@ -536,8 +538,7 @@ class TestFirstBatchWindow:
         batches = draw_sample(pdata, cfg.sample_rate, cfg.batches, cfg.seed)
         first, second = (int(b.indices[0]) for b in batches)
         assert calls == [first] * (passes * p) + [second] * p
-        want = self.one_pass_reference(pdata, batches, cfg.k, n_select,
-                                       cfg.eta, cfg.kappa)
+        want = self.one_pass_reference(pdata, batches, cfg.k, n_select, cfg.kappa)
         assert len(merged) == 1 and len(want) == 2
         for a, b in zip(merged[0], want):
             assert_stats_equal(a, b)

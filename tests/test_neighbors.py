@@ -420,6 +420,29 @@ class TestNeighborhood:
         # products and a few distance arrays, each about the tile budget.
         assert peak <= 2 * ds.rows.data.nbytes + 8 * neighbors._TILE_BYTES
 
+    def test_tall_sparse_search_squares_stay_in_row_tiles(self):
+        # 20,000 x 50 with 5 entries a row in one partition.  A 128-query
+        # chunk's squares to the whole partition, with their class-order
+        # copy, peaked at about 60 MB; a 4096-row tile's take 4 MiB.
+        rng = np.random.default_rng(8)
+        m, n, nnz = 20_000, 50, 5
+        idx = np.sort(np.argsort(rng.random((m, n)), axis=1)[:, :nnz], axis=1)
+        rows = list(zip(idx, rng.standard_normal((m, nnz))))
+        ds = zscore_normalize(Dataset(rows, np.arange(m) % 2, [FeatureKind.NUMERIC] * n))
+        pdata = partition(ds, 1)
+        batch = draw_sample(pdata, 0.01, 1, seed=0)[0]
+        tracemalloc.start()
+        try:
+            table = neighborhood(pdata, batch, k=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.emitted_records == len(batch) * 2 * 3
+        # The scaled rows (1.2 MB), then per (query chunk, row tile) the
+        # products' sums, the squares and their class-order copy, each
+        # within the tile budget.
+        assert peak <= 4 * neighbors._DENSE_TILE_BYTES
+
     def test_narrow_dense_search_buffers_stay_in_budget(self, monkeypatch):
         # 100,000 x 4 raw rows in one partition.  Tiles sized by their own
         # bytes alone would be one 100,000-row tile, and a 128-query block

@@ -521,13 +521,12 @@ class TestTrackingWindows:
         with pytest.raises(DataError):
             eta_tracked(np.arange(3.0), 1, eta=0.0)
 
-    @pytest.mark.parametrize("n_select,eta", [(1, 2.0), (2, 0.5), (3, 25.0),
-                                              (4, 37.5), (20, 2.0)])
+    @pytest.mark.parametrize("n_select,eta", [(1, 2.0), (2, 0.5), (20, 2.0)])
     def test_first_batch_window_size(self, monkeypatch, n_select, eta):
-        # The first batch tracks min(n, ceil(n_select * max(eta, 20)))
-        # features; the second goes back to ceil(n_select * eta).  A
-        # narrower first window is preceded by a weigh-only call with no
-        # window, which is skipped here.
+        # The first batch tracks min(n, ceil(n_select * FIRST_BATCH_ETA))
+        # features; the second min(n, ceil(n_select * LATER_BATCH_ETA)),
+        # here set to eta.  A narrower first window is preceded by a
+        # weigh-only call with no window, which is skipped here.
         rng = np.random.default_rng(5)
         n = 160
         X = rng.standard_normal((24, n))
@@ -542,9 +541,10 @@ class TestTrackingWindows:
             return stats
 
         monkeypatch.setattr(selection, "estimate_batch", spy)
+        monkeypatch.setattr(selection, "LATER_BATCH_ETA", eta)
         selection.run_belief(ds, selection.SelectorConfig(
-            n_select=n_select, eta=eta, batches=2, theta=0.5))
-        first = min(n, math.ceil(n_select * max(eta, FIRST_BATCH_ETA)))
-        assert window_size(n, n_select, max(eta, FIRST_BATCH_ETA)) == first
+            n_select=n_select, batches=2, theta=0.5))
+        first = min(n, math.ceil(n_select * FIRST_BATCH_ETA))
+        assert window_size(n, n_select, FIRST_BATCH_ETA) == first
         assert [s.collisions.tracked.size for s in seen] == [
             first, min(n, math.ceil(n_select * eta))]

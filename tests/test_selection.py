@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefsel import selection
-from beliefsel.dataset import Dataset, FeatureKind, zscore_normalize
+from beliefsel.dataset import Dataset, FeatureKind, draw_sample, partition, zscore_normalize
 from beliefsel.errors import DataError
-from beliefsel.estimation import WeightVector
+from beliefsel.estimation import WeightVector, estimate_batch
+from beliefsel.neighbors import neighborhood
 from beliefsel.redundancy import RedundancyTable
-from oracles import normalized
+from oracles import normalized, sfs_reference
 from beliefsel.selection import (RankingResult, SelectorConfig, minmax_normalize,
                                  run_belief, sfs)
 
@@ -52,12 +53,12 @@ def rescoring_oracle(weights, red, n_select, theta):
 
 
 @st.composite
-def tied_selections(draw):
-    """(weights, redundancy table or None) over 1-10 features.  Weights and
+def tied_selections(draw, max_n=10):
+    """(weights, redundancy table or None) over 1-max_n features.  Weights and
     raw redundancy values come from a few levels, so scores tie often; the
     table tracks a random subset of the features, and both orientations of
     a both-tracked pair hold one value."""
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(1, max_n))
     w = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), min_size=n, max_size=n))
     weights = WeightVector(np.array(w), "test")
     if draw(st.booleans()):
@@ -148,6 +149,32 @@ class TestSfs:
         got = sfs(weights, red, n_select, theta=theta)
         assert [(s.feature, s.score) for s in got.selected] == \
             rescoring_oracle(weights, red, n_select, theta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=tied_selections(max_n=40), theta=st.sampled_from([0.0, 0.5, 3.0]),
+           data=st.data())
+    def test_matches_the_per_pick_sort_reference(self, case, theta, data):
+        # Every field of every pick, bit for bit: one sort at theta 0 or
+        # without a table, one argmax per pick otherwise.
+        weights, red = case
+        n_select = data.draw(st.integers(1, weights.values.size))
+        assert sfs(weights, red, n_select, theta=theta).selected == \
+            sfs_reference(weights, red, n_select, theta)
+
+    def test_a_ranking_is_one_sort(self, monkeypatch):
+        # The per-pick sort of every remaining candidate took about 20 s
+        # on 20,000 features; a ranking sorts once, a penalized pick sorts
+        # nothing.
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        values = np.random.default_rng(3).standard_normal(20_000)
+        res = sfs(WeightVector(values, "test"), None, 20_000, theta=0.0)
+        assert res.selected_features() == np.argsort(-values, kind="stable").tolist()
+        weights = wvec(1.0, 1.0, 0.6, 0.0)
+        red = red_table(4, {(0, 1): 1.0, (0, 2): 0.1, (1, 2): 0.1})
+        assert sfs(weights, red, 4, theta=0.5).selected_features() == [0, 2, 1, 3]
+        assert len(calls) == 1
 
     def test_reported_score_decomposition(self):
         weights = wvec(1.0, 0.8, 0.2)
@@ -359,11 +386,19 @@ class TestRunBelief:
         assert 4000 not in strong.selected_features()
 
     def test_window_excludes_untracked_pairs_not_weights(self):
-        ds = gaussian_classes(4)
-        wide = run_belief(ds, SelectorConfig(n_select=2, eta=4.0))
-        narrow = run_belief(ds, SelectorConfig(n_select=2, eta=0.5))
-        np.testing.assert_allclose(wide.weights.values, narrow.weights.values,
-                                   atol=1e-12)
+        # The window decides which pairs' collisions fold, never the
+        # distance sums the weights come from: no window, a window of two
+        # features and every feature give the same sums, bit for bit.
+        ds = zscore_normalize(gaussian_classes(4))
+        pdata = partition(ds, 2)
+        batch = draw_sample(pdata, 1.0, 1, seed=0)[0]
+        table = neighborhood(pdata, batch, 3)
+        runs = [estimate_batch(pdata, batch, table, tracked=t)
+                for t in (None, [1, 5], range(ds.n_features))]
+        assert [s.collisions.tracked.size for s in runs] == [0, 2, ds.n_features]
+        for name in ("miss_dist", "hit_dist", "miss_count", "hit_count"):
+            for stats in runs[1:]:
+                assert np.array_equal(getattr(stats, name), getattr(runs[0], name)), name
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
     def test_sparse_input_matches_its_dense_equivalent(self, seed):
@@ -398,20 +433,17 @@ class TestRunBelief:
 
     @pytest.mark.parametrize("bad", [
         {"kappa": 1.5}, {"kappa": -0.1}, {"kappa": float("nan")},
-        {"theta": float("nan")}, {"theta": float("inf")}, {"theta": -0.5},
-        {"eta": float("nan")}, {"eta": float("inf")}, {"eta": 0.0},
-        {"eta": -1.0}])
+        {"theta": float("nan")}, {"theta": float("inf")}, {"theta": -0.5}])
     def test_bad_config_value_is_data_error(self, bad):
-        # kappa outside [0, 1] used to discard every collision, a NaN
-        # theta gave an arbitrary selection, and a NaN eta raised a bare
-        # ValueError from math.ceil.
+        # kappa outside [0, 1] used to discard every collision, and a NaN
+        # theta gave an arbitrary selection.
         ds = gaussian_classes(6, m=30)
         with pytest.raises(DataError, match=next(iter(bad))):
             run_belief(ds, SelectorConfig(n_select=2, **bad))
 
     def test_config_bounds_are_accepted(self):
         ds = gaussian_classes(6, m=30)
-        for ok in ({"kappa": 0.0}, {"kappa": 1.0}, {"theta": 0.0}, {"eta": 1e-3}):
+        for ok in ({"kappa": 0.0}, {"kappa": 1.0}, {"theta": 0.0}):
             run_belief(ds, SelectorConfig(n_select=2, **ok))
 
 
