@@ -12,7 +12,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DataError
-from .selection import RankingResult, SelectedFeature
+from .selection import RankingResult
 from .estimation import WeightVector
 
 __all__ = [
@@ -167,27 +167,21 @@ def mrmr_select(dataset: Dataset, n_select: int, bins: int = 10) -> RankingResul
     relevance = _mi_with(codes, top, np.arange(n), dataset.labels)
 
     # total[i] is the running sum of MI(i, j) over the selected features j,
-    # added one pick at a time in pick order.
+    # added one pick at a time in pick order.  Each pick is the first
+    # maximum of the scores, picked features at -inf.
     total = np.zeros(n)
-    selected: list[SelectedFeature] = []
+    picks = np.empty(n_select, dtype=np.int64)
+    penalties, scores = np.empty(n_select), np.empty(n_select)
     remaining = np.ones(n, dtype=bool)
-    for _ in range(n_select):
-        cand = np.flatnonzero(remaining)
-        red = total[cand] / len(selected) if selected else np.zeros(cand.size)
-        scores = relevance[cand] - red
-        pick = int(cand[np.lexsort((cand, -scores))[0]])
-        pos = int(np.flatnonzero(cand == pick)[0])
-        selected.append(SelectedFeature(
-            feature=pick,
-            weight=float(relevance[pick]),
-            normalized_weight=float(relevance[pick]),
-            penalty=float(red[pos]),
-            score=float(scores[pos]),
-        ))
-        remaining[pick] = False
-        if len(selected) < n_select:
+    for s in range(n_select):
+        penalty = total / s if s else total  # zeros before the first pick
+        score = np.where(remaining, relevance - penalty, -np.inf)
+        best = int(np.argmax(score))
+        picks[s], penalties[s], scores[s] = best, penalty[best], score[best]
+        remaining[best] = False
+        if s + 1 < n_select:
             rest = np.flatnonzero(remaining)
-            total[rest] += _mi_with(codes, top, rest, codes[pick])
+            total[rest] += _mi_with(codes, top, rest, codes[best])
     weights = WeightVector(values=relevance, method="mrmr")
-    return RankingResult(selected=selected, weights=weights,
+    return RankingResult(picks, relevance[picks], penalties, scores, weights,
                          metadata={"bins": bins})

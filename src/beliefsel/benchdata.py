@@ -51,6 +51,9 @@ class GroundTruth:
 
     @classmethod
     def from_json_obj(cls, doc: dict) -> "GroundTruth":
+        for key in ("n_features", "relevant"):
+            if not isinstance(doc, dict) or key not in doc:
+                raise DataError(f"ground truth has no {key!r} key")
         groups = doc.get("groups")
         return cls(
             n_features=int(doc["n_features"]),
@@ -65,7 +68,10 @@ class GroundTruth:
 
     @classmethod
     def read(cls, stream: IO[str]) -> "GroundTruth":
-        return cls.from_json_obj(json.load(stream))
+        try:
+            return cls.from_json_obj(json.load(stream))
+        except (json.JSONDecodeError, DataError) as exc:
+            raise DataError(f"{getattr(stream, 'name', 'ground truth')}: {exc}") from None
 
 
 def success_score(selected: Sequence[int], truth: GroundTruth,

@@ -171,7 +171,9 @@ def cmd_rank(args) -> int:
     if args.threshold is not None:
         wn = minmax_normalize(result.weights.values)
         result.metadata["above_threshold"] = (wn > args.threshold).nonzero()[0].tolist()
-    result.selected = result.selected[:args.nfeat]  # all of them without --nfeat
+    for name in ("features", "normalized", "penalties", "scores"):
+        # Copies, so the unprinted picks go before rendering; all without --nfeat.
+        setattr(result, name, getattr(result, name)[:args.nfeat].copy())
     _emit(result.to_json_obj(), args)
     return 0
 
@@ -196,8 +198,13 @@ def cmd_eval(args) -> int:
     doc: dict = {}
     if args.selection and args.truth:
         with open(args.selection) as fh:
-            sel_doc = json.load(fh)
-        selected = [int(s["feature"]) for s in sel_doc.get("selected", [])]
+            try:
+                entries = json.load(fh).get("selected", [])
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{args.selection}: {exc}") from None
+        if not all("feature" in s for s in entries):
+            raise DataError(f"{args.selection}: a selected entry has no 'feature' key")
+        selected = [int(s["feature"]) for s in entries]
         with open(args.truth) as fh:
             truth = GroundTruth.read(fh)
         doc["success"] = success_score(selected, truth, zeta=args.zeta)
@@ -205,13 +212,10 @@ def cmd_eval(args) -> int:
     elif args.truth or args.selection:
         raise DataError("success scoring needs both --selection and --truth")
     if args.cv:
-        if args.method == "mrmr":
-            select_fn = lambda train: [
-                s.feature for s in mrmr_select(train, args.nfeat, args.bins).selected]
-        else:
-            select_fn = lambda train: run_belief(
-                train, _selector_config(args, args.nfeat, args.theta)
-            ).selected_features()
+        select_fn = lambda train: (
+            mrmr_select(train, args.nfeat, args.bins) if args.method == "mrmr"
+            else run_belief(train, _selector_config(args, args.nfeat, args.theta))
+        ).selected_features()
         doc["cv"] = cross_validate(ds, folds=args.cv, select_fn=select_fn,
                                    knn_k=args.knn_k, seed=args.seed)
     if not doc:

@@ -788,7 +788,7 @@ def draw_sample(pdata: PartitionedDataset, rate: float, batches: int = 1,
         raise DataError(f"sample rate must be in (0, 1], got {rate}")
     if batches < 1:
         raise DataError(f"batch count must be >= 1, got {batches}")
-    size = math.ceil(rate * m)
+    size = math.ceil(round(rate * m, 9))  # 0.07 * 100 is 7.000000000000001
     rng = np.random.default_rng(seed)
     chosen = rng.choice(m, size=size, replace=False).astype(np.int64)
     out = []

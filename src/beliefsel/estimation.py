@@ -69,10 +69,9 @@ class WeightVector:
         return np.lexsort((np.arange(n), -self.values))
 
     def to_json_obj(self) -> list[dict]:
-        return [
-            {"feature": int(j), "weight": float(self.values[j])}
-            for j in self.ranking()
-        ]
+        order = self.ranking()
+        return [{"feature": j, "weight": w}
+                for j, w in zip(order.tolist(), self.values[order].tolist())]
 
 
 @dataclass

@@ -37,7 +37,6 @@ from .redundancy import (FIRST_BATCH_ETA, LATER_BATCH_ETA, RedundancyTable,
 
 __all__ = [
     "SelectorConfig",
-    "SelectedFeature",
     "RankingResult",
     "minmax_normalize",
     "sfs",
@@ -60,28 +59,26 @@ class SelectorConfig:
 
 
 @dataclass
-class SelectedFeature:
-    feature: int
-    weight: float
-    normalized_weight: float
-    penalty: float
-    score: float
-
-
-@dataclass
 class RankingResult:
-    """Ordered selection plus the full weight vector and run metadata."""
+    """Ordered picks plus the full weight vector and run metadata: pick s is
+    ``features[s]``, with ``normalized[s]``, ``penalties[s]`` and ``scores[s]``."""
 
-    selected: list
+    features: np.ndarray
+    normalized: np.ndarray
+    penalties: np.ndarray
+    scores: np.ndarray
     weights: WeightVector
     metadata: dict = field(default_factory=dict)
 
     def selected_features(self) -> list[int]:
-        return [s.feature for s in self.selected]
+        return self.features.tolist()
 
     def to_json_obj(self) -> dict:
+        keys = ("feature", "weight", "normalized_weight", "penalty", "score")
+        columns = (self.features, self.weights.values[self.features],
+                   self.normalized, self.penalties, self.scores)
         return {
-            "selected": [asdict(s) for s in self.selected],
+            "selected": [dict(zip(keys, pick)) for pick in zip(*(c.tolist() for c in columns))],
             "weights": self.weights.to_json_obj(),
             "method": self.weights.method,
             "metadata": self.metadata,
@@ -117,18 +114,13 @@ def sfs(weights: WeightVector, redundancy: RedundancyTable | None,
         picks = np.empty(n_select, dtype=np.int64)
         penalties, scores = np.empty(n_select), np.empty(n_select)
         penalty = np.zeros(n)
-        score = wn - theta * penalty
         for s in range(n_select):
+            score = wn - theta * penalty
+            score[picks[:s]] = -np.inf
             best = int(np.argmax(score))
             picks[s], penalties[s], scores[s] = best, penalty[best], score[best]
-            # One new term per candidate: the feature just picked.
-            penalty += redundancy.normalized_row(best)
-            score = wn - theta * penalty
-            score[picks[:s + 1]] = -np.inf
-    selected = [SelectedFeature(*entry) for entry in zip(
-        picks.tolist(), weights.values[picks].tolist(), wn[picks].tolist(),
-        penalties.tolist(), scores.tolist())]
-    return RankingResult(selected=selected, weights=weights)
+            penalty += redundancy.normalized_row(best)  # one new term per candidate
+    return RankingResult(picks, wn[picks], penalties, scores, weights)
 
 
 def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:

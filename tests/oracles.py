@@ -32,7 +32,7 @@ from beliefsel.errors import DataError
 from beliefsel.estimation import WeightVector
 from beliefsel.neighbors import pair_diffs
 from beliefsel.redundancy import COLLISION_SPAN, CollisionTables, RedundancyTable
-from beliefsel.selection import SelectedFeature, minmax_normalize
+from beliefsel.selection import RankingResult, minmax_normalize
 
 
 # -- mutual information -----------------------------------------------------
@@ -247,7 +247,7 @@ def normalized(red: RedundancyTable, i: int, j: int) -> float:
 
 
 def sfs_reference(weights: WeightVector, redundancy: RedundancyTable | None,
-                  n_select: int, theta: float) -> list[SelectedFeature]:
+                  n_select: int, theta: float) -> RankingResult:
     """``sfs``'s picks by a ``lexsort`` of every remaining candidate per
     pick, by score and then index; the penalty grows by the picked
     feature's normalized row after each pick."""
@@ -256,16 +256,14 @@ def sfs_reference(weights: WeightVector, redundancy: RedundancyTable | None,
     penalize = theta != 0.0 and redundancy is not None
     penalty = np.zeros(n)
     remaining = np.ones(n, dtype=bool)
-    selected = []
+    picks = []
     for _ in range(n_select):
         scores = wn - theta * penalty if penalize else wn
         cand = np.flatnonzero(remaining)
         best = int(cand[np.lexsort((cand, -scores[cand]))[0]])
-        selected.append(SelectedFeature(
-            feature=best, weight=float(weights.values[best]),
-            normalized_weight=float(wn[best]), penalty=float(penalty[best]),
-            score=float(scores[best])))
+        picks.append((best, wn[best], penalty[best], scores[best]))
         remaining[best] = False
         if penalize:
             penalty += redundancy.normalized_row(best)
-    return selected
+    features, normalized, penalties, scores = (np.array(c) for c in zip(*picks))
+    return RankingResult(features, normalized, penalties, scores, weights)

@@ -166,13 +166,12 @@ class TestMrmrSelect:
         res = mrmr_select(ds, 4)
         codes = [X[:, j].astype(int) for j in range(6)]
         chosen = []
-        for item in res.selected:
-            j = item.feature
+        for j, norm, score in zip(res.features, res.normalized, res.scores):
             rel = mutual_information(codes[j], y)
             pen = (sum(mutual_information(codes[j], codes[c]) for c in chosen)
                    / len(chosen)) if chosen else 0.0
-            assert item.weight == pytest.approx(rel, abs=1e-12)
-            assert item.score == pytest.approx(rel - pen, abs=1e-12)
+            assert res.weights.values[j] == norm == pytest.approx(rel, abs=1e-12)
+            assert score == pytest.approx(rel - pen, abs=1e-12)
             chosen.append(j)
 
     def test_deterministic_across_runs(self):
@@ -195,7 +194,8 @@ class TestMrmrSelect:
                             for j in range(8)])
         whole = mrmr_select(ds, 4)
         monkeypatch.setattr(baselines, "_COLUMN_BLOCK_BYTES", budget)
-        assert mrmr_select(ds, 4).selected == whole.selected
+        blocked = mrmr_select(ds, 4)
+        assert blocked.to_json_obj()["selected"] == whole.to_json_obj()["selected"]
 
     def test_sparse_columns_are_read_a_block_at_a_time(self):
         # All 3000 columns as floats next to their codes would take 48 MB.
@@ -253,10 +253,10 @@ class TestMrmrSelect:
             tracemalloc.stop()
         assert peak <= 8 * m * n + baselines._COLUMN_BLOCK_BYTES + table + (1 << 17)
         codes = X.astype(int)
-        pick = res.selected[0].feature
-        for item in res.selected[1:]:
-            pen = mutual_information(codes[:, item.feature], codes[:, pick])
-            assert item.penalty == pytest.approx(pen, abs=1e-12)
+        pick = res.features[0]
+        for j, penalty in zip(res.features[1:], res.penalties[1:]):
+            pen = mutual_information(codes[:, j], codes[:, pick])
+            assert penalty == pytest.approx(pen, abs=1e-12)
 
     def test_selection_size_validated(self):
         ds = Dataset(np.zeros((4, 2)), [0, 1, 0, 1], [FeatureKind.NUMERIC] * 2)

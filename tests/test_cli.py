@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, files, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +189,27 @@ class TestEval:
         assert main(["eval", "--input", str(data),
                      "--truth", str(truth_path)]) == 2
 
+    @pytest.mark.parametrize("bad,text,message", [
+        ("truth", '{"n_features": 33', "Expecting"),
+        ("truth", '{"n_features": 33}', "ground truth has no 'relevant' key"),
+        ("truth", "[33]", "ground truth has no 'n_features' key"),
+        ("selection", "not json", "Expecting value"),
+        ("selection", '{"selected": [{"feature": 0}, {"score": 1.0}]}',
+         "a selected entry has no 'feature' key"),
+    ])
+    def test_malformed_json_is_exit_two(self, tmp_path, capsys, bad, text, message):
+        # These died with a KeyError or JSONDecodeError traceback, exit 1.
+        data, truth_path = run_gen(tmp_path)
+        sel = tmp_path / "sel.json"
+        sel.write_text('{"selected": [{"feature": 0}]}')
+        files = {"selection": sel, "truth": truth_path}
+        files[bad] = tmp_path / "bad.json"
+        files[bad].write_text(text)
+        assert main(["eval", "--input", str(data), "--selection", str(files["selection"]),
+                     "--truth", str(files["truth"])]) == 2
+        err = capsys.readouterr().err
+        assert f"{files[bad]}: " in err and message in err
+
     def test_no_mode_at_all_is_exit_two(self, tmp_path):
         data, _ = run_gen(tmp_path)
         assert main(["eval", "--input", str(data)]) == 2
@@ -267,3 +289,218 @@ class TestCsvLabelColumn:
         assert main(base + ["--label-column", "0", "--out", str(out_pos)]) == 0
         assert main(base + ["--label-column", "class", "--out", str(out_name)]) == 0
         assert stable_report(out_pos) == stable_report(out_name)
+
+
+# -- the JSON layout, pinned ---------------------------------------------------
+
+TINY_CSV = """\
+a,b,c,d,class
+-0.4,0.0,-0.2,-0.2,0
+1.1,0.3,0.3,-0.0,1
+0.6,-0.7,-0.4,-0.9,0
+-0.7,-1.7,0.1,-0.8,1
+-0.8,-0.6,0.4,0.6,0
+1.7,1.4,3.0,0.3,1
+0.2,-2.2,-1.7,2.2,0
+3.7,0.9,-0.1,0.6,1
+"""
+
+# Each command's JSON on TINY_CSV, with every timing read as 0.0.
+PINNED = {
+    ("select", "--nfeat", "2"): """\
+{
+  "selected": [
+    {
+      "feature": 0,
+      "weight": 0.18954166526829952,
+      "normalized_weight": 1.0,
+      "penalty": 0.0,
+      "score": 1.0
+    },
+    {
+      "feature": 1,
+      "weight": -0.039826849819513566,
+      "normalized_weight": 0.5816670514029497,
+      "penalty": 0.811529163971053,
+      "score": 0.1759024694174232
+    }
+  ],
+  "weights": [
+    {
+      "feature": 0,
+      "weight": 0.18954166526829952
+    },
+    {
+      "feature": 1,
+      "weight": -0.039826849819513566
+    },
+    {
+      "feature": 2,
+      "weight": -0.2945718858876847
+    },
+    {
+      "feature": 3,
+      "weight": -0.35875011011549196
+    }
+  ],
+  "method": "belief",
+  "metadata": {
+    "config": {
+      "n_select": 2,
+      "k": 3,
+      "sample_rate": 1.0,
+      "batches": 1,
+      "theta": 0.5,
+      "kappa": 0.8,
+      "partitions": 1,
+      "seed": 0
+    },
+    "n_instances": 8,
+    "n_features": 4,
+    "n_classes": 2,
+    "sample_size": 8,
+    "timings": {
+      "normalize_s": 0.0,
+      "sample_s": 0.0,
+      "search_s": 0.0,
+      "estimate_s": 0.0,
+      "redundancy_s": 0.0,
+      "select_s": 0.0
+    },
+    "locator_records": 48,
+    "measured_pairs": 48,
+    "locator_bytes": 768,
+    "full_instance_bytes": 1536
+  }
+}
+""",
+    ("rank", "--nfeat", "3"): """\
+{
+  "selected": [
+    {
+      "feature": 0,
+      "weight": 0.18954166526829952,
+      "normalized_weight": 1.0,
+      "penalty": 0.0,
+      "score": 1.0
+    },
+    {
+      "feature": 1,
+      "weight": -0.039826849819513566,
+      "normalized_weight": 0.5816670514029497,
+      "penalty": 0.0,
+      "score": 0.5816670514029497
+    },
+    {
+      "feature": 2,
+      "weight": -0.2945718858876847,
+      "normalized_weight": 0.1170512254773182,
+      "penalty": 0.0,
+      "score": 0.1170512254773182
+    }
+  ],
+  "weights": [
+    {
+      "feature": 0,
+      "weight": 0.18954166526829952
+    },
+    {
+      "feature": 1,
+      "weight": -0.039826849819513566
+    },
+    {
+      "feature": 2,
+      "weight": -0.2945718858876847
+    },
+    {
+      "feature": 3,
+      "weight": -0.35875011011549196
+    }
+  ],
+  "method": "belief",
+  "metadata": {
+    "config": {
+      "n_select": 4,
+      "k": 3,
+      "sample_rate": 1.0,
+      "batches": 1,
+      "theta": 0.0,
+      "kappa": 0.8,
+      "partitions": 1,
+      "seed": 0
+    },
+    "n_instances": 8,
+    "n_features": 4,
+    "n_classes": 2,
+    "sample_size": 8,
+    "timings": {
+      "normalize_s": 0.0,
+      "sample_s": 0.0,
+      "search_s": 0.0,
+      "estimate_s": 0.0,
+      "redundancy_s": 0.0,
+      "select_s": 0.0
+    },
+    "locator_records": 48,
+    "measured_pairs": 48,
+    "locator_bytes": 768,
+    "full_instance_bytes": 1536
+  }
+}
+""",
+    ("mrmr", "--nfeat", "2"): """\
+{
+  "selected": [
+    {
+      "feature": 1,
+      "weight": 0.75,
+      "normalized_weight": 0.75,
+      "penalty": 0.0,
+      "score": 0.75
+    },
+    {
+      "feature": 0,
+      "weight": 0.6556390622295665,
+      "normalized_weight": 0.6556390622295665,
+      "penalty": 1.9056390622295665,
+      "score": -1.25
+    }
+  ],
+  "weights": [
+    {
+      "feature": 1,
+      "weight": 0.75
+    },
+    {
+      "feature": 0,
+      "weight": 0.6556390622295665
+    },
+    {
+      "feature": 2,
+      "weight": 0.4056390622295664
+    },
+    {
+      "feature": 3,
+      "weight": 0.25
+    }
+  ],
+  "method": "mrmr",
+  "metadata": {
+    "bins": 10
+  }
+}
+""",
+}
+
+
+class TestPinnedLayout:
+    @pytest.mark.parametrize("argv", list(PINNED), ids=lambda argv: argv[0])
+    def test_report_text_is_unchanged(self, tmp_path, argv):
+        # Keys, key order and the repr of every float: a change to the
+        # result layout cannot alter the report silently.
+        data = tmp_path / "tiny.csv"
+        data.write_text(TINY_CSV)
+        out = tmp_path / "out.json"
+        assert main([argv[0], "--input", str(data), "--out", str(out), *argv[1:]]) == 0
+        text = re.sub(r'("[a-z]+_s": )[^,\n]+', r"\g<1>0.0", out.read_text())
+        assert text == PINNED[argv]

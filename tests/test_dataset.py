@@ -628,6 +628,13 @@ class TestDrawSample:
         batches = draw_sample(pd, 0.25, 1, seed=1)
         assert sum(len(b) for b in batches) == 3  # ceil(2.5)
 
+    @pytest.mark.parametrize("rate,m,size", [(0.07, 100, 7), (0.28, 75, 21),
+                                             (0.05, 10_000, 500)])
+    def test_size_of_a_product_just_above_an_integer(self, rate, m, size):
+        # 0.07 * 100 is 7.000000000000001 in float64; its ceiling drew 8.
+        pd = partition(make_dense(m=m, n=1), 1)
+        assert sum(len(b) for b in draw_sample(pd, rate, 2, seed=0)) == size
+
     def test_without_replacement_and_deterministic(self):
         ds = make_dense(m=50)
         pd = partition(ds, 4)

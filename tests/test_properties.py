@@ -89,7 +89,7 @@ def test_valid_input_gives_finite_weights(data, normalized, pick):
     result = run_belief(build(X, y, kinds, sparse, normalized=normalized),
                         pick.draw(configs(X.shape[1])))
     assert np.isfinite(result.weights.values).all()
-    assert len(result.selected) == len(set(result.selected_features()))
+    assert result.features.size == len(set(result.selected_features()))
 
 
 def full_window_stats(ds, config):

@@ -32,6 +32,11 @@ def red_table(n, pairs):
                            lo=lo, hi=hi)
 
 
+def picks(res):
+    """Every field of every pick of a ``RankingResult``, as lists."""
+    return [c.tolist() for c in (res.features, res.normalized, res.penalties, res.scores)]
+
+
 def rescoring_oracle(weights, red, n_select, theta):
     """(feature, score) picks of a forward selection that re-scores every
     remaining candidate from scratch at each step; ties go to the lower
@@ -147,7 +152,7 @@ class TestSfs:
         weights, red = case
         n_select = data.draw(st.integers(1, weights.values.size))
         got = sfs(weights, red, n_select, theta=theta)
-        assert [(s.feature, s.score) for s in got.selected] == \
+        assert list(zip(got.features.tolist(), got.scores.tolist())) == \
             rescoring_oracle(weights, red, n_select, theta)
 
     @settings(max_examples=300, deadline=None)
@@ -158,8 +163,8 @@ class TestSfs:
         # without a table, one argmax per pick otherwise.
         weights, red = case
         n_select = data.draw(st.integers(1, weights.values.size))
-        assert sfs(weights, red, n_select, theta=theta).selected == \
-            sfs_reference(weights, red, n_select, theta)
+        assert picks(sfs(weights, red, n_select, theta=theta)) == \
+            picks(sfs_reference(weights, red, n_select, theta))
 
     def test_a_ranking_is_one_sort(self, monkeypatch):
         # The per-pick sort of every remaining candidate took about 20 s
@@ -180,11 +185,9 @@ class TestSfs:
         weights = wvec(1.0, 0.8, 0.2)
         red = red_table(3, {(0, 1): 1.0})
         res = sfs(weights, red, 2, theta=0.5)
-        second = res.selected[1]
-        assert second.feature == 1
-        assert second.score == pytest.approx(
-            second.normalized_weight - 0.5 * second.penalty)
-        assert res.selected[0].penalty == 0.0
+        assert res.features[1] == 1
+        assert res.scores[1] == pytest.approx(res.normalized[1] - 0.5 * res.penalties[1])
+        assert res.penalties[0] == 0.0
 
     def test_selection_size_bounds(self):
         with pytest.raises(DataError):
@@ -380,7 +383,7 @@ class TestRunBelief:
         plain = run_belief(ds, SelectorConfig(n_select=3, batches=1, theta=0.0))
         assert plain.selected_features()[:2] == [7, 4000]
         res = run_belief(ds, SelectorConfig(n_select=3, batches=1, theta=0.5))
-        assert any(s.penalty != 0.0 for s in res.selected)
+        assert np.any(res.penalties != 0.0)
         strong = run_belief(ds, SelectorConfig(n_select=3, batches=1, theta=5.0))
         assert strong.selected_features()[0] == 7
         assert 4000 not in strong.selected_features()
@@ -453,3 +456,34 @@ class TestRankingResult:
         obj = res.to_json_obj()
         assert [s["feature"] for s in obj["selected"]] == [1, 0]
         assert obj["method"] == "test"
+
+    def test_picks_are_arrays_and_json_entries_read_them(self):
+        weights = wvec(1.0, 1.0, 0.6, 0.0)
+        red = red_table(4, {(0, 1): 1.0, (0, 2): 0.1, (1, 2): 0.1})
+        res = sfs(weights, red, 3, theta=0.5)
+        assert res.features.dtype == np.int64
+        for col in (res.normalized, res.penalties, res.scores):
+            assert col.dtype == np.float64 and col.shape == (3,)
+        entries = res.to_json_obj()["selected"]
+        assert [list(e) for e in entries] == [
+            ["feature", "weight", "normalized_weight", "penalty", "score"]] * 3
+        assert [[type(v) for v in e.values()] for e in entries] == [
+            [int, float, float, float, float]] * 3
+        assert [e["feature"] for e in entries] == res.selected_features() == [0, 2, 1]
+        assert [e["weight"] for e in entries] == [1.0, 0.6, 1.0]
+        assert [[e["normalized_weight"], e["penalty"], e["score"]] for e in entries] == \
+            np.column_stack(picks(res)[1:]).tolist()
+
+    def test_a_ranking_holds_arrays_not_objects(self):
+        # One object per pick (a dataclass, its dict and four floats) took
+        # about 320 bytes a feature; a ranking's arrays take five words.
+        n = 100_000
+        weights = WeightVector(np.random.default_rng(4).standard_normal(n), "test")
+        tracemalloc.start()
+        try:
+            res = sfs(weights, None, n, theta=0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.features.size == n
+        assert peak <= 8 * 8 * n
