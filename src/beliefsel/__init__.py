@@ -12,7 +12,7 @@ from .dataset import (Dataset, FeatureKind, PartitionedDataset, SampleBatch,
 from .errors import DataError, IntegrityError
 from .neighbors import NeighborTable, neighborhood
 from .estimation import ClassDistanceStats, WeightVector, belief_weights, estimate_batch
-from .redundancy import CollisionTables, RedundancyTable, compute_mcr, eta_tracked
+from .redundancy import CollisionTables, RedundancyTable, compute_mcr
 from .selection import RankingResult, SelectorConfig, minmax_normalize, run_belief, sfs
 from .baselines import discretize_equal_width, mrmr_select
 from .benchdata import GroundTruth, generate, success_score
@@ -27,7 +27,6 @@ __all__ = [
     "NeighborTable", "neighborhood",
     "ClassDistanceStats", "WeightVector", "belief_weights", "estimate_batch",
     "CollisionTables", "RedundancyTable", "compute_mcr",
-    "eta_tracked",
     "RankingResult", "SelectorConfig", "minmax_normalize", "run_belief", "sfs",
     "discretize_equal_width", "mrmr_select",
     "GroundTruth", "generate", "success_score",

@@ -199,12 +199,17 @@ def cmd_eval(args) -> int:
     if args.selection and args.truth:
         with open(args.selection) as fh:
             try:
-                entries = json.load(fh).get("selected", [])
+                doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{args.selection}: {exc}") from None
-        if not all("feature" in s for s in entries):
+        entries = doc.get("selected", []) if isinstance(doc, dict) else None
+        if not isinstance(entries, list):
+            raise DataError(f"{args.selection}: not an object with a 'selected' list")
+        if not all(isinstance(s, dict) and "feature" in s for s in entries):
             raise DataError(f"{args.selection}: a selected entry has no 'feature' key")
-        selected = [int(s["feature"]) for s in entries]
+        selected = [s["feature"] for s in entries]
+        if not all(type(j) is int for j in selected):  # not bool, float or str
+            raise DataError(f"{args.selection}: a selected 'feature' is not an integer")
         with open(args.truth) as fh:
             truth = GroundTruth.read(fh)
         doc["success"] = success_score(selected, truth, zeta=args.zeta)

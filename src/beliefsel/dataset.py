@@ -762,7 +762,9 @@ class SampleBatch:
     """A batch of sampled instances, each carried as a full copy.
 
     ``indices`` are global row ids in the source dataset; ``rows`` is a
-    dense matrix or a ``SparseRows`` aligned with them.
+    dense matrix or a ``SparseRows`` aligned with them, holding the rows as
+    ``feature_space().scaled`` reads them (on the z-scale when the dataset
+    is normalized).
     """
 
     indices: np.ndarray
@@ -780,7 +782,8 @@ def draw_sample(pdata: PartitionedDataset, rate: float, batches: int = 1,
     The draw is stratification-free and independent of the partition
     layout; the same (rate, seed) always yields the same sample.  The
     sample is then cut into ``batches`` chunks whose sizes differ by at
-    most one.
+    most one.  Each chunk's rows are copied once and scaled in that copy,
+    so searching and weighing read them without scaling them again.
     """
     ds = pdata.dataset
     m = ds.n_instances
@@ -791,8 +794,10 @@ def draw_sample(pdata: PartitionedDataset, rate: float, batches: int = 1,
     size = math.ceil(round(rate * m, 9))  # 0.07 * 100 is 7.000000000000001
     rng = np.random.default_rng(seed)
     chosen = rng.choice(m, size=size, replace=False).astype(np.int64)
+    space = ds.feature_space()
     out = []
     for part in np.array_split(chosen, batches):
+        rows = ds.rows[part]  # fancy indexing copies
         out.append(SampleBatch(indices=part, labels=ds.labels[part],
-                               rows=ds.rows[part]))  # fancy indexing copies
+                               rows=space.scaled(rows, out=rows)))
     return out

@@ -159,9 +159,7 @@ def accumulate_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
             ci = i[lo:hi]
             nbrs = ds.rows[rows[ci, c[lo:hi], j[lo:hi]]]
             nbrs = space.scaled(nbrs, out=nbrs)  # in place when dense
-            first = np.diff(ci, prepend=-1) != 0  # each sample is scaled once
-            own = batch.rows[ci[first]]
-            own = space.scaled(own, out=own)[np.cumsum(first) - 1]
+            own = batch.rows[ci]  # already scaled
             if ds.is_sparse:  # within the chunk budget
                 nbrs, own = nbrs.to_dense(n), own.to_dense(n)
             diffs = pair_diffs(nbrs, own, space, out=nbrs)

@@ -18,7 +18,8 @@ the result does not depend on the partition count.
 
 Distances are Euclidean over per-feature diffs (``pair_diffs``): |a - b|
 for numeric values and a 0/1 indicator for nominal values, on rows read
-through ``FeatureSpace.scaled``.  The batch is put on the z-scale once.
+through ``FeatureSpace.scaled``.  The batch's rows are on the z-scale
+already: ``draw_sample`` scales them once.
 
 Each search step hands bounds on squared distances, each within a stated
 margin of its exact value, with the columns grouped by class.  A
@@ -442,15 +443,16 @@ def _search_block(stored, start: int, end: int, Q, space: FeatureSpace,
 
 
 def _search_partition(pdata: PartitionedDataset, g: int, batch: SampleBatch,
-                      Q, k: int, space: FeatureSpace):
+                      k: int, space: FeatureSpace):
     """Local top-k per class for every sampled instance, as the (rows,
     dist) arrays of a ``NeighborTable``, and the number of distances
-    measured exactly.  ``Q`` holds the batch's rows on the z-scale."""
+    measured exactly."""
     ds = pdata.dataset
     start = int(pdata.starts[g])
     end = int(pdata.starts[g + 1])
-    rows, dist, measured = _search_block(ds.rows, start, end, Q, space, ds.labels[start:end],
-                                         ds.n_classes, k, own=batch.indices - start)
+    rows, dist, measured = _search_block(ds.rows, start, end, batch.rows, space,
+                                         ds.labels[start:end], ds.n_classes, k,
+                                         own=batch.indices - start)
     rows[rows >= 0] += start
     return rows, dist, measured
 
@@ -609,10 +611,9 @@ def neighborhood(pdata: PartitionedDataset, batch: SampleBatch, k: int) -> Neigh
         raise DataError(f"k must be >= 1, got {k}")
     ds = pdata.dataset
     space = ds.feature_space()
-    Q = space.scaled(batch.rows)  # once per batch, shared by the partitions
     tiny = len(batch) * ds.n_instances * ds.n_features <= _INLINE_SEARCH
     parts = pdata.map_partitions(
-        lambda g: _search_partition(pdata, g, batch, Q, k, space),
+        lambda g: _search_partition(pdata, g, batch, k, space),
         workers=1 if tiny else pdata.n_partitions)
     rows, dist, measured = zip(*parts)
     rows, dist = np.concatenate(rows, axis=-1), np.concatenate(dist, axis=-1)

@@ -9,11 +9,10 @@ features collide exactly on equal codes (0/1, no kappa window).
 
 Marginal mass is accumulated for every feature on every processed pair.
 Joint mass is accumulated only for pairs involving at least one *tracked*
-feature (the relevance window: the top ceil(n_select * eta) features by
-weight, see ``eta_tracked``), as min(rate_i, rate_j) when both features
-collide.  The first batch has no earlier weights, so it takes its window
-from its own, at ``FIRST_BATCH_ETA`` (later ones: ``LATER_BATCH_ETA``); a
-window of t features costs t x n float64 of joint mass per partition.
+feature, as min(rate_i, rate_j) when both features collide.  Which
+features are tracked is the caller's choice (the selection pipeline's
+relevance window); t tracked features cost t x n float64 of joint mass
+per partition.
 
 Rates arrive in blocks of instance pairs and each block adds its own sum
 of mins to every owned cell.  A block of at least ``_TRANSPOSE_MIN_PAIRS``
@@ -33,7 +32,6 @@ keeps the measure exactly symmetric.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -44,23 +42,13 @@ from .dataset import FeatureSpace
 
 __all__ = [
     "COLLISION_SPAN",
-    "FIRST_BATCH_ETA",
-    "LATER_BATCH_ETA",
     "collision_rates",
     "CollisionTables",
     "RedundancyTable",
     "compute_mcr",
-    "eta_tracked",
-    "window_size",
 ]
 
 COLLISION_SPAN = 6.0
-# Eta of the first batch's window and of later batches'.  The first's
-# weights come from one batch only, so it looks wider: of 2, 5, 10 and 20,
-# 20 was the smallest that reproduced full tracking's selection on the
-# first 500 columns of sd3 for seeds 0-5.
-FIRST_BATCH_ETA = 20.0
-LATER_BATCH_ETA = 2.0
 # Row-block budget of compute_mcr.
 _MCR_BLOCK_BYTES = 1 << 20
 # Pairs from which a rate block folds features x pairs rather than pairs x
@@ -180,23 +168,19 @@ class CollisionTables:
     def merge(self, other: "CollisionTables") -> "CollisionTables":
         """Entrywise sum; tracked sets are unioned with rows realigned.
 
-        Tables with the same tracked set (the partition partials of one
-        batch) add their joint arrays directly, which gives the same bits
-        as realigning into zeros: 0 + a + b == a + b.
+        Each table's rows are added into zeros at their rows of the union,
+        so tables with the same tracked set (the partition partials of one
+        batch) give the bits of adding their joint arrays: 0 + a + b ==
+        a + b.
         """
         if self.n_features != other.n_features:
             raise IntegrityError("cannot merge tables over different feature counts")
-        if np.array_equal(self.tracked, other.tracked):
-            tracked = self.tracked.copy()
-            joint = self.joint + other.joint
-        else:
-            tracked = np.flatnonzero(np.bincount(np.concatenate([self.tracked, other.tracked]),
-                                                 minlength=self.n_features))
-            joint = np.zeros((tracked.size, self.n_features))
-            for src in (self, other):
-                if src.tracked.size:
-                    rows = np.searchsorted(tracked, src.tracked)
-                    joint[rows] += src.joint
+        tracked = np.flatnonzero(np.bincount(np.concatenate([self.tracked, other.tracked]),
+                                             minlength=self.n_features))
+        joint = np.zeros((tracked.size, self.n_features))
+        for src in (self, other):
+            if src.tracked.size:
+                joint[np.searchsorted(tracked, src.tracked)] += src.joint
         return CollisionTables(
             n_features=self.n_features,
             tracked=tracked,
@@ -276,25 +260,3 @@ def compute_mcr(tables: CollisionTables) -> RedundancyTable:
     hi = max(0.0, float(values.max(initial=0.0)))
     return RedundancyTable(n_features=tables.n_features, tracked=tracked.copy(),
                            values=values, lo=lo, hi=hi)
-
-
-def window_size(n_features: int, n_select: int, eta: float) -> int:
-    """Features in the relevance window: min(n, ceil(n_select * eta))."""
-    if n_select < 1:
-        raise DataError(f"selection size must be >= 1, got {n_select}")
-    if eta <= 0.0:
-        raise DataError(f"eta must be positive, got {eta}")
-    return min(n_features, math.ceil(n_select * eta))
-
-
-def eta_tracked(scores: np.ndarray, n_select: int, eta: float = LATER_BATCH_ETA) -> np.ndarray:
-    """Indices of the top ``window_size`` features by score.
-
-    Ties break toward the lower feature index; the result is sorted
-    ascending.  ``eta`` large enough to cover every feature saturates
-    tracking (all pairs observed).
-    """
-    n = scores.shape[0]
-    count = window_size(n, n_select, eta)
-    order = np.lexsort((np.arange(n), -scores))[:count]
-    return np.sort(order).astype(np.int64)

@@ -196,9 +196,16 @@ class TestEval:
         ("selection", "not json", "Expecting value"),
         ("selection", '{"selected": [{"feature": 0}, {"score": 1.0}]}',
          "a selected entry has no 'feature' key"),
+        ("selection", "[]", "not an object with a 'selected' list"),
+        ("selection", '{"selected": 5}', "not an object with a 'selected' list"),
+        ("selection", '{"selected": [3]}', "a selected entry has no 'feature' key"),
+        ("selection", '{"selected": [{"feature": "x"}]}', "is not an integer"),
+        ("selection", '{"selected": [{"feature": 1.5}]}', "is not an integer"),
     ])
     def test_malformed_json_is_exit_two(self, tmp_path, capsys, bad, text, message):
-        # These died with a KeyError or JSONDecodeError traceback, exit 1.
+        # These died with a KeyError, JSONDecodeError, AttributeError,
+        # TypeError or ValueError traceback, exit 1; a float feature was
+        # read as its integer part.
         data, truth_path = run_gen(tmp_path)
         sel = tmp_path / "sel.json"
         sel.write_text('{"selected": [{"feature": 0}]}')

@@ -1,5 +1,6 @@
 """Distance accumulation and weighting against hand-worked values."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -466,21 +467,26 @@ class TestFirstBatchWindow:
         """The batch loop with every tracked set known before its batch's
         single pass: the first from that batch's own weights at
         FIRST_BATCH_ETA, later ones from the weights so far at
-        LATER_BATCH_ETA."""
+        LATER_BATCH_ETA, each the top ceil(n_select * eta) by one stable
+        sort, ascending."""
         from beliefsel.neighbors import neighborhood
-        from beliefsel.redundancy import FIRST_BATCH_ETA, LATER_BATCH_ETA, eta_tracked
+        from beliefsel.selection import FIRST_BATCH_ETA, LATER_BATCH_ETA
         priors = pdata.dataset.class_priors()
+
+        def top(stats, eta):
+            values = belief_weights(stats, priors).values
+            order = np.lexsort((np.arange(values.size), -values))
+            return np.sort(order[:math.ceil(n_select * eta)])
+
         total, out = None, []
         for batch in batches:
             table = neighborhood(pdata, batch, k)
             if total is None:
-                w = belief_weights(estimate_batch(pdata, batch, table), priors)
-                tracked = eta_tracked(w.values, n_select, FIRST_BATCH_ETA)
+                tracked = top(estimate_batch(pdata, batch, table), FIRST_BATCH_ETA)
             out.append(estimate_batch(pdata, batch, table, tracked=tracked,
                                       kappa=kappa))
             total = out[-1] if total is None else merge_stats(total, out[-1])
-            tracked = eta_tracked(belief_weights(total, priors).values, n_select,
-                                  LATER_BATCH_ETA)
+            tracked = top(total, LATER_BATCH_ETA)
         return out
 
     @pytest.mark.parametrize("batches, calls", [(1, 2), (2, 3)])
@@ -506,11 +512,11 @@ class TestFirstBatchWindow:
         final = real(seen[-1], ds.class_priors())
         assert np.array_equal(result.weights.values, final.values)
 
-    # n_select 1 tracks 20 of 30 features in batch 1, so run_belief weighs
-    # it and folds its collisions in two calls; n_select 2 saturates the
-    # window (40 >= 30), so batch 1 takes a single call.
+    # run_belief weighs batch 1 and folds its collisions in two calls,
+    # whether the window leaves features out (n_select 1 tracks 20 of 30)
+    # or saturates (n_select 2: 40 >= 30); the reference takes one call.
     @pytest.mark.parametrize("kind", ["mixed", "sparse"])
-    @pytest.mark.parametrize("n_select, passes", [(1, 2), (2, 1)])
+    @pytest.mark.parametrize("n_select, passes", [(1, 2), (2, 2)])
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_run_belief_batches_equal_the_one_pass_reference(
             self, monkeypatch, p, n_select, passes, kind):

@@ -14,9 +14,8 @@ from beliefsel.dataset import (Dataset, FeatureKind, draw_sample, partition,
 from beliefsel.errors import DataError, IntegrityError
 from beliefsel.estimation import accumulate_partition
 from beliefsel.neighbors import NeighborTable, neighborhood, pair_diffs
-from beliefsel.redundancy import (COLLISION_SPAN, FIRST_BATCH_ETA,
-                                  CollisionTables, collision_rates, compute_mcr,
-                                  eta_tracked, window_size)
+from beliefsel.redundancy import (COLLISION_SPAN, CollisionTables, collision_rates,
+                                  compute_mcr)
 from oracles import (add_pair_rates, add_rate_rows, collision_rate, normalized,
                      pair_mass, raw)
 
@@ -281,7 +280,7 @@ class TestBatchedFold:
             mine = (table.rows >= pdata.starts[g]) & (table.rows < pdata.starts[g + 1])
             i, c, j = np.nonzero(mine)
             diffs = pair_diffs(space.scaled(ds.rows[table.rows[i, c, j]]),
-                               space.scaled(batch.rows[i]), space)
+                               batch.rows[i], space)
             rates = collision_rates(diffs, space, kappa=0.8)
             assert rates.shape[0] > 6 and rates.any()
             want = CollisionTables.empty(9, tracked)
@@ -494,39 +493,43 @@ class TestRedundancyMeasure:
 
 
 class TestTrackingWindows:
+    @staticmethod
+    def window(scores, n_select, eta):
+        """selection._window over one class whose weights are ``scores``."""
+        stats = estimation.ClassDistanceStats.zeros(1, scores.size)
+        stats.miss_dist[0] = scores
+        stats.miss_count[0] = stats.hit_count[0] = 1
+        return selection._window(stats, np.ones(1), n_select, eta)
+
     def test_window_size_is_ceiling(self):
         scores = np.arange(10.0)
-        assert eta_tracked(scores, 3, eta=2.0).size == 6
-        assert eta_tracked(scores, 2, eta=1.5).size == 3   # ceil(3.0)
-        assert eta_tracked(scores, 1, eta=0.5).size == 1   # ceil(0.5)
+        assert self.window(scores, 3, 2.0).size == 6
+        assert self.window(scores, 2, 1.5).size == 3   # ceil(3.0)
+        assert self.window(scores, 1, 0.5).size == 1   # ceil(0.5)
 
     def test_window_saturates_at_feature_count(self):
         scores = np.arange(4.0)
-        assert eta_tracked(scores, 3, eta=10.0).tolist() == [0, 1, 2, 3]
+        assert self.window(scores, 3, 10.0).tolist() == [0, 1, 2, 3]
 
     def test_picks_top_scores_with_low_index_ties(self):
         scores = np.array([5.0, 1.0, 5.0, 0.0])
-        assert eta_tracked(scores, 1, eta=2.0).tolist() == [0, 2]
+        assert self.window(scores, 1, 2.0).tolist() == [0, 2]
+        assert self.window(np.zeros(5), 1, 2.0).tolist() == [0, 1]
 
     def test_result_is_sorted_ascending(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             scores = rng.standard_normal(20)
-            out = eta_tracked(scores, 4, eta=2.0)
+            out = self.window(scores, 4, 2.0)
             assert np.all(np.diff(out) > 0)
-
-    def test_bad_arguments_rejected(self):
-        with pytest.raises(DataError):
-            eta_tracked(np.arange(3.0), 0)
-        with pytest.raises(DataError):
-            eta_tracked(np.arange(3.0), 1, eta=0.0)
+            assert set(out.tolist()) == set(np.argsort(-scores)[:8].tolist())
 
     @pytest.mark.parametrize("n_select,eta", [(1, 2.0), (2, 0.5), (20, 2.0)])
     def test_first_batch_window_size(self, monkeypatch, n_select, eta):
         # The first batch tracks min(n, ceil(n_select * FIRST_BATCH_ETA))
         # features; the second min(n, ceil(n_select * LATER_BATCH_ETA)),
-        # here set to eta.  A narrower first window is preceded by a
-        # weigh-only call with no window, which is skipped here.
+        # here set to eta.  The first window is preceded by a weigh-only
+        # call with no window, which is skipped here.
         rng = np.random.default_rng(5)
         n = 160
         X = rng.standard_normal((24, n))
@@ -544,7 +547,6 @@ class TestTrackingWindows:
         monkeypatch.setattr(selection, "LATER_BATCH_ETA", eta)
         selection.run_belief(ds, selection.SelectorConfig(
             n_select=n_select, batches=2, theta=0.5))
-        first = min(n, math.ceil(n_select * FIRST_BATCH_ETA))
-        assert window_size(n, n_select, FIRST_BATCH_ETA) == first
+        first = min(n, math.ceil(n_select * selection.FIRST_BATCH_ETA))
         assert [s.collisions.tracked.size for s in seen] == [
             first, min(n, math.ceil(n_select * eta))]

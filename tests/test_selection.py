@@ -340,11 +340,12 @@ class TestRunBelief:
         assert six.selected_features() == nine.selected_features()
 
     def test_estimate_batch_results_count_each_pair_once(self, monkeypatch):
-        # The first batch's window (20 of 30 features) is narrower than the
-        # input, so run_belief weighs its pairs in one estimate_batch call
-        # and folds their collisions in a second.  Per-call counters (the
-        # benchmark's spans) must still see every pair once: in the counts
-        # of one call and in the collision pair count of one call.
+        # run_belief weighs the first batch's pairs in one estimate_batch
+        # call and folds their collisions in a second, whether its window
+        # (20 or 40 features of 30) leaves features out or covers them all.
+        # Per-call counters (the benchmark's spans) must still see every
+        # pair once: in the counts of one call and in the collision pair
+        # count of one call.
         ds = gaussian_classes(6, m=90, n=30)
         results, totals = [], []
         real_estimate = selection.estimate_batch
@@ -360,14 +361,17 @@ class TestRunBelief:
 
         monkeypatch.setattr(selection, "estimate_batch", estimating)
         monkeypatch.setattr(selection, "merge_stats", merging)
-        run_belief(ds, SelectorConfig(n_select=1, batches=2, theta=0.5))
-        assert len(results) == 3 and len(totals) == 1
-        total = totals[0]
-        pairs = int(total.hit_count.sum() + total.miss_count.sum())
-        assert pairs > 0 and total.collisions.pair_count == pairs
-        assert sum(int(r.hit_count.sum() + r.miss_count.sum())
-                   for r in results) == pairs
-        assert sum(r.collisions.pair_count for r in results) == pairs
+        for n_select in (1, 2):
+            results.clear()
+            totals.clear()
+            run_belief(ds, SelectorConfig(n_select=n_select, batches=2, theta=0.5))
+            assert len(results) == 3 and len(totals) == 1
+            total = totals[0]
+            pairs = int(total.hit_count.sum() + total.miss_count.sum())
+            assert pairs > 0 and total.collisions.pair_count == pairs
+            assert sum(int(r.hit_count.sum() + r.miss_count.sum())
+                       for r in results) == pairs
+            assert sum(r.collisions.pair_count for r in results) == pairs
 
     def test_redundancy_penalty_applies_above_5000_features(self):
         # The first batch once tracked every pair up to 5000 features and
@@ -431,8 +435,9 @@ class TestRunBelief:
 
     def test_selection_size_validated_before_work(self):
         ds = gaussian_classes(6, m=30)
-        with pytest.raises(DataError):
-            run_belief(ds, SelectorConfig(n_select=99))
+        for n_select in (99, 0):
+            with pytest.raises(DataError, match="selection size"):
+                run_belief(ds, SelectorConfig(n_select=n_select))
 
     @pytest.mark.parametrize("bad", [
         {"kappa": 1.5}, {"kappa": -0.1}, {"kappa": float("nan")},
