@@ -199,10 +199,10 @@ def cmd_eval(args) -> int:
     if args.selection and args.truth:
         with open(args.selection) as fh:
             try:
-                doc = json.load(fh)
+                sel = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{args.selection}: {exc}") from None
-        entries = doc.get("selected", []) if isinstance(doc, dict) else None
+        entries = sel.get("selected", []) if isinstance(sel, dict) else None
         if not isinstance(entries, list):
             raise DataError(f"{args.selection}: not an object with a 'selected' list")
         if not all(isinstance(s, dict) and "feature" in s for s in entries):

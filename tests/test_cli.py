@@ -183,6 +183,9 @@ class TestEval:
                      "--truth", str(truth_path), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["success"] == 1.0
+        # Only the score and the picks: nothing else of the selection file.
+        picks = [s["feature"] for s in json.loads(sel.read_text())["selected"]]
+        assert list(doc) == ["success", "selected"] and doc["selected"] == picks
 
     def test_truth_without_selection_is_exit_two(self, tmp_path):
         data, truth_path = run_gen(tmp_path)
