@@ -529,33 +529,6 @@ def read_metadata(stream: IO[str]) -> dict:
     return doc
 
 
-# -- thread pool -----------------------------------------------------------
-
-# Most items of one map at once, in any phase: partition search and
-# accumulation, and the dense z-scoring statistics of inputs wider than one
-# 1024-column block.
-_MAX_THREADS = 8
-
-
-def _map_pool(fn, items, workers: int) -> list:
-    """``[fn(x) for x in items]``, at most min(workers, 8) items at once.
-
-    The calling thread runs item 0 while a pool of one thread fewer runs
-    the rest, so a map over p items at width p starts p - 1 threads; each
-    thread holds one item's working set at a time.  A single item, or a
-    single worker, runs on the calling thread alone.  The results come back
-    in item order whatever order the threads finish in, the first exception
-    in item order reaches the caller, and no pool thread outlives the call.
-    """
-    items = list(items)
-    width = min(workers, len(items), _MAX_THREADS)
-    if width <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=width - 1) as pool:
-        rest = pool.map(fn, items[1:])  # submitted before item 0 starts
-        return [fn(items[0]), *rest]
-
-
 # -- normalization ---------------------------------------------------------
 
 # Block budget of the dense statistics' leaf buffer.
@@ -565,7 +538,7 @@ _STATS_BYTES = 1 << 20
 _LEAF_ROWS = 128
 
 
-def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
+def zscore_normalize(dataset: Dataset) -> Dataset:
     """``dataset`` with its z-score statistics (population) recorded and its
     rows, dense or sparse, shared raw, to be z-scored as they are read.
 
@@ -574,15 +547,13 @@ def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
     ``X[:, numeric].mean(axis=0)`` and ``.std(axis=0)``: each column is
     summed in numpy's pairwise order (leaves of at most 128 rows, each added
     in 8 interleaved lanes, halves split at multiples of 8), rebuilt from
-    contiguous row slices instead of a strided column gather.  Inputs wider
-    than 1024 numeric columns map column blocks over min(``workers``, 8)
-    threads (the calling one among them), each holding one leaf buffer of
-    at most ``_STATS_BYTES``; results do not depend on ``workers``.  Nominal
-    features get mean 0 and std 1, which reads them unchanged.  Absent
-    sparse entries count as raw zeros.  Statistics come from the stored
-    rows, so normalizing again records the same ones.  A numeric feature
-    holding a NaN or an infinity (or values whose sum or spread overflows)
-    raises ``DataError`` naming the lowest such feature.
+    row-major views of column blocks instead of a strided column gather, on
+    the calling thread with one leaf buffer of at most ``_STATS_BYTES``.
+    Nominal features get mean 0 and std 1, which reads them unchanged.
+    Absent sparse entries count as raw zeros.  Statistics come from the
+    stored rows, so normalizing again records the same ones.  A numeric
+    feature holding a NaN or an infinity (or values whose sum or spread
+    overflows) raises ``DataError`` naming the lowest such feature.
     """
     m = dataset.n_instances
     if m == 0:
@@ -604,61 +575,55 @@ def zscore_normalize(dataset: Dataset, workers: int = 1) -> Dataset:
         _check_finite(std)
         std[std == 0.0] = 1.0
     else:
-        mean, std = _dense_statistics(dataset, workers)
+        mean, std = _dense_statistics(dataset)
     return Dataset(dataset.rows, dataset.labels.copy(), dataset.numeric,
                    n_classes=dataset.n_classes, means=mean, stds=std,
                    normalized=True)
 
 
-def _dense_statistics(dataset: Dataset, workers: int):
+def _dense_statistics(dataset: Dataset):
     """Per-feature means and population stds of a dense dataset (0 and 1 for
     nominal features, std 1 for constant ones); raises ``DataError`` on the
     lowest non-finite numeric feature.
 
-    Numeric columns go in blocks of at most 1024 (``_STATS_BYTES`` over
-    128-row leaves) mapped over the pool.  Each block reads its rows in row
-    order, one leaf of at most 128 rows at a time, and rebuilds numpy's
-    pairwise sum of every column from the leaves (8 lanes a leaf, halves
-    split at multiples of 8; see ``_pairwise_sum`` and ``_leaf_sum``): once
-    over x for the mean, once over (x - mean)^2 for the variance.
+    The span from the first numeric column to the last goes in blocks of at
+    most 1024 columns (``_STATS_BYTES`` over 128-row leaves), one after
+    another.  Each leaf is the view ``rows[a:b, lo:hi]``, read in row order,
+    and numpy's pairwise sum of every column is rebuilt from the leaves
+    (8 lanes a leaf, halves split at multiples of 8; see ``_pairwise_sum``
+    and ``_leaf_sum``): once over x for the mean, once over (x - mean)^2,
+    written into one reused buffer, for the variance.  Nominal columns
+    inside the span are summed too and then given mean 0 and std 1, so a
+    NaN or infinity, or a sum or spread that overflows, is reported for
+    numeric features only.
     """
     rows = dataset.rows
     m = dataset.n_instances
-    numeric = np.flatnonzero(dataset.numeric)
-    width = _STATS_BYTES // (8 * _LEAF_ROWS)
-    blocks = [numeric[a:a + width] for a in range(0, numeric.size, width)]
-
-    def column_stats(cols):
-        # A run of adjacent columns is read as a view; otherwise each leaf
-        # is gathered into the buffer (mode="clip": the default "raise"
-        # gathers into a temporary first), which the variance pass reuses
-        # for its squared deviations.  A NaN or infinity, or a sum or spread
-        # that overflows, leaves the column's std non-finite; it is
-        # reported afterwards.
-        lo, hi = int(cols[0]), int(cols[-1]) + 1
-        adjacent = hi - lo == cols.size
-        buf = np.empty((min(m, _LEAF_ROWS), cols.size))
-
-        def leaf(a, b, mu=None):
-            v = (rows[a:b, lo:hi] if adjacent
-                 else np.take(rows[a:b], cols, axis=1, out=buf[:b - a], mode="clip"))
-            if mu is not None:
-                v = np.subtract(v, mu, out=buf[:b - a])
-                np.square(v, out=v)
-            return _leaf_sum(v)
-
-        with np.errstate(invalid="ignore", over="ignore"):
-            mu = _pairwise_sum(leaf, 0, m) / m
-            var = _pairwise_sum(lambda a, b: leaf(a, b, mu), 0, m) / m
-            return mu, np.sqrt(var)  # population
-
+    numeric = dataset.numeric
     mean = np.zeros(dataset.n_features)
     std = np.ones(dataset.n_features)
-    for cols, (mu, sigma) in zip(blocks, _map_pool(column_stats, blocks, workers)):
-        _check_finite(sigma, cols)
-        sigma[sigma == 0.0] = 1.0
-        mean[cols] = mu
-        std[cols] = sigma
+    if not numeric.any():
+        return mean, std
+    first = int(np.argmax(numeric))
+    last = numeric.size - int(np.argmax(numeric[::-1]))
+    width = _STATS_BYTES // (8 * _LEAF_ROWS)
+    buf = np.empty(min(m, _LEAF_ROWS) * min(width, last - first))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(first, last, width):
+            hi = min(lo + width, last)
+            mu = _pairwise_sum(lambda a, b: _leaf_sum(rows[a:b, lo:hi]), 0, m) / m
+
+            def squares(a, b):
+                v = buf[:(b - a) * (hi - lo)].reshape(b - a, hi - lo)
+                np.subtract(rows[a:b, lo:hi], mu, out=v)
+                return _leaf_sum(np.square(v, out=v))
+
+            mean[lo:hi] = mu
+            std[lo:hi] = np.sqrt(_pairwise_sum(squares, 0, m) / m)  # population
+    mean[~numeric] = 0.0
+    std[~numeric] = 1.0
+    _check_finite(std)
+    std[std == 0.0] = 1.0
     return mean, std
 
 
@@ -695,21 +660,24 @@ def _leaf_sum(v: np.ndarray) -> np.ndarray:
     return total
 
 
-def _check_finite(stat: np.ndarray, features: np.ndarray | None = None) -> None:
+def _check_finite(stat: np.ndarray) -> None:
     """Raise on the first non-finite per-feature sum, mean or std.
 
     Any NaN or infinity in a column propagates into its sum, so the
     statistics normalization computes anyway find bad input at no extra
-    pass.  ``features`` maps positions in ``stat`` to feature indices.
+    pass.
     """
     bad = np.flatnonzero(~np.isfinite(stat))
     if bad.size:
-        j = int(bad[0] if features is None else features[bad[0]])
-        raise DataError(f"feature {j} holds a non-finite value "
+        raise DataError(f"feature {bad[0]} holds a non-finite value "
                         f"(or values whose sum or spread overflows)")
 
 
 # -- partitioning and sampling ---------------------------------------------
+
+# Most partitions of one map at once, in either phase: search and
+# accumulation.
+_MAX_THREADS = 8
 
 
 @dataclass
@@ -730,13 +698,24 @@ class PartitionedDataset:
         return self.starts.shape[0] - 1
 
     def map_partitions(self, fn, workers: int | None = None) -> list:
-        """``[fn(g) for g in range(p)]``, at most min(``workers``, 8)
-        partitions at once (p by default), with the results in partition
-        order.  Partition 0 runs on the calling thread, so a map over p
-        partitions starts p - 1 threads (see ``_map_pool``)."""
-        return _map_pool(fn, range(self.n_partitions),
-                         self.n_partitions if workers is None else workers)
+        """``[fn(g) for g in range(p)]``, at most min(``workers``, p, 8)
+        partitions at once (``workers`` is p by default).
 
+        The calling thread runs partition 0 while a pool of one thread fewer
+        runs the rest, so a map over p partitions at width p starts p - 1
+        threads; each thread holds one partition's working set at a time.
+        A single partition, or a single worker, runs on the calling thread
+        alone.  The results come back in partition order whatever order the
+        threads finish in, the first exception in partition order reaches
+        the caller, and no pool thread outlives the call.
+        """
+        p = self.n_partitions
+        width = min(p if workers is None else workers, p, _MAX_THREADS)
+        if width <= 1:
+            return [fn(g) for g in range(p)]
+        with ThreadPoolExecutor(max_workers=width - 1) as pool:
+            rest = pool.map(fn, range(1, p))  # submitted before partition 0 starts
+            return [fn(0), *rest]
 
 
 def partition(dataset: Dataset, p: int) -> PartitionedDataset:

@@ -161,8 +161,7 @@ def run_belief(dataset: Dataset, config: SelectorConfig) -> RankingResult:
     if dataset.normalized:
         dataset.checked_sums()  # the finite check normalizing makes
     # Statistics only: dense rows stay raw and are z-scored as they are read.
-    ds = (dataset if dataset.normalized
-          else zscore_normalize(dataset, workers=config.partitions))
+    ds = dataset if dataset.normalized else zscore_normalize(dataset)
     timings["normalize_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from beliefsel import dataset
+from beliefsel import dataset, selection
 from beliefsel.dataset import (Dataset, FeatureKind, draw_sample, parse_csv,
                                parse_libsvm, partition, read_metadata,
                                write_csv, write_libsvm, write_metadata,
@@ -297,63 +297,80 @@ class TestZscore:
     @pytest.mark.parametrize("bad, first", [((8,), 8), ((8, 6), 6), ((4, 8), 4)])
     def test_dense_non_finite_in_later_block_names_its_feature(self, bad, first,
                                                                monkeypatch):
-        # Two-column blocks: numeric features 1-2, 3-4, 5-6 and 7-8; with
-        # two or more workers the later blocks go to another thread.
+        # Two-column blocks: numeric features 1-2, 3-4, 5-6 and 7-8.
         monkeypatch.setattr(dataset, "_STATS_BYTES", 8 * dataset._LEAF_ROWS * 2)
         ds = make_dense(m=10, n=9, nominal=(0,), seed=4)
         for j in bad:
             ds.rows[j - 3, j] = np.nan
-        for workers in (1, 2, 3):
-            with pytest.raises(DataError, match=rf"feature {first} "):
-                zscore_normalize(ds, workers=workers)
+        with pytest.raises(DataError, match=rf"feature {first} "):
+            zscore_normalize(ds)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     @pytest.mark.parametrize("m, width", [(5, 2), (40, None), (9000, 3)])
     def test_pooled_normalize_matches_single_thread(self, m, width, workers,
                                                     monkeypatch):
-        # (5, 2): five stats blocks, so eight workers outnumber the blocks.
-        # (40, None): one block, which stays on the calling thread.
-        # (9000, 3): three stats blocks of four columns or fewer.
+        # Normalizing runs on the calling thread; here ``workers`` calls run
+        # at once on the partition pool, and none shares another's buffer.
+        # (5, 2): five stats blocks.  (40, None): one block.  (9000, 3):
+        # three stats blocks of four columns or fewer.
         if width is not None:
             monkeypatch.setattr(dataset, "_STATS_BYTES", 8 * dataset._LEAF_ROWS * width)
         ds = mixed_dense(m, 11, seed=m)
         one = zscore_normalize(ds)
-        out = zscore_normalize(ds, workers=workers)
+        pooled = partition(ds, min(workers, m)).map_partitions(lambda g: zscore_normalize(ds))
         X, mean, std = reference_zscore(ds)
-        for got in (one, out):
+        for got in (one, *pooled):
             assert np.array_equal(got.feature_space().scaled(got.rows), X)
             assert np.array_equal(got.means, mean)
             assert np.array_equal(got.stds, std)
 
-    def test_run_belief_normalizes_on_the_partition_pool(self, monkeypatch):
-        seen = []
-        pool = dataset._map_pool
+    def test_run_belief_normalizes_on_the_calling_thread(self, monkeypatch):
+        # No thread starts while run_belief normalizes (the partition pool
+        # starts later), every leaf is summed on the calling thread, and the
+        # statistics share the input's rows rather than a z-scored copy.
+        normalizing, started, leaves, outs = [False], [], [], []
+        start, leaf_sum, real = (threading.Thread.start, dataset._leaf_sum,
+                                 selection.zscore_normalize)
 
-        def spy(fn, items, workers):
-            seen.append((fn.__name__, workers))
-            return pool(fn, items, workers)
+        def normalize(ds):
+            normalizing[0] = True
+            try:
+                outs.append(real(ds))
+            finally:
+                normalizing[0] = False
+            return outs[-1]
 
-        monkeypatch.setattr(dataset, "_map_pool", spy)
-        run_belief(make_dense(m=30, n=4, seed=6),
-                   SelectorConfig(n_select=2, partitions=3, theta=0.0))
-        # Statistics only: the rows stay raw and are z-scored as read.
-        assert ("column_stats", 3) in seen
-        assert not any(name == "write" for name, _ in seen)
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda t: started.append(normalizing[0]) or start(t))
+        monkeypatch.setattr(dataset, "_leaf_sum",
+                            lambda v: leaves.append(threading.get_ident()) or leaf_sum(v))
+        monkeypatch.setattr(selection, "zscore_normalize", normalize)
+        ds = make_dense(m=30, n=4, seed=6)
+        run_belief(ds, SelectorConfig(n_select=2, partitions=3, theta=0.0))
+        assert len(outs) == 1 and outs[0].rows is ds.rows
+        assert started and not any(started)
+        assert leaves and set(leaves) == {threading.get_ident()}
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pooled_normalize_holds_one_stats_block_per_worker(self, workers):
-        # numpy reports its buffers to tracemalloc.  Five 1024-column blocks
-        # go to the pool; each thread holds one leaf buffer of at most
-        # _STATS_BYTES at a time (the variance reuses it), and the rows are
-        # shared, not copied.
+        # numpy reports its buffers to tracemalloc.  One call reads five
+        # 1024-column blocks one after another through one leaf buffer of
+        # at most _STATS_BYTES (the variance reuses it), and the rows are
+        # shared, not copied; ``workers`` calls at once on the partition
+        # pool hold one buffer each.
         ds = make_dense(m=300, n=5000, nominal=(3, 40), seed=9)
-        tracemalloc.start()
-        try:
-            zscore_normalize(ds, workers=workers)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= (workers + 1) * dataset._STATS_BYTES
+        pdata = partition(ds, workers)
+        peaks = []
+        for run in (lambda: zscore_normalize(ds),
+                    lambda: pdata.map_partitions(lambda g: zscore_normalize(ds))):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 2 * dataset._STATS_BYTES
+        assert peaks[1] <= (workers + 1) * dataset._STATS_BYTES
 
     def test_dense_normalize_makes_no_copy(self):
         # numpy reports its buffers to tracemalloc.  The statistics hold one
@@ -376,7 +393,8 @@ class TestZscore:
         # The statistics rebuild numpy's pairwise order from row slices:
         # 128-row leaves, 8 lanes, halves at multiples of 8.  Column 0 has a
         # 1e8 offset and a 1e-3 spread; n=3 puts a nominal column between
-        # two numeric ones (a gathered leaf); n=1025 is two column blocks.
+        # two numeric ones (summed, then given mean 0 and std 1); n=1025 is
+        # two column blocks.
         rng = np.random.default_rng(m * 7 + n)
         X = np.empty((m, n))
         rng.standard_normal(out=X)
@@ -388,24 +406,60 @@ class TestZscore:
             X[:, 1] = rng.integers(0, 4, m)
             kinds[1] = FeatureKind.NOMINAL
         ds = Dataset(X, rng.integers(0, 2, m), kinds)
-        out = zscore_normalize(ds, workers=2)
+        out = zscore_normalize(ds)
         mean, std = reference_statistics(ds)
         assert np.array_equal(out.means, mean)
         assert np.array_equal(out.stds, std)
 
     @pytest.mark.parametrize("n, blocks", [(1024, 1), (1025, 2)])
     def test_statistics_blocks_are_1024_columns_wide(self, n, blocks, monkeypatch):
-        seen = []
-        pool = dataset._map_pool
+        # 20 rows are one leaf: each block sums it once for the mean and
+        # once for the variance.
+        widths = []
+        leaf_sum = dataset._leaf_sum
+        monkeypatch.setattr(dataset, "_leaf_sum",
+                            lambda v: widths.append(v.shape[1]) or leaf_sum(v))
+        zscore_normalize(make_dense(m=20, n=n, seed=1))
+        assert widths == [w for w in [1024, 1][:blocks] for _ in range(2)]
 
-        def spy(fn, items, workers):
-            items = list(items)
-            seen.append(len(items))
-            return pool(fn, items, workers)
-
-        monkeypatch.setattr(dataset, "_map_pool", spy)
-        zscore_normalize(make_dense(m=20, n=n, seed=1), workers=2)
-        assert seen == [blocks]
+    @pytest.mark.parametrize("case", ["spread", "all_nominal", "huge_codes"])
+    def test_statistics_read_the_numeric_span_as_views(self, case, monkeypatch):
+        # Two-column blocks over the span from the first numeric feature to
+        # the last, each leaf a view: nominal features 0-1 come before it,
+        # 4 inside it and 8 after it, so every leaf is two columns wide.
+        # Nominal 4 is summed, then given mean 0 and std 1: codes of 1e200,
+        # whose spread overflows, change no numeric bit and raise nothing.
+        monkeypatch.setattr(dataset, "_STATS_BYTES", 8 * dataset._LEAF_ROWS * 2)
+        widths = []
+        leaf_sum = dataset._leaf_sum
+        monkeypatch.setattr(dataset, "_leaf_sum",
+                            lambda v: widths.append(v.shape[1]) or leaf_sum(v))
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((300, 9)) * 10 + 5
+        nominal = range(9) if case == "all_nominal" else (0, 1, 4, 8)
+        for j in nominal:
+            X[:, j] = rng.integers(0, 4, 300)
+        kinds = [FeatureKind.NOMINAL if j in nominal else FeatureKind.NUMERIC
+                 for j in range(9)]
+        labels = rng.integers(0, 2, 300)
+        small = Dataset(X.copy(), labels, kinds)
+        if case == "huge_codes":
+            X[:, 4] *= 1e200
+        ds = Dataset(X, labels, kinds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = zscore_normalize(ds)
+        mean, std = reference_statistics(ds)
+        assert np.array_equal(out.means, mean)
+        assert np.array_equal(out.stds, std)
+        if case == "all_nominal":
+            assert widths == []
+            assert not out.means.any() and (out.stds == 1.0).all()
+        else:
+            assert widths and set(widths) == {2}
+            ref = zscore_normalize(small)
+            assert np.array_equal(out.means, ref.means)
+            assert np.array_equal(out.stds, ref.stds)
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_overflowing_spread_names_its_feature(self, sparse):
@@ -549,25 +603,30 @@ class TestPartition:
 
 
 class TestMapPool:
-    """``_map_pool``: item 0 on the calling thread, the rest on a pool of
-    one thread fewer, results and errors in item order."""
+    """``PartitionedDataset.map_partitions``: partition 0 on the calling
+    thread, the rest on a pool of one thread fewer, results and errors in
+    partition order."""
+
+    @staticmethod
+    def pdata(p):
+        return partition(make_dense(m=p), p)
 
     def test_results_in_item_order_when_later_items_finish_first(self):
         done = [threading.Event() for _ in range(3)]
         finished = []
 
         def fn(x):
-            if x < 2:  # each item waits for the one after it
+            if x < 2:  # each partition waits for the one after it
                 assert done[x + 1].wait(5)
             finished.append(x)
             done[x].set()
             return x * x
 
-        assert dataset._map_pool(fn, range(3), 3) == [0, 1, 4]
+        assert self.pdata(3).map_partitions(fn) == [0, 1, 4]
         assert finished == [2, 1, 0]
 
     def test_item_zero_runs_on_the_calling_thread(self):
-        ids = dataset._map_pool(lambda x: threading.get_ident(), range(3), 3)
+        ids = self.pdata(3).map_partitions(lambda x: threading.get_ident())
         assert ids[0] == threading.get_ident()
         assert threading.get_ident() not in ids[1:]
 
@@ -585,9 +644,10 @@ class TestMapPool:
                 running[0] -= 1
             return x
 
+        pdata = self.pdata(6)
         for workers in (1, 2, 3):
             peak[0] = 0
-            assert dataset._map_pool(fn, range(6), workers) == list(range(6))
+            assert pdata.map_partitions(fn, workers) == list(range(6))
             assert 1 <= peak[0] <= workers
 
     @pytest.mark.parametrize("bad", [0, 2])
@@ -598,26 +658,27 @@ class TestMapPool:
             return x
 
         with pytest.raises(ValueError, match=f"item {bad}"):
-            dataset._map_pool(fn, range(3), 3)
+            self.pdata(3).map_partitions(fn)
 
     def test_first_error_in_item_order_wins(self):
         def fn(x):
             if x:
-                time.sleep(0.02 * (3 - x))  # item 2 fails first
+                time.sleep(0.02 * (3 - x))  # partition 2 fails first
                 raise ValueError(f"item {x}")
 
         with pytest.raises(ValueError, match="item 1"):
-            dataset._map_pool(fn, range(3), 3)
+            self.pdata(3).map_partitions(fn)
 
     def test_no_pool_thread_outlives_the_call(self):
         def fail(x):
             raise ValueError(f"item {x}")
 
+        pdata = self.pdata(3)
         before = threading.active_count()
-        dataset._map_pool(lambda x: time.sleep(0.01), range(3), 3)
+        pdata.map_partitions(lambda x: time.sleep(0.01))
         assert threading.active_count() == before
         with pytest.raises(ValueError, match="item 0"):
-            dataset._map_pool(fail, range(3), 3)
+            pdata.map_partitions(fail)
         assert threading.active_count() == before
 
 

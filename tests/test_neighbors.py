@@ -283,13 +283,13 @@ class TestNeighborhood:
         pdata = partition(zscore_normalize(random_dataset(9, n_classes=3)), 3)
         batch = draw_sample(pdata, 0.5, 1, seed=1)[0]
         seen = []
-        pool = dataset._map_pool
+        pool = dataset.PartitionedDataset.map_partitions
 
-        def spy(fn, items, workers):
+        def spy(self, fn, workers=None):
             seen.append(workers)
-            return pool(fn, items, workers)
+            return pool(self, fn, workers)
 
-        monkeypatch.setattr(dataset, "_map_pool", spy)
+        monkeypatch.setattr(dataset.PartitionedDataset, "map_partitions", spy)
         tables = []
         for cut in (30 * 60 * 6, 30 * 60 * 6 - 1):
             monkeypatch.setattr(neighbors, "_INLINE_SEARCH", cut)

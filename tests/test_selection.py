@@ -289,7 +289,7 @@ class TestRunBelief:
         calls = []
         real = selection.zscore_normalize
         monkeypatch.setattr(selection, "zscore_normalize",
-                            lambda ds, workers=1: calls.append(ds) or real(ds, workers))
+                            lambda ds: calls.append(ds) or real(ds))
         ds = gaussian_classes(2)
         cfg = SelectorConfig(n_select=2, partitions=2, theta=0.0)
         run_belief(ds, cfg)
